@@ -256,15 +256,19 @@ pub fn run_fig89(app: AppKind) {
 /// the plot-friendly twin of the printed tables. Silently does nothing
 /// when the variable is unset; IO errors are reported, not fatal.
 pub fn dump_tsv(name: &str, headers: &[&str], rows: &[Vec<String>]) {
-    let Some(dir) = std::env::var_os("NCAP_BENCH_DATA") else {
-        return;
-    };
-    let mut path = std::path::PathBuf::from(dir);
-    if let Err(e) = std::fs::create_dir_all(&path) {
+    if let Some(dir) = std::env::var_os("NCAP_BENCH_DATA") {
+        dump_tsv_in(std::path::Path::new(&dir), name, headers, rows);
+    }
+}
+
+/// Writes `dir/name.tsv`, creating `dir` if needed. IO errors are
+/// reported, not fatal.
+pub fn dump_tsv_in(dir: &std::path::Path, name: &str, headers: &[&str], rows: &[Vec<String>]) {
+    if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("NCAP_BENCH_DATA: cannot create dir: {e}");
         return;
     }
-    path.push(format!("{name}.tsv"));
+    let path = dir.join(format!("{name}.tsv"));
     let mut text = headers.join("\t");
     text.push('\n');
     for row in rows {
@@ -330,21 +334,31 @@ mod tests {
 mod dump_tests {
     use super::*;
 
-    #[test]
-    fn dump_is_noop_without_env() {
-        // Must never error or write when the variable is unset.
-        std::env::remove_var("NCAP_BENCH_DATA");
-        dump_tsv("unit_test", &["a", "b"], &[vec!["1".into(), "2".into()]]);
+    /// A directory no other test (or concurrent test binary) uses.
+    fn unique_dir(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("ncap_bench_{tag}_{}", std::process::id()))
     }
 
     #[test]
-    fn dump_writes_tsv_when_enabled() {
-        let dir = std::env::temp_dir().join("ncap_bench_data_test");
-        std::env::set_var("NCAP_BENCH_DATA", &dir);
-        dump_tsv("unit_test", &["a", "b"], &[vec!["1".into(), "2".into()]]);
-        std::env::remove_var("NCAP_BENCH_DATA");
+    fn dump_writes_tsv() {
+        let dir = unique_dir("dump_writes_tsv");
+        dump_tsv_in(
+            &dir,
+            "unit_test",
+            &["a", "b"],
+            &[vec!["1".into(), "2".into()]],
+        );
         let text = std::fs::read_to_string(dir.join("unit_test.tsv")).unwrap();
         assert_eq!(text, "a\tb\n1\t2\n");
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn dump_creates_nested_dirs() {
+        let root = unique_dir("dump_creates_nested_dirs");
+        let dir = root.join("x").join("y");
+        dump_tsv_in(&dir, "t", &["h"], &[]);
+        assert_eq!(std::fs::read_to_string(dir.join("t.tsv")).unwrap(), "h\n");
+        let _ = std::fs::remove_dir_all(root);
     }
 }

@@ -7,7 +7,7 @@
 
 use crate::app::{AppPhase, RequestInfo, ServerApp};
 use crate::config::{KernelConfig, ShedPolicy};
-use crate::work::{Work, WorkKind};
+use crate::work::{RunQueue, Work, WorkKind};
 use cpusim::{
     CState, Core, CoreId, CoreStateKind, EnergyMeter, PStateTable, PowerMode, PowerModel,
 };
@@ -306,7 +306,7 @@ pub struct Kernel {
     last_gov_sample: SimTime,
     last_busy: Vec<desim::SimDuration>,
 
-    run_queue: VecDeque<Work>,
+    run_queue: RunQueue,
     /// Bypass datapath: the userspace RX/TX descriptor ring busy-poll
     /// cores drain. Always empty on the kernel datapath.
     poll_queue: bypass::UserRing<Work>,
@@ -422,7 +422,7 @@ impl Kernel {
             ondemand_suspended_until: SimTime::ZERO,
             last_gov_sample: SimTime::ZERO,
             last_busy: vec![desim::SimDuration::ZERO; n],
-            run_queue: VecDeque::new(),
+            run_queue: RunQueue::new(n),
             poll_queue: bypass::UserRing::new(),
             current: std::iter::repeat_with(|| None).take(n).collect(),
             job_slots: vec![TimerSlot::new(); n],
@@ -821,72 +821,25 @@ impl Kernel {
     fn try_dispatch(&mut self, now: SimTime, fx: &mut Effects) {
         // Assign queue entries to idle cores, respecting affinity,
         // skipping over blocked entries so affinity cannot head-of-line
-        // block unrelated work.
-        loop {
-            let mut pick: Option<(usize, usize)> = None;
-            for qi in 0..self.run_queue.len() {
-                let target = match self.run_queue[qi].affinity {
-                    Some(c) => {
-                        let c = c as usize;
-                        self.cores[c].is_idle().then_some(c)
-                    }
-                    // Non-affine (application) work prefers the highest
-                    // idle core: core 0 carries the IRQ/SoftIRQ load of
-                    // the single-queue NIC, and a Linux scheduler keeps
-                    // application threads off it while others are free.
-                    // Busy-poll cores (below `floor`) take no application
-                    // work at all.
-                    None => {
-                        let floor = self.poll_core_count();
-                        self.cores[floor..]
-                            .iter()
-                            .rposition(Core::is_idle)
-                            .map(|i| i + floor)
-                    }
-                };
-                if let Some(ci) = target {
-                    pick = Some((qi, ci));
-                    break;
-                }
-            }
-            match pick {
-                Some((qi, ci)) => {
-                    let work = self.run_queue.remove(qi).expect("index in range");
-                    self.start_work(now, ci, work, fx);
-                }
-                None => break,
-            }
+        // block unrelated work. Non-affine (application) work prefers the
+        // highest idle core: core 0 carries the IRQ/SoftIRQ load of the
+        // single-queue NIC, and a Linux scheduler keeps application
+        // threads off it while others are free. Busy-poll cores (below
+        // the floor) take no application work at all.
+        let floor = self.poll_core_count();
+        while let Some(pick) = self.run_queue.pick(|c| self.cores[c].is_idle(), floor) {
+            let work = self.run_queue.pop(pick);
+            self.start_work(now, pick.core, work, fx);
         }
         // Wake sleeping cores for whatever remains queued.
-        let mut wake: Vec<usize> = Vec::new();
-        let mut nonaffine = 0usize;
-        for w in &self.run_queue {
-            match w.affinity {
-                Some(c) => {
-                    let c = c as usize;
-                    if matches!(self.cores[c].state_kind(), CoreStateKind::Asleep(_))
-                        && !wake.contains(&c)
-                    {
-                        wake.push(c);
-                    }
-                }
-                None => nonaffine += 1,
-            }
+        if self.run_queue.is_empty() {
+            return;
         }
-        if nonaffine > 0 {
-            for ci in 0..self.cores.len() {
-                if nonaffine == 0 {
-                    break;
-                }
-                if matches!(self.cores[ci].state_kind(), CoreStateKind::Asleep(_))
-                    && !wake.contains(&ci)
-                {
-                    wake.push(ci);
-                    nonaffine -= 1;
-                }
-            }
-        }
-        for ci in wake {
+        let asleep = (0..self.cores.len())
+            .filter(|&c| matches!(self.cores[c].state_kind(), CoreStateKind::Asleep(_)))
+            .collect();
+        let mut pass = self.run_queue.wake_pass(asleep);
+        while let Some(ci) = pass.next_core(&self.run_queue) {
             self.wake_core(now, ci, fx);
         }
     }
@@ -2147,6 +2100,106 @@ mod tests {
         let dbg = format!("{k:?}");
         assert!(dbg.contains("performance"));
         assert!(dbg.contains("stub"));
+    }
+
+    // ----- dispatch order ------------------------------------------------
+
+    /// Queues `work` and runs the dispatcher, as every producer does.
+    fn enqueue(k: &mut Kernel, fx: &mut Effects, work: Work) {
+        k.run_queue.push_back(work);
+        k.try_dispatch(SimTime::ZERO, fx);
+    }
+
+    /// A no-op work item, told apart from others by its cycle count.
+    fn overhead(id: u64) -> Work {
+        Work::cycles(id, WorkKind::Overhead)
+    }
+
+    /// The cycle count (the tests' item id) of the work `core` runs.
+    fn running(k: &Kernel, core: usize) -> Option<u64> {
+        k.current[core].as_ref().map(|w| w.cycles)
+    }
+
+    /// Fires the pending `JobDone` of `core`, which dispatches again.
+    fn finish_job(k: &mut Kernel, fx: &Effects, core: usize) -> Effects {
+        let &(t, ref done) = fx
+            .schedule
+            .iter()
+            .rev()
+            .find(|(_, e)| matches!(e, NodeEvent::JobDone { core: c, .. } if *c as usize == core))
+            .expect("core has a job in flight");
+        k.handle(t, done.clone())
+    }
+
+    #[test]
+    fn isr_at_the_front_overtakes_queued_core0_softirq_work() {
+        let mut k = stub_kernel(None);
+        let mut fx = Effects::default();
+        enqueue(&mut k, &mut fx, overhead(1).on_core(0));
+        for id in [2, 3] {
+            let tx = WorkKind::SoftIrqTx {
+                frame: get_frame(id),
+            };
+            enqueue(&mut k, &mut fx, Work::cycles(id, tx).on_core(0));
+        }
+        k.deliver_irq(SimTime::ZERO, 0, &mut fx);
+        assert_eq!(k.run_queue_depth(), 3, "core 0 is busy: all three wait");
+        let fx = finish_job(&mut k, &fx, 0);
+        assert!(
+            matches!(
+                k.current[0].as_ref().map(|w| &w.kind),
+                Some(WorkKind::Isr { queue: 0 })
+            ),
+            "the ISR must run before the SoftIRQ work queued ahead of it"
+        );
+        finish_job(&mut k, &fx, 0);
+        assert_eq!(running(&k, 0), Some(2), "then the SoftIRQ work, in order");
+    }
+
+    #[test]
+    fn blocked_affine_work_does_not_block_non_affine_work_behind_it() {
+        let mut k = stub_kernel(None);
+        let mut fx = Effects::default();
+        enqueue(&mut k, &mut fx, overhead(1).on_core(1));
+        enqueue(&mut k, &mut fx, overhead(2).on_core(1));
+        enqueue(&mut k, &mut fx, overhead(3));
+        assert_eq!(running(&k, 1), Some(1));
+        assert_eq!(
+            running(&k, 3),
+            Some(3),
+            "skips the entry waiting for core 1"
+        );
+        assert_eq!(k.run_queue_depth(), 1);
+    }
+
+    #[test]
+    fn non_affine_work_goes_to_the_highest_idle_non_poll_core() {
+        let cfg = KernelConfig {
+            datapath: bypass::Datapath::Bypass,
+            bypass: bypass::BypassConfig::dpdk_like().with_poll_cores(1),
+            ..KernelConfig::server_defaults()
+        };
+        let mut k = Kernel::new(
+            cfg,
+            NodeId(0),
+            Nic::new(NicConfig::i82574_like()),
+            Box::new(Performance),
+            Box::new(PollIdle),
+            Box::new(StubApp {
+                cycles: 50_000,
+                response: 4_000,
+                io: None,
+            }),
+        );
+        let mut fx = Effects::default();
+        enqueue(&mut k, &mut fx, overhead(1).on_core(3));
+        for id in [2, 3, 4] {
+            enqueue(&mut k, &mut fx, overhead(id));
+        }
+        assert_eq!(running(&k, 2), Some(2), "core 3 is busy: core 2 is highest");
+        assert_eq!(running(&k, 1), Some(3));
+        assert_eq!(running(&k, 0), None, "the busy-poll core takes no app work");
+        assert_eq!(k.run_queue_depth(), 1);
     }
 }
 

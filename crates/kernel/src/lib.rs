@@ -33,4 +33,4 @@ pub use app::{AppPhase, AppPlan, RequestInfo, ServerApp};
 pub use bypass::{BypassConfig, Datapath};
 pub use config::{KernelConfig, OverloadConfig, ShedPolicy};
 pub use kernel::{Effects, Kernel, KernelStats, NodeEvent, RequestTrace};
-pub use work::{Work, WorkKind};
+pub use work::{CoreSet, Pick, RunQueue, WakePass, Work, WorkKind};

@@ -155,6 +155,15 @@ echo "==> chaos smoke ok ($chaos_dir)"
 # BENCH_6.json).
 run scripts/bench_record.sh --smoke
 
+# Benchmark smoke: every workload of the simulator benchmark
+# (BENCHMARK.json) must build, run its short configuration and pass its
+# correctness checks. The verdict is the JSON object on the last line.
+bench_out=$(run cargo run --release --example benchmark -- --smoke)
+echo "$bench_out" | tail -1
+echo "$bench_out" | tail -1 | grep -q '"correct": true' ||
+    { echo "verify: benchmark smoke failed its correctness checks" >&2; exit 1; }
+echo "==> benchmark smoke ok"
+
 # Hermeticity: no external crates may creep back into any manifest.
 if grep -rn '^\(rand\|bytes\|proptest\|criterion\|serde\|crossbeam\|parking_lot\)' \
     Cargo.toml crates/*/Cargo.toml; then
