@@ -60,7 +60,7 @@ pub use netsim::{DomainImpairment, FaultConfig, RetxConfig, DEFAULT_FAULT_SEED};
 pub use oskernel::{BypassConfig, Datapath, OverloadConfig, ShedPolicy};
 pub use policy::Policy;
 pub use runner::{
-    run_experiment, run_experiments_on, run_experiments_parallel, run_imbalanced,
+    build_cluster, run_experiment, run_experiments_on, run_experiments_parallel, run_imbalanced,
     try_run_experiment, try_run_imbalanced, ExperimentResult, MultiServerResult,
 };
 pub use sim::{ClusterEvent, ClusterSim, FaultSummary};

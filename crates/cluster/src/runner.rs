@@ -2,7 +2,7 @@
 
 use crate::config::{AppKind, ExperimentConfig};
 use crate::policy::Policy;
-use crate::sim::{ClusterSim, FaultSummary};
+use crate::sim::{ClusterEvent, ClusterSim, FaultSummary};
 use crate::trace::Traces;
 use crate::watchdog::{InvariantViolation, Watchdog, WatchdogMode};
 use cpusim::EnergyMeter;
@@ -254,22 +254,7 @@ fn env_trace_enabled() -> bool {
 /// and recorded an invariant violation.
 pub fn try_run_experiment(cfg: &ExperimentConfig) -> Result<ExperimentResult, ConfigError> {
     cfg.validate()?;
-    // Machine failures are only survivable through the end-to-end
-    // reliability layer: retransmissions are what re-pin a dead backend's
-    // requests somewhere healthy. Arm it when a failure schedule is
-    // present and the caller did not configure retransmissions — and do
-    // it here, before server construction, because `build_server` keys
-    // the server's duplicate suppression off the same flag.
-    let mut cfg = cfg.clone();
-    if cfg
-        .fleet
-        .as_ref()
-        .is_some_and(|f| f.faults.enabled() || f.domains.enabled())
-        && !cfg.faults.retx.enabled
-    {
-        cfg.faults.retx = netsim::RetxConfig::standard();
-    }
-    let cfg = &cfg;
+    let cfg = &armed(cfg);
     // Event tracing wraps the run: the tracer is thread-local and each
     // experiment runs wholly on one thread, so parallel batches trace
     // independently. Tracing never feeds back into the simulation, so
@@ -280,31 +265,8 @@ pub fn try_run_experiment(cfg: &ExperimentConfig) -> Result<ExperimentResult, Co
     if let Some(tc) = event_trace {
         simtrace::install(tc);
     }
-    // Node layout: servers first (0..n), then the VIP (fleet runs only),
-    // then the clients. Without a fleet this reduces to the historical
-    // single-server layout (server 0, clients from 1).
-    let n_servers = cfg.fleet.as_ref().map_or(1, |f| f.backends);
-    let (target, client_base) = if cfg.fleet.is_some() {
-        (NodeId(n_servers as u16), (n_servers + 1) as u16)
-    } else {
-        (NodeId(0), 1)
-    };
-    let servers: Vec<Kernel> = (0..n_servers)
-        .map(|i| build_server(cfg, NodeId(i as u16)))
-        .collect();
-    let (clients, background) = build_clients(cfg, target, client_base);
-    let mut cluster = ClusterSim::with_servers(servers, clients, background, cfg.trace)
-        .with_fault_injection(cfg.faults)
-        .with_watchdog(Watchdog::new(cfg.watchdog))
-        .with_breakdown(cfg.breakdown);
-    if let Some(fleet) = &cfg.fleet {
-        cluster = cluster.with_fleet(target, fleet);
-    }
+    let (cluster, initial) = assemble(cfg);
     let horizon = SimTime::ZERO + cfg.horizon();
-    // The drain window (ZERO by default) stops client generation early so
-    // in-flight work settles before the quiescence check at the horizon.
-    let load_end = horizon - cfg.drain;
-    let initial = cluster.initial_events(cfg.warmup, load_end);
     let mut sim = Simulation::with_backend(cluster, cfg.queue_backend);
     if cfg.profile {
         sim.enable_profiling();
@@ -398,6 +360,73 @@ pub fn try_run_experiment(cfg: &ExperimentConfig) -> Result<ExperimentResult, Co
     };
     let traces = sim.into_handler().into_traces();
     Ok(ExperimentResult { traces, ..result })
+}
+
+/// Builds the cluster [`try_run_experiment`] would run for `cfg`, with
+/// its initial events seeded, for callers that drive the simulation
+/// themselves (to inspect state mid-run or at the horizon). Push the
+/// events into a [`Simulation`] and run it to `cfg.horizon()`.
+///
+/// # Errors
+///
+/// Returns the [`ConfigError`] from [`ExperimentConfig::validate`] when
+/// the configuration is statically invalid.
+pub fn build_cluster(
+    cfg: &ExperimentConfig,
+) -> Result<(ClusterSim, Vec<(SimTime, ClusterEvent)>), ConfigError> {
+    cfg.validate()?;
+    Ok(assemble(&armed(cfg)))
+}
+
+/// `cfg` with the reliability layer armed where the run needs it.
+///
+/// Machine failures are only survivable through the end-to-end
+/// reliability layer: retransmissions are what re-pin a dead backend's
+/// requests somewhere healthy. Arm it when a failure schedule is present
+/// and the caller did not configure retransmissions — before server
+/// construction, because `build_server` keys the server's duplicate
+/// suppression off the same flag.
+fn armed(cfg: &ExperimentConfig) -> ExperimentConfig {
+    let mut cfg = cfg.clone();
+    if cfg
+        .fleet
+        .as_ref()
+        .is_some_and(|f| f.faults.enabled() || f.domains.enabled())
+        && !cfg.faults.retx.enabled
+    {
+        cfg.faults.retx = netsim::RetxConfig::standard();
+    }
+    cfg
+}
+
+/// Builds the cluster for an armed, validated `cfg` and seeds its initial
+/// events.
+fn assemble(cfg: &ExperimentConfig) -> (ClusterSim, Vec<(SimTime, ClusterEvent)>) {
+    // Node layout: servers first (0..n), then the VIP (fleet runs only),
+    // then the clients. Without a fleet this reduces to the historical
+    // single-server layout (server 0, clients from 1).
+    let n_servers = cfg.fleet.as_ref().map_or(1, |f| f.backends);
+    let (target, client_base) = if cfg.fleet.is_some() {
+        (NodeId(n_servers as u16), (n_servers + 1) as u16)
+    } else {
+        (NodeId(0), 1)
+    };
+    let servers: Vec<Kernel> = (0..n_servers)
+        .map(|i| build_server(cfg, NodeId(i as u16)))
+        .collect();
+    let (clients, background) = build_clients(cfg, target, client_base);
+    let mut cluster = ClusterSim::with_servers(servers, clients, background, cfg.trace)
+        .with_fault_injection(cfg.faults)
+        .with_watchdog(Watchdog::new(cfg.watchdog))
+        .with_breakdown(cfg.breakdown);
+    if let Some(fleet) = &cfg.fleet {
+        cluster = cluster.with_fleet(target, fleet);
+    }
+    // The drain window (ZERO by default) stops client generation early so
+    // in-flight work settles before the quiescence check at the horizon.
+    let load_end = SimTime::ZERO + cfg.horizon() - cfg.drain;
+    let initial = cluster.initial_events(cfg.warmup, load_end);
+    (cluster, initial)
 }
 
 /// [`try_run_experiment`] for statically valid configurations.

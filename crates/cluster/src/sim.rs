@@ -144,14 +144,32 @@ struct FleetState {
     last_failovers: u64,
 }
 
-/// Client-side retransmission state for one in-flight request.
-#[derive(Debug, Clone)]
-struct RetxState {
+/// Client-side reliability state for one in-flight request. The entry
+/// lives from issue until the request resolves (completed, rejected or
+/// lost); a later response frame for it finds no entry and is absorbed.
+#[derive(Debug)]
+struct InFlight {
     /// The original request frame; retransmissions resend a clone, with
     /// `sent_at` untouched so latency spans every retransmission.
     frame: Packet,
     /// Retransmissions performed so far (also the live timer generation).
     attempt: u32,
+    /// Response reassembly.
+    reasm: Reassembly,
+    /// Attribution record of the latest final response frame: reordering
+    /// can complete the request on a *non-final* segment.
+    stages: Option<netsim::StageRecord>,
+}
+
+/// What a node id is in this cluster.
+#[derive(Debug, Clone, Copy)]
+enum Role {
+    /// Not a server or client (the VIP, or an unattached id).
+    Other,
+    /// Index into the server list.
+    Server(usize),
+    /// Index into the client list.
+    Client(usize),
 }
 
 /// Whole-run fault-injection and recovery accounting.
@@ -194,6 +212,8 @@ pub struct ClusterSim {
     clients: Vec<OpenLoopClient>,
     /// Client indices whose traffic is background (not latency-tracked).
     background: Vec<bool>,
+    /// Each node's role, indexed by `NodeId`; built once at construction.
+    roles: Vec<Role>,
     tracker: ResponseTracker,
     switch: Switch,
     collector: Option<TraceCollector>,
@@ -205,8 +225,14 @@ pub struct ClusterSim {
     energy_baseline: EnergyMeter,
     offered_measured: u64,
     faults: FaultConfig,
-    retx: HashMap<u64, RetxState>,
-    reassembly: HashMap<u64, Reassembly>,
+    /// Armed requests not yet resolved, by request id.
+    inflight: HashMap<u64, InFlight>,
+    /// How long resolved entries of the servers' and the LB's
+    /// request-keyed tables linger (set in `initial_events`).
+    linger: SimDuration,
+    /// Request copies that reached the LB after their client resolved
+    /// them and found no conntrack entry: an entry retired too early.
+    late_copies: u64,
     retransmits: u64,
     lost_requests: u64,
     issued_total: u64,
@@ -221,10 +247,6 @@ pub struct ClusterSim {
     /// Collection gate; the sideband stamps are written regardless, so
     /// on vs off is bit-identical on simulated results.
     collect_breakdown: bool,
-    /// Attribution records of final response frames seen before their
-    /// request fully reassembled (reordering can complete a request on a
-    /// non-final segment).
-    stage_cache: HashMap<u64, netsim::StageRecord>,
 }
 
 impl std::fmt::Debug for ClusterSim {
@@ -332,10 +354,25 @@ impl ClusterSim {
             );
         }
         let sample_period = trace.map_or(SimDuration::from_ms(1), |t| t.window);
+        let nodes = servers
+            .iter()
+            .map(Kernel::node)
+            .chain(clients.iter().map(|c| c.config().me))
+            .map(|n| usize::from(n.0) + 1)
+            .max()
+            .unwrap_or(0);
+        let mut roles = vec![Role::Other; nodes];
+        for (i, srv) in servers.iter().enumerate() {
+            roles[usize::from(srv.node().0)] = Role::Server(i);
+        }
+        for (i, c) in clients.iter().enumerate() {
+            roles[usize::from(c.config().me.0)] = Role::Client(i);
+        }
         Ok(ClusterSim {
             servers,
             clients,
             background,
+            roles,
             tracker: ResponseTracker::new(),
             switch,
             collector: trace.map(TraceCollector::new),
@@ -347,8 +384,9 @@ impl ClusterSim {
             energy_baseline: EnergyMeter::new(),
             offered_measured: 0,
             faults: FaultConfig::none(),
-            retx: HashMap::new(),
-            reassembly: HashMap::new(),
+            inflight: HashMap::new(),
+            linger: SimDuration::ZERO,
+            late_copies: 0,
             retransmits: 0,
             lost_requests: 0,
             issued_total: 0,
@@ -359,7 +397,6 @@ impl ClusterSim {
             fleet: None,
             breakdown: BreakdownCollector::new(),
             collect_breakdown: true,
-            stage_cache: HashMap::new(),
         })
     }
 
@@ -432,6 +469,11 @@ impl ClusterSim {
         if !warmup.is_zero() {
             self.measuring = false;
         }
+        let domain_jitter = self
+            .fleet
+            .as_ref()
+            .map_or(SimDuration::ZERO, |f| f.domains.max_jitter());
+        self.install_linger(self.faults.linger(domain_jitter));
         let mut events = Vec::new();
         for si in 0..self.servers.len() {
             let node = self.servers[si].node();
@@ -549,6 +591,18 @@ impl ClusterSim {
         events
     }
 
+    /// Sets how long resolved entries of the servers' duplicate tables and
+    /// the LB's conntrack linger before they retire.
+    fn install_linger(&mut self, linger: SimDuration) {
+        self.linger = linger;
+        for s in &mut self.servers {
+            s.set_dedup_linger(linger);
+        }
+        if let Some(fs) = self.fleet.as_mut() {
+            fs.lb.set_linger(linger);
+        }
+    }
+
     fn route(&mut self, now: SimTime, frame: Packet, queue: &mut EventQueue<ClusterEvent>) {
         let delivery = self
             .switch
@@ -615,14 +669,15 @@ impl ClusterSim {
                         // timer plus a response reassembler. Background
                         // traffic stays best-effort.
                         self.issued_total += 1;
-                        self.retx.insert(
+                        self.inflight.insert(
                             id,
-                            RetxState {
+                            InFlight {
                                 frame: frame.clone(),
                                 attempt: 0,
+                                reasm: Reassembly::new(),
+                                stages: None,
                             },
                         );
-                        self.reassembly.insert(id, Reassembly::new());
                         queue.push(
                             now + self.faults.retx.rto_for(0),
                             ClusterEvent::RetxCheck { id, attempt: 0 },
@@ -637,8 +692,25 @@ impl ClusterSim {
         }
     }
 
+    fn role(&self, node: NodeId) -> Role {
+        self.roles
+            .get(usize::from(node.0))
+            .copied()
+            .unwrap_or(Role::Other)
+    }
+
     fn server_index(&self, node: NodeId) -> Option<usize> {
-        self.servers.iter().position(|s| s.node() == node)
+        match self.role(node) {
+            Role::Server(i) => Some(i),
+            _ => None,
+        }
+    }
+
+    /// Whether `node` is a client whose requests the reliability layer
+    /// tracks (latency-critical, with retransmission enabled).
+    fn is_armed_client(&self, node: NodeId) -> bool {
+        self.faults.retx.enabled
+            && matches!(self.role(node), Role::Client(i) if !self.background[i])
     }
 
     fn on_deliver(&mut self, now: SimTime, frame: Packet, queue: &mut EventQueue<ClusterEvent>) {
@@ -705,9 +777,11 @@ impl ClusterSim {
         let Some(mut fs) = self.fleet.take() else {
             return;
         };
-        let is_response = fs.lb.backend_index(frame.src()).is_some();
+        fs.lb.advance_clock(now);
+        let backend = fs.lb.backend_index(frame.src());
+        let is_response = backend.is_some();
         let mut slow_extra = SimDuration::ZERO;
-        let forward = if let Some(idx) = fs.lb.backend_index(frame.src()) {
+        let forward = if let Some(idx) = backend {
             // A crashed machine's responses died with it; a hung machine
             // admits requests but never answers. Either way the frame
             // never reaches the client — the conntrack entry stays open
@@ -740,6 +814,14 @@ impl ClusterSim {
             }
             resp.forward
         } else {
+            if let Some(id) = frame.meta().request_id {
+                if !fs.lb.tracks(id)
+                    && self.is_armed_client(frame.src())
+                    && !self.inflight.contains_key(&id)
+                {
+                    self.late_copies += 1;
+                }
+            }
             let (idx, out) = fs.lb.dispatch(frame);
             // Fail-slow: the machine serves at a multiple of its normal
             // service time. Modelled coarsely as an extra forwarding
@@ -1113,7 +1195,8 @@ impl ClusterSim {
     /// Client-side receive path of the reliability layer: response
     /// segments feed the request's reassembler; duplicates (from response
     /// replays or reordering) are absorbed, and the request completes
-    /// exactly once, when every segment has arrived.
+    /// exactly once, when every segment has arrived. Frames for a request
+    /// that already resolved find no in-flight entry and are absorbed too.
     fn on_client_response(&mut self, now: SimTime, frame: &Packet) {
         let meta = frame.meta();
         let Some(rid) = meta.request_id else { return };
@@ -1121,45 +1204,41 @@ impl ClusterSim {
             // A 503: the server refused the request under overload. The
             // request is *resolved* (no retransmission, no latency
             // sample); a stale replay after resolution is ignored.
-            if self.retx.remove(&rid).is_some() {
+            if self.inflight.remove(&rid).is_some() {
                 self.rejected_total += 1;
-                self.reassembly.remove(&rid);
-                self.stage_cache.remove(&rid);
                 if meta.sent_at >= self.measure_start && self.measuring {
                     self.tracker.reject(rid);
                 }
             }
             return;
         }
-        let Some(reasm) = self.reassembly.get_mut(&rid) else {
-            // Unarmed traffic (background requests) stays best-effort and
-            // keeps the legacy per-frame accounting.
-            if meta.sent_at >= self.measure_start && self.measuring {
+        let Some(entry) = self.inflight.get_mut(&rid) else {
+            // No entry: an armed client already resolved the request, so
+            // the frame is absorbed. Unarmed traffic (background requests)
+            // stays best-effort and keeps the legacy per-frame accounting.
+            if !self.is_armed_client(frame.dst())
+                && meta.sent_at >= self.measure_start
+                && self.measuring
+            {
                 self.tracker.on_response_frame(now, frame);
                 self.note_final_response(now, &meta);
             }
             return;
         };
-        // Remember the final frame's attribution record: reordering can
-        // complete the request on a *non-final* segment.
         if meta.is_final {
-            self.stage_cache.insert(rid, meta.stages);
+            entry.stages = Some(meta.stages);
         }
-        match reasm.on_segment(meta.seq, meta.is_final) {
-            SegmentStatus::Completed => {
-                // Cancels the pending timer: the next RetxCheck finds no
-                // state and is a no-op.
-                self.retx.remove(&rid);
-                self.completed_total += 1;
-                let stages = self.stage_cache.remove(&rid);
-                if meta.sent_at >= self.measure_start && self.measuring {
-                    self.tracker.complete(now, rid, meta.sent_at);
-                    if let Some(st) = stages {
-                        self.record_completion(now, rid, meta.sent_at, &st);
-                    }
+        if entry.reasm.on_segment(meta.seq, meta.is_final) == SegmentStatus::Completed {
+            // Cancels the pending timer: the next RetxCheck finds no
+            // state and is a no-op.
+            let stages = self.inflight.remove(&rid).and_then(|e| e.stages);
+            self.completed_total += 1;
+            if meta.sent_at >= self.measure_start && self.measuring {
+                self.tracker.complete(now, rid, meta.sent_at);
+                if let Some(st) = stages {
+                    self.record_completion(now, rid, meta.sent_at, &st);
                 }
             }
-            SegmentStatus::Fresh | SegmentStatus::Duplicate => {}
         }
     }
 
@@ -1172,17 +1251,17 @@ impl ClusterSim {
         attempt: u32,
         queue: &mut EventQueue<ClusterEvent>,
     ) {
-        let Some(state) = self.retx.get_mut(&id) else {
-            return; // Completed; the timer outlived the request.
+        let Some(state) = self.inflight.get_mut(&id) else {
+            return; // Resolved; the timer outlived the request.
         };
         if state.attempt != attempt {
             return; // Stale generation; a newer timer is armed.
         }
         let retx = self.faults.retx;
         if state.attempt >= retx.max_retries {
-            // Give up: the request is *reported* lost, never silent.
-            self.retx.remove(&id);
-            self.stage_cache.remove(&id);
+            // Give up: the request is *reported* lost, never silent. A
+            // response arriving later finds no entry and is absorbed.
+            self.inflight.remove(&id);
             self.lost_requests += 1;
             if simtrace::is_enabled() {
                 let t = now.as_nanos();
@@ -1261,8 +1340,9 @@ impl ClusterSim {
             completed: self.completed_total,
             lost: self.lost_requests,
             rejected: self.rejected_total,
-            in_flight: self.retx.len() as u64,
+            in_flight: self.inflight.len() as u64,
             misroutes: self.misroutes,
+            late_copies: self.late_copies,
         }
     }
 
@@ -1384,7 +1464,7 @@ impl ClusterSim {
             issued_total: self.issued_total,
             completed_total: self.completed_total,
             rejected_total: self.rejected_total,
-            in_flight: self.retx.len() as u64,
+            in_flight: self.inflight.len() as u64,
         }
     }
 
@@ -1420,6 +1500,34 @@ impl ClusterSim {
     #[must_use]
     pub fn misroutes(&self) -> u64 {
         self.misroutes
+    }
+
+    /// Armed requests issued and not yet resolved (the client in-flight
+    /// table's size).
+    #[must_use]
+    pub fn inflight_requests(&self) -> usize {
+        self.inflight.len()
+    }
+
+    /// Live LB conntrack entries, open plus lingering (zero without a
+    /// fleet).
+    #[must_use]
+    pub fn conntrack_entries(&self) -> usize {
+        self.fleet.as_ref().map_or(0, |f| f.lb.conntrack_entries())
+    }
+
+    /// Live duplicate-suppression entries summed over the servers.
+    #[must_use]
+    pub fn dedup_entries(&self) -> usize {
+        self.servers.iter().map(Kernel::dedup_entries).sum()
+    }
+
+    /// How long resolved request-keyed entries linger before they retire
+    /// ([`FaultConfig::linger`], fixed by
+    /// [`initial_events`](Self::initial_events)).
+    #[must_use]
+    pub fn linger(&self) -> SimDuration {
+        self.linger
     }
 
     /// Frames that died at a failed machine (requests into a crashed
@@ -1518,7 +1626,7 @@ impl EventHandler for ClusterSim {
                 ClusterEvent::Deliver { frame } => frame.dst().0,
                 ClusterEvent::ClientBurst { idx } => self.clients[*idx].config().me.0,
                 ClusterEvent::RetxCheck { id, .. } => self
-                    .retx
+                    .inflight
                     .get(id)
                     .map_or(self.servers[0].node().0, |s| s.frame.src().0),
                 ClusterEvent::Sample | ClusterEvent::StartMeasure | ClusterEvent::Watchdog => {
@@ -1601,6 +1709,13 @@ mod tests {
     use oldi_apps::ClientConfig;
 
     fn tiny_cluster(policy: Policy) -> (ClusterSim, Vec<(SimTime, ClusterEvent)>) {
+        tiny_cluster_with(policy, FaultConfig::none())
+    }
+
+    fn tiny_cluster_with(
+        policy: Policy,
+        faults: FaultConfig,
+    ) -> (ClusterSim, Vec<(SimTime, ClusterEvent)>) {
         let cfg = ExperimentConfig::new(AppKind::Memcached, policy, 10_000.0)
             .with_durations(SimDuration::from_ms(5), SimDuration::from_ms(20));
         let server = build_server(&cfg, NodeId(0));
@@ -1611,22 +1726,110 @@ mod tests {
             SimDuration::from_ms(2),
             3,
         ));
-        let mut sim = ClusterSim::new(server, vec![client], vec![false], None);
+        let mut sim =
+            ClusterSim::new(server, vec![client], vec![false], None).with_fault_injection(faults);
         let initial = sim.initial_events(cfg.warmup, SimTime::from_ms(25));
         (sim, initial)
     }
 
-    fn run(policy: Policy) -> ClusterSim {
-        let (cluster, initial) = tiny_cluster(policy);
+    /// Runs `cluster` from its initial events to `horizon` and finalizes.
+    fn drive(
+        (cluster, initial): (ClusterSim, Vec<(SimTime, ClusterEvent)>),
+        horizon: SimTime,
+    ) -> ClusterSim {
         let mut sim = Simulation::new(cluster);
         for (t, e) in initial {
             sim.queue_mut().push(t, e);
         }
-        sim.run_until(SimTime::from_ms(25));
+        sim.run_until(horizon);
         let now = sim.now();
-        let c = sim.handler_mut();
-        c.finalize(now);
+        sim.handler_mut().finalize(now);
         sim.into_handler()
+    }
+
+    fn run(policy: Policy) -> ClusterSim {
+        drive(tiny_cluster(policy), SimTime::from_ms(25))
+    }
+
+    /// RTOs far shorter than a round trip declare every request lost
+    /// before its served response arrives. The late response is absorbed:
+    /// it must not also complete the request, which would break
+    /// `issued == completed + lost + rejected + in_flight`.
+    #[test]
+    fn a_late_response_after_loss_does_not_resolve_the_request_twice() {
+        let retx = netsim::RetxConfig {
+            enabled: true,
+            rto_initial: SimDuration::from_nanos(500),
+            rto_max: SimDuration::from_nanos(500),
+            max_retries: 1,
+        };
+        let c = drive(
+            tiny_cluster_with(Policy::Perf, FaultConfig::none().with_retx(retx)),
+            SimTime::from_ms(25),
+        );
+        let f = c.fault_summary();
+        assert!(f.lost_requests > 100, "{f:?}");
+        assert_eq!(
+            f.issued_total,
+            f.completed_total + f.lost_requests + f.rejected_total + f.in_flight,
+            "{f:?}"
+        );
+        assert_eq!(f.completed_total, 0, "{f:?}");
+        assert_eq!(c.tracker().completed(), 0);
+        assert_eq!(c.inflight_requests() as u64, f.in_flight);
+    }
+
+    /// A lossy fleet run whose reorder hold-back outlasts the first RTO,
+    /// so request copies are often still on the wire when their client
+    /// resolves the request.
+    fn reordering_fleet() -> (ClusterSim, Vec<(SimTime, ClusterEvent)>) {
+        let faults = FaultConfig {
+            reorder: 0.2,
+            reorder_delay: SimDuration::from_ms(6),
+            ..FaultConfig::lossy(0.01, 7)
+        };
+        let cfg = ExperimentConfig::new(AppKind::Memcached, Policy::Perf, 20_000.0)
+            .with_durations(SimDuration::from_ms(5), SimDuration::from_ms(60))
+            .with_poisson()
+            .with_faults(faults)
+            .with_watchdog(crate::WatchdogConfig::default().collecting())
+            .with_fleet(fleetsim::FleetConfig::new(
+                2,
+                fleetsim::DispatchPolicy::LeastOutstanding,
+            ));
+        crate::runner::build_cluster(&cfg).expect("valid config")
+    }
+
+    /// Planted bug: with the linger forced to zero, the LB retires a
+    /// conntrack entry the moment its request resolves, and copies still
+    /// on the wire arrive to find nothing. The `late_copies` detector
+    /// must catch it; the computed linger must not trip it.
+    #[test]
+    fn a_zero_linger_is_caught_as_late_copies() {
+        let horizon = SimTime::from_ms(65);
+        let control = drive(reordering_fleet(), horizon);
+        assert_eq!(
+            control.linger(),
+            SimDuration::from_ms(275 + 2 * 6),
+            "the standard give-up span plus two reorder hold-backs"
+        );
+        assert!(control.fault_summary().retransmits > 0);
+        assert_eq!(control.late_copies, 0);
+        let wd = control.watchdog().expect("installed");
+        assert!(wd.violations().is_empty(), "{:?}", wd.violations());
+
+        let (mut planted, initial) = reordering_fleet();
+        planted.install_linger(SimDuration::ZERO);
+        let planted = drive((planted, initial), horizon);
+        assert!(planted.late_copies > 0);
+        let wd = planted.watchdog().expect("installed");
+        assert!(
+            wd.violations()
+                .iter()
+                .any(|v| v.kind == crate::InvariantKind::LateCopies),
+            "{:?}",
+            wd.violations()
+        );
     }
 
     #[test]

@@ -38,6 +38,10 @@ pub enum InvariantKind {
     /// at end of run, and only when the scenario promises a drain window
     /// (see [`WatchdogConfig::expect_quiescence`]).
     Quiescence,
+    /// A request copy reached the LB after its client had resolved the
+    /// request and found no conntrack entry: a request-keyed table
+    /// retired an entry while a copy could still arrive.
+    LateCopies,
 }
 
 impl InvariantKind {
@@ -50,6 +54,7 @@ impl InvariantKind {
             InvariantKind::Boundedness => "boundedness",
             InvariantKind::Routing => "routing",
             InvariantKind::Quiescence => "quiescence",
+            InvariantKind::LateCopies => "late_copies",
         }
     }
 }
@@ -155,6 +160,7 @@ pub struct Watchdog {
     seen_misroutes: u64,
     seen_unmatched: u64,
     seen_dead_dispatches: u64,
+    seen_late_copies: u64,
 }
 
 /// Cluster-level accounting fed into the conservation check. All zeros
@@ -176,6 +182,9 @@ pub struct AccountingView {
     pub in_flight: u64,
     /// Frames that failed switch routing (dropped, not delivered).
     pub misroutes: u64,
+    /// Request copies that reached the LB after their client resolved
+    /// them and found no conntrack entry.
+    pub late_copies: u64,
 }
 
 impl Watchdog {
@@ -267,6 +276,18 @@ impl Watchdog {
                 ),
             );
             self.seen_misroutes = accounting.misroutes;
+        }
+        if accounting.late_copies > self.seen_late_copies {
+            self.violate(
+                InvariantKind::LateCopies,
+                now,
+                format!(
+                    "{} request copy(ies) reached the LB after their client resolved \
+                     them and found no conntrack entry (retired too early)",
+                    accounting.late_copies
+                ),
+            );
+            self.seen_late_copies = accounting.late_copies;
         }
     }
 

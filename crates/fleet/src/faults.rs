@@ -280,6 +280,20 @@ impl DomainSchedule {
         !self.domains.is_empty()
     }
 
+    /// The largest extra latency any scheduled brownout adds to one hop
+    /// (zero without brownouts), for [`netsim::FaultConfig::linger`].
+    #[must_use]
+    pub fn max_jitter(&self) -> SimDuration {
+        self.domains
+            .iter()
+            .map(|d| match d.impairment {
+                DomainImpairment::Brownout { jitter, .. } => jitter,
+                DomainImpairment::Partition => SimDuration::ZERO,
+            })
+            .max()
+            .unwrap_or(SimDuration::ZERO)
+    }
+
     /// Adds one fault window (builder style).
     #[must_use]
     pub fn with_domain(mut self, spec: DomainFaultSpec) -> Self {

@@ -14,14 +14,17 @@
 //! Connection tracking is by request id and *pins* a request to its
 //! first-chosen backend: retransmitted frames follow the original so the
 //! backend's duplicate suppression keeps working, and entries survive
-//! resolution so late response replays still find their client. Frames
-//! without a request id (bulk background traffic) are forwarded through
-//! the same dispatch pick but tracked only as frame counts.
+//! resolution so late response replays still find their client. A closed
+//! entry lingers in TIME_WAIT ([`LoadBalancer::set_linger`]) until no
+//! copy of its request can still arrive, then retires, so the table holds
+//! O(requests in flight) entries. Frames without a request id (bulk
+//! background traffic) are forwarded through the same dispatch pick but
+//! tracked only as frame counts.
 
 use crate::config::{DispatchPolicy, FleetConfig};
 use crate::faults::HealthConfig;
 use desim::{SimDuration, SimTime};
-use netsim::{NodeId, Packet};
+use netsim::{NodeId, Packet, TimeWait};
 use std::collections::HashMap;
 
 /// Rotation state of one backend, as the LB and coordinator see it.
@@ -176,7 +179,8 @@ impl Backend {
 
 /// One conntrack entry: which backend a request was pinned to and which
 /// client gets the response. Entries survive resolution (`open = false`)
-/// so response replays and stale retransmissions keep routing correctly.
+/// for their linger, so response replays and stale retransmissions keep
+/// routing correctly.
 /// When the pinned backend is marked failed, open entries enter *limbo*
 /// (`limbo = true`): no longer counted against any backend, waiting for
 /// the client's retransmission to re-pin them somewhere healthy.
@@ -186,6 +190,8 @@ struct Conn {
     client: NodeId,
     open: bool,
     limbo: bool,
+    /// When the LB opened the entry (its linger starts here).
+    since: SimTime,
 }
 
 /// What [`LoadBalancer::on_response`] produced.
@@ -305,7 +311,13 @@ pub struct LoadBalancer {
     health: Option<HealthConfig>,
     backends: Vec<Backend>,
     rr_cursor: usize,
+    /// Backend index by `NodeId`, dense over the node-id space.
+    index_of: Vec<Option<usize>>,
     conntrack: HashMap<u64, Conn>,
+    /// Closed conntrack entries waiting out their linger.
+    closed: TimeWait,
+    /// The cluster clock, as of the last [`advance_clock`](Self::advance_clock).
+    now: SimTime,
     opened: u64,
     completed: u64,
     rejected: u64,
@@ -331,6 +343,11 @@ impl LoadBalancer {
     /// packing order).
     #[must_use]
     pub fn new(vip: NodeId, backends: Vec<NodeId>, cfg: &FleetConfig) -> Self {
+        let slots = backends.iter().map(|b| usize::from(b.0) + 1).max();
+        let mut index_of = vec![None; slots.unwrap_or(0)];
+        for (i, b) in backends.iter().enumerate() {
+            index_of[usize::from(b.0)] = Some(i);
+        }
         LoadBalancer {
             vip,
             dispatch: cfg.dispatch,
@@ -338,7 +355,10 @@ impl LoadBalancer {
             health: cfg.effective_health(),
             backends: backends.into_iter().map(Backend::new).collect(),
             rr_cursor: 0,
+            index_of,
             conntrack: HashMap::new(),
+            closed: TimeWait::default(),
+            now: SimTime::ZERO,
             opened: 0,
             completed: 0,
             rejected: 0,
@@ -381,7 +401,33 @@ impl LoadBalancer {
     /// The backend index of `node`, if it is one of this LB's backends.
     #[must_use]
     pub fn backend_index(&self, node: NodeId) -> Option<usize> {
-        self.backends.iter().position(|b| b.node == node)
+        self.index_of.get(usize::from(node.0)).copied().flatten()
+    }
+
+    /// Lets closed conntrack entries retire once `linger` has passed
+    /// since the LB opened them (the cluster passes
+    /// [`netsim::FaultConfig::linger`]). Without this call they are kept
+    /// for the whole run.
+    pub fn set_linger(&mut self, linger: SimDuration) {
+        self.closed.set_linger(linger);
+    }
+
+    /// Advances the LB's clock; call before handing it a frame. Lingers
+    /// are measured on this clock.
+    pub fn advance_clock(&mut self, now: SimTime) {
+        self.now = now;
+    }
+
+    /// Whether conntrack holds an entry (open or lingering) for `id`.
+    #[must_use]
+    pub fn tracks(&self, id: u64) -> bool {
+        self.conntrack.contains_key(&id)
+    }
+
+    /// Live conntrack entries (open plus lingering).
+    #[must_use]
+    pub fn conntrack_entries(&self) -> usize {
+        self.conntrack.len()
     }
 
     /// The rotation state of backend `idx`.
@@ -640,6 +686,13 @@ impl LoadBalancer {
         if !self.healthy(idx) {
             self.dead_dispatches += 1;
         }
+        // Retire what has waited out its linger as the table grows.
+        let conntrack = &mut self.conntrack;
+        self.closed.retire(self.now, |id| {
+            if conntrack.get(&id).is_some_and(|c| !c.open) {
+                conntrack.remove(&id);
+            }
+        });
         self.conntrack.insert(
             id,
             Conn {
@@ -647,6 +700,7 @@ impl LoadBalancer {
                 client: frame.src(),
                 open: true,
                 limbo: false,
+                since: self.now,
             },
         );
         self.opened += 1;
@@ -694,6 +748,7 @@ impl LoadBalancer {
                 c.open = false;
                 c.limbo = false;
             }
+            self.closed.close(id, conn.since);
             if conn.limbo {
                 // A limbo request answered before any retransmission
                 // re-pinned it (the "dead" backend was alive after all):
@@ -1138,6 +1193,50 @@ mod tests {
         assert_eq!(replay.forward.expect("routed").dst(), NodeId(10));
         assert_eq!(l.ledger().completed, 1);
         assert_eq!(l.outstanding(), 0);
+    }
+
+    #[test]
+    fn closed_entries_retire_after_their_linger_and_open_ones_never_do() {
+        let mut l = lb(2, DispatchPolicy::RoundRobin);
+        l.set_linger(SimDuration::from_ms(10));
+        let (first, _) = l.dispatch(request(10, 1));
+        let _ = l.dispatch(request(10, 2)); // never answered
+        l.advance_clock(SimTime::from_ms(4));
+        let _ = l.on_response(response(&l, first, 1));
+        // The linger runs from the open, not the close; retirement rides
+        // on fresh dispatches.
+        l.advance_clock(SimTime::from_ms(9));
+        let _ = l.dispatch(request(10, 3));
+        assert!(l.tracks(1), "still inside its linger");
+        l.advance_clock(SimTime::from_ms(10));
+        let _ = l.dispatch(request(10, 4));
+        assert!(!l.tracks(1), "closed and past its linger");
+        assert!(l.tracks(2), "open entries never retire");
+        assert_eq!(l.conntrack_entries(), 3);
+        let led = l.ledger();
+        assert_eq!(led.opened, led.completed + led.rejected + led.outstanding);
+    }
+
+    #[test]
+    fn without_a_linger_closed_entries_stay() {
+        let mut l = lb(2, DispatchPolicy::RoundRobin);
+        let (first, _) = l.dispatch(request(10, 1));
+        let _ = l.on_response(response(&l, first, 1));
+        l.advance_clock(SimTime::from_ms(60_000));
+        let _ = l.dispatch(request(10, 2));
+        assert!(l.tracks(1));
+    }
+
+    #[test]
+    fn backend_index_reads_sparse_node_ids() {
+        let cfg = FleetConfig::new(3, DispatchPolicy::RoundRobin);
+        let l = LoadBalancer::new(NodeId(1), vec![NodeId(5), NodeId(2), NodeId(9)], &cfg);
+        assert_eq!(l.backend_index(NodeId(5)), Some(0));
+        assert_eq!(l.backend_index(NodeId(2)), Some(1));
+        assert_eq!(l.backend_index(NodeId(9)), Some(2));
+        for other in [0, 1, 3, 10, 500] {
+            assert_eq!(l.backend_index(NodeId(other)), None);
+        }
     }
 
     #[test]

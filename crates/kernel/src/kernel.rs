@@ -131,12 +131,16 @@ struct Response {
 }
 
 /// Receiver-side duplicate-suppression state for one request id (only
-/// tracked when [`KernelConfig::reliable`] is set).
+/// tracked when [`KernelConfig::reliable`] is set). `Done` and `Rejected`
+/// entries linger in TIME_WAIT (see [`Kernel::set_dedup_linger`]).
 #[derive(Debug, Clone, Copy)]
 enum DupState {
     /// The request is being processed; duplicates are dropped without
     /// scheduling any application work.
-    InFlight,
+    InFlight {
+        /// When this node first saw the request (its linger starts here).
+        since: SimTime,
+    },
     /// The response (of this size) was already generated; a duplicate
     /// means the client did not receive it all — replay it.
     Done {
@@ -329,6 +333,8 @@ pub struct Kernel {
 
     requests: HashMap<u64, ReqState>,
     seen: HashMap<u64, DupState>,
+    /// Resolved `seen` entries waiting out their linger.
+    seen_wait: netsim::TimeWait,
     req_traces: HashMap<u64, RequestTrace>,
     finished_traces: Vec<RequestTrace>,
     next_token: u64,
@@ -433,6 +439,7 @@ impl Kernel {
             irq_wake,
             requests: HashMap::new(),
             seen: HashMap::new(),
+            seen_wait: netsim::TimeWait::default(),
             req_traces: HashMap::new(),
             finished_traces: Vec::new(),
             next_token: 0,
@@ -457,6 +464,30 @@ impl Kernel {
     pub fn with_software_ncap(mut self, sw: SoftwareNcap) -> Self {
         self.ncap_sw = Some(sw);
         self
+    }
+
+    /// Lets resolved duplicate-suppression entries retire once `linger`
+    /// has passed since this node first saw their request (the cluster
+    /// passes [`netsim::FaultConfig::linger`]). Without this call they are
+    /// kept for the whole run.
+    pub fn set_dedup_linger(&mut self, linger: desim::SimDuration) {
+        self.seen_wait.set_linger(linger);
+    }
+
+    /// Live duplicate-suppression entries (in flight plus lingering).
+    #[must_use]
+    pub fn dedup_entries(&self) -> usize {
+        self.seen.len()
+    }
+
+    /// Records that `rid` resolved as `state`: its entry now waits out
+    /// its linger, counted from when the request was first seen here.
+    fn close_dup(&mut self, now: SimTime, rid: u64, state: DupState) {
+        let since = match self.seen.insert(rid, state) {
+            Some(DupState::InFlight { since }) => since,
+            _ => now,
+        };
+        self.seen_wait.close(rid, since);
     }
 
     /// Boots the node: applies the static governor (or schedules the
@@ -980,7 +1011,7 @@ impl Kernel {
     ) {
         self.stats.rejected += 1;
         if self.cfg.reliable {
-            self.seen.insert(rid, DupState::Rejected);
+            self.close_dup(now, rid, DupState::Rejected);
         }
         self.req_traces.remove(&rid);
         if simtrace::is_enabled() {
@@ -1181,7 +1212,7 @@ impl Kernel {
                 // a retransmission must not double-serve a request (or
                 // spuriously re-trigger NCAP's request machinery in
                 // software).
-                Some(DupState::InFlight) => {
+                Some(DupState::InFlight { .. }) => {
                     self.stats.dup_suppressed += 1;
                     self.req_traces.remove(&rid);
                     if simtrace::is_enabled() {
@@ -1264,7 +1295,16 @@ impl Kernel {
                     self.complete_tx(now, nack, fx);
                     return;
                 }
-                None => {}
+                // A fresh request: retire what has waited out its linger
+                // as the table grows.
+                None => {
+                    let seen = &mut self.seen;
+                    self.seen_wait.retire(now, |id| {
+                        if !matches!(seen.get(&id), Some(DupState::InFlight { .. })) {
+                            seen.remove(&id);
+                        }
+                    });
+                }
             }
         }
         let info = RequestInfo {
@@ -1297,7 +1337,7 @@ impl Kernel {
             return;
         }
         if self.cfg.reliable {
-            self.seen.insert(rid, DupState::InFlight);
+            self.seen.insert(rid, DupState::InFlight { since: now });
         }
         if let Some(tr) = self.req_traces.get_mut(&rid) {
             tr.stack_done = now;
@@ -1362,7 +1402,8 @@ impl Kernel {
                 let mut stages = state.stages;
                 stages.app_done = now;
                 if self.cfg.reliable {
-                    self.seen.insert(
+                    self.close_dup(
+                        now,
                         state.info.id,
                         DupState::Done {
                             response_bytes: state.response_bytes,
@@ -2077,6 +2118,37 @@ mod tests {
         // Replayed frames carry the same sequence numbers for dedup.
         let seqs: Vec<u32> = frames.iter().map(|f| f.meta().seq).collect();
         assert_eq!(seqs, vec![0, 1, 2, 0, 1, 2]);
+    }
+
+    #[test]
+    fn resolved_dedup_entries_retire_after_their_linger() {
+        let mut k = Kernel::new(
+            KernelConfig::server_defaults()
+                .with_initial_pstate(cpusim::PStateId(0))
+                .with_reliability(),
+            NodeId(0),
+            Nic::new(NicConfig::i82574_like()),
+            Box::new(Performance),
+            Box::new(PollIdle),
+            Box::new(StubApp {
+                cycles: 50_000,
+                response: 4_000,
+                io: None,
+            }),
+        );
+        k.set_dedup_linger(SimDuration::from_ms(2));
+        let mut fx = k.init(SimTime::ZERO);
+        for (at_us, id) in [(10, 7), (1_500, 8), (3_000, 9)] {
+            fx.schedule.push((
+                SimTime::from_us(at_us),
+                NodeEvent::FrameFromWire(get_frame(id)),
+            ));
+        }
+        let _ = drain(&mut k, fx, SimTime::from_ms(10));
+        assert_eq!(k.completed_responses(), 3);
+        // Request 9's arrival retired 7 (first seen at 10 µs, linger
+        // passed); 8 was still inside its linger, and 9 is the newest.
+        assert_eq!(k.dedup_entries(), 2);
     }
 
     #[test]

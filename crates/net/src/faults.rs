@@ -80,6 +80,17 @@ impl RetxConfig {
         let scaled = base.saturating_mul(1u64.checked_shl(attempt).unwrap_or(u64::MAX));
         SimDuration::from_nanos(scaled).min(self.rto_max)
     }
+
+    /// How long after its first copy a request can still be resent: the
+    /// sum of every RTO up to and including the one that declares it lost
+    /// (275 ms for [`standard`](Self::standard)); zero when disabled.
+    #[must_use]
+    pub fn give_up_span(&self) -> SimDuration {
+        if !self.enabled {
+            return SimDuration::ZERO;
+        }
+        (0..=self.max_retries).map(|a| self.rto_for(a)).sum()
+    }
 }
 
 impl Default for RetxConfig {
@@ -165,6 +176,23 @@ impl FaultConfig {
             || self.corrupt > 0.0
             || self.reorder > 0.0
             || self.jitter > SimDuration::ZERO
+    }
+
+    /// How long a request-keyed table must keep a resolved entry after
+    /// it first saw the request, so that no later copy of the request or
+    /// its response can miss it: the retransmission give-up span plus,
+    /// for each direction of a round trip, the largest extra delay the
+    /// impairments can add to one hop (`jitter + reorder_delay`, plus the
+    /// largest correlated-domain jitter `domain_jitter`).
+    ///
+    /// The client sends its last copy `give_up_span - rto_for(max_retries)`
+    /// after the first (235 ms of 275 ms for the standard policy), so the
+    /// final RTO and the impairment margin cover the spread in transit
+    /// times. Zero for an unarmed, unimpaired run: nothing follows a
+    /// request's final segment there.
+    #[must_use]
+    pub fn linger(&self, domain_jitter: SimDuration) -> SimDuration {
+        self.retx.give_up_span() + (self.jitter + self.reorder_delay + domain_jitter) * 2
     }
 
     /// `true` when the whole subsystem is inert (no impairment and no
@@ -390,6 +418,28 @@ impl LinkFaults {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn linger_covers_the_give_up_span_and_two_hops_of_impairment() {
+        assert_eq!(
+            RetxConfig::standard().give_up_span(),
+            SimDuration::from_ms(275)
+        );
+        assert_eq!(RetxConfig::disabled().give_up_span(), SimDuration::ZERO);
+        assert_eq!(
+            FaultConfig::none().linger(SimDuration::ZERO),
+            SimDuration::ZERO
+        );
+        let cfg = FaultConfig {
+            reorder: 0.1,
+            reorder_delay: SimDuration::from_us(50),
+            ..FaultConfig::lossy(0.01, 1).with_jitter(SimDuration::from_us(20))
+        };
+        assert_eq!(
+            cfg.linger(SimDuration::from_us(30)),
+            SimDuration::from_us(275_000 + 2 * (20 + 50 + 30))
+        );
+    }
 
     #[test]
     fn none_is_inert() {

@@ -16,6 +16,8 @@
 //! * [`switch`] — a store-and-forward switch connecting cluster nodes.
 //! * [`faults`] — seeded per-link impairment (loss, corruption, reorder,
 //!   jitter) plus the retransmission policy used to recover from drops.
+//! * [`timewait`] — the TIME_WAIT FIFO that retires resolved entries of
+//!   request-keyed tables once no copy of the request can still arrive.
 //! * [`bytes`] — the in-tree zero-copy [`Bytes`] buffer the payload types
 //!   are built on (no external `bytes` crate: the build is hermetic).
 //!
@@ -42,6 +44,7 @@ pub mod link;
 pub mod packet;
 pub mod switch;
 pub mod tcp;
+pub mod timewait;
 pub mod wire;
 
 pub use bytes::Bytes;
@@ -54,3 +57,4 @@ pub use link::Link;
 pub use packet::{NodeId, Packet, PacketMeta, StageRecord};
 pub use switch::{Delivery, Switch};
 pub use tcp::{segment_response, Reassembly, SegmentStatus};
+pub use timewait::TimeWait;

@@ -1,0 +1,107 @@
+//! TIME_WAIT for request-keyed tables.
+//!
+//! Several layers key state by request id and must keep an entry after
+//! the request resolves, because a copy of it (a retransmission, a
+//! response replay, a reordered segment) can still arrive and has to find
+//! the entry. [`TimeWait`] bounds how long: an entry retires once its
+//! *linger* has passed since the owning layer first saw the request,
+//! which [`FaultConfig::linger`](crate::FaultConfig::linger) sizes so that
+//! no copy can arrive later. Tables then hold O(requests in flight)
+//! entries instead of one per request ever issued.
+//!
+//! The owner [`close`](TimeWait::close)s an entry when it resolves and
+//! calls [`retire`](TimeWait::retire) as it inserts new entries; each
+//! closed id is queued and popped once, so the cost is O(1) amortised.
+//! Open entries are never queued and never retire.
+
+use desim::{SimDuration, SimTime};
+use std::collections::VecDeque;
+
+/// A FIFO of closed request ids waiting out their linger.
+///
+/// Ids are queued in close order with the instant they may retire. Close
+/// order need not match that instant's order, so a queued id can wait
+/// behind a later one; it still retires no later than `close + linger`,
+/// and never before its own instant.
+#[derive(Debug, Clone, Default)]
+pub struct TimeWait {
+    /// `None` keeps every entry forever (no owner has sized the linger).
+    linger: Option<SimDuration>,
+    due: VecDeque<(SimTime, u64)>,
+}
+
+impl TimeWait {
+    /// Sets how long after its first sighting a closed entry retires.
+    pub fn set_linger(&mut self, linger: SimDuration) {
+        self.linger = Some(linger);
+    }
+
+    /// Queues `id`, which the owner just resolved, to retire once the
+    /// linger has passed since `first_seen`. A no-op without a linger.
+    pub fn close(&mut self, id: u64, first_seen: SimTime) {
+        if let Some(linger) = self.linger {
+            self.due.push_back((first_seen + linger, id));
+        }
+    }
+
+    /// Hands every queued id whose instant has come by `now` to `remove`,
+    /// in close order.
+    pub fn retire(&mut self, now: SimTime, mut remove: impl FnMut(u64)) {
+        while let Some(&(at, id)) = self.due.front() {
+            if at > now {
+                break;
+            }
+            self.due.pop_front();
+            remove(id);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn retired(tw: &mut TimeWait, now: SimTime) -> Vec<u64> {
+        let mut out = Vec::new();
+        tw.retire(now, |id| out.push(id));
+        out
+    }
+
+    #[test]
+    fn without_a_linger_nothing_is_queued() {
+        let mut tw = TimeWait::default();
+        tw.close(1, SimTime::ZERO);
+        assert!(retired(&mut tw, SimTime::MAX).is_empty());
+    }
+
+    #[test]
+    fn entries_retire_once_the_linger_has_passed() {
+        let mut tw = TimeWait::default();
+        tw.set_linger(SimDuration::from_ms(10));
+        tw.close(1, SimTime::from_ms(0));
+        tw.close(2, SimTime::from_ms(4));
+        assert!(retired(&mut tw, SimTime::from_ms(9)).is_empty());
+        assert_eq!(retired(&mut tw, SimTime::from_ms(10)), vec![1]);
+        assert_eq!(retired(&mut tw, SimTime::from_ms(20)), vec![2]);
+        assert!(retired(&mut tw, SimTime::MAX).is_empty());
+    }
+
+    #[test]
+    fn an_early_instant_waits_behind_a_later_one_but_never_retires_early() {
+        let mut tw = TimeWait::default();
+        tw.set_linger(SimDuration::from_ms(10));
+        // Closed in this order, first seen in the opposite one.
+        tw.close(1, SimTime::from_ms(5));
+        tw.close(2, SimTime::from_ms(1));
+        assert!(retired(&mut tw, SimTime::from_ms(12)).is_empty());
+        assert_eq!(retired(&mut tw, SimTime::from_ms(15)), vec![1, 2]);
+    }
+
+    #[test]
+    fn a_zero_linger_retires_at_the_next_call() {
+        let mut tw = TimeWait::default();
+        tw.set_linger(SimDuration::ZERO);
+        tw.close(7, SimTime::from_us(3));
+        assert_eq!(retired(&mut tw, SimTime::from_us(3)), vec![7]);
+    }
+}

@@ -137,3 +137,56 @@ fn planted_bug_shrinks_to_a_replayable_repro() {
         "replay from file must reproduce the same failures"
     );
 }
+
+/// FNV-1a over a string, as in the 64-backend golden-digest test.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Result digests of the 16-seed campaign, seed 1 first: FNV-1a of each
+/// result's `Debug` render with the host-side trace and profile cleared.
+/// They pin what the campaign simulates under loss, reordering,
+/// brownouts, crashes and hangs, so a change meant to be exact (such as
+/// retiring request-keyed state) must leave every one unchanged.
+const CAMPAIGN_DIGESTS: [u64; 16] = [
+    0xA7B2_E0FD_2443_7255,
+    0xC73D_97EB_7FE8_B18E,
+    0x8A57_500D_4852_EA0C,
+    0x2F7C_79BC_4B6D_3516,
+    0x6D0E_DA2F_30FC_2D3D,
+    0x3F3F_35A4_AF8D_21B6,
+    0x7EB2_CCF1_ED21_E82A,
+    0x54B6_014D_3D87_3D18,
+    0x13BF_1221_5C9B_F128,
+    0xF9A5_9134_6725_670B,
+    0x3691_E3F5_A39E_5500,
+    0x9A44_8FBF_8171_847B,
+    0x1432_6EBC_E714_9F28,
+    0x9D1E_D502_EAA3_9D5F,
+    0xA3C8_6C44_0D10_021D,
+    0x1BF2_8E64_0A72_97EF,
+];
+
+#[test]
+fn seeded_campaign_results_match_the_pinned_digests() {
+    let configs: Vec<_> = (1..=16)
+        .map(|seed| ChaosScenario::generate(seed).to_config())
+        .collect();
+    let digests: Vec<u64> = cluster::run_experiments_on(&configs, 4)
+        .into_iter()
+        .map(|mut r| {
+            r.sim_trace = None;
+            r.self_profile = None;
+            fnv1a(&format!("{r:?}"))
+        })
+        .collect();
+    let render: Vec<String> = digests.iter().map(|d| format!("{d:#018x}")).collect();
+    assert_eq!(
+        digests,
+        CAMPAIGN_DIGESTS,
+        "campaign digests changed: [{}]",
+        render.join(", ")
+    );
+}

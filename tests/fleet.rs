@@ -18,7 +18,11 @@
 //! * the failure story: backends that fail-stop or hang mid-run are
 //!   ejected by the LB's health layer, their in-flight requests fail
 //!   over to healthy machines through client retransmission, and
-//!   goodput recovers — with the conservation ledger intact end to end.
+//!   goodput recovers — with the conservation ledger intact end to end;
+//! * bounded state: the client's in-flight table, the LB's conntrack and
+//!   the backends' duplicate tables retire resolved entries, so at any
+//!   instant they hold no more than the requests issued in the last
+//!   linger, not every request of the run.
 
 use check::{ensure, Check};
 use cluster::{
@@ -26,7 +30,7 @@ use cluster::{
     ExperimentConfig, ExperimentResult, FailureMode, FailureSchedule, FailureSpec, FleetConfig,
     OverloadConfig, Policy,
 };
-use desim::{SimDuration, SimTime};
+use desim::{SimDuration, SimTime, Simulation};
 
 /// Memcached's single-server knee sits near 120 krps (§5); the fleet
 /// capacity scales with the backend count.
@@ -435,4 +439,64 @@ fn rejected_requests_unpin_and_the_ledger_balances() {
     assert_eq!(assigned, fleet.requests_opened, "{fleet:?}");
     assert_eq!(fleet.unmatched_responses, 0, "routing leak: {fleet:?}");
     assert!(r.invariant_violations.is_empty());
+}
+
+/// An armed 16-backend failover run (two fail-stops that restart) for two
+/// simulated seconds. At the horizon each request-keyed table holds at
+/// most the requests issued in the last linger plus 50 ms — before
+/// entries retired, each held every request of the run.
+#[test]
+fn request_keyed_state_is_bounded_by_recent_issues() {
+    let warmup = SimDuration::from_ms(100);
+    let measure = SimDuration::from_ms(1_900);
+    let start = SimTime::ZERO + warmup;
+    let stops = FailureSchedule::seeded_stops(
+        1,
+        16,
+        2,
+        start + measure / 4,
+        start + measure / 2,
+        Some(measure / 4),
+    );
+    let cfg = ExperimentConfig::new(AppKind::Memcached, Policy::NcapCons, 16_000.0)
+        .with_durations(warmup, measure)
+        .with_poisson()
+        .with_fleet(FleetConfig::new(16, DispatchPolicy::LeastOutstanding).with_faults(stops));
+    let (cluster, initial) = cluster::build_cluster(&cfg).expect("valid config");
+    // The failure schedule arms the standard retransmission policy; the
+    // fabric is unimpaired, so the linger is the give-up span alone.
+    assert_eq!(cluster.linger(), SimDuration::from_ms(275));
+    let horizon = SimTime::ZERO + cfg.horizon();
+    let window = cluster.linger() + SimDuration::from_ms(50);
+    let mut sim = Simulation::new(cluster);
+    for (t, e) in initial {
+        sim.queue_mut().push(t, e);
+    }
+    sim.run_until(horizon - window);
+    let issued_before = sim.handler().fault_summary().issued_total;
+    sim.run_until(horizon);
+    let now = sim.now();
+    sim.handler_mut().finalize(now);
+    let c = sim.handler();
+    let issued = c.fault_summary().issued_total;
+    let recent = issued - issued_before;
+    assert!(
+        recent * 4 < issued,
+        "the window must be a small share of the run: {recent} of {issued}"
+    );
+    let fleet = c.fleet_summary().expect("fleet summary");
+    assert!(fleet.failovers > 0, "the crashes exercised failover");
+    for (table, live) in [
+        ("client in-flight", c.inflight_requests()),
+        ("LB conntrack", c.conntrack_entries()),
+        ("summed kernel dedup", c.dedup_entries()),
+    ] {
+        assert!(
+            live as u64 <= recent,
+            "{table}: {live} live entries, but only {recent} of {issued} requests were \
+             issued in the last {window}"
+        );
+    }
+    let wd = c.watchdog().expect("the runner installs a watchdog");
+    assert!(wd.violations().is_empty(), "{:?}", wd.violations());
 }
