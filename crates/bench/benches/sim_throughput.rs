@@ -1,25 +1,19 @@
 //! sim-throughput — simulator event throughput (the ROADMAP's tracked
 //! perf trajectory, not a paper figure).
 //!
-//! Three measurements:
+//! Two measurements:
 //!
 //! 1. **End-to-end fleet throughput**: simulated-seconds per wall-second
 //!    and events/second for full experiment runs at 1/8/32/64 backends ×
 //!    rr/jsq/pack — the number that decides how big a fleet the suite
 //!    can afford to sweep.
-//! 2. **Backend comparison at 64 backends**: the same 64-backend run on
-//!    the calendar queue (default) vs the reference `BinaryHeap`,
-//!    end to end. The queue is only part of a run's cost, so this gap is
-//!    diluted by model code.
-//! 3. **Queue-level hold model**: the classic calendar-queue hold
+//! 2. **Queue-level hold model**: the classic priority-queue hold
 //!    benchmark (steady-state pop → push at `popped + increment`) with a
 //!    pending population and increment mix approximating the 64-backend
 //!    fleet scenario — thousands of in-flight events, a blend of
 //!    same-instant NIC/kernel cascades, microsecond-scale service
-//!    events, and long governor/coordinator timers. Both backends see
-//!    the byte-identical schedule (same RNG seed). This isolates the
-//!    structure the tentpole replaced and carries the ≥2× acceptance
-//!    number.
+//!    events, and long governor/coordinator timers. It times the event
+//!    queue alone, with no model code around it.
 //!
 //! `scripts/bench_record.sh` runs this target and records the JSON
 //! emitted when `NCAP_BENCH_JSON=<path>` is set as `BENCH_6.json`.
@@ -30,7 +24,7 @@ use cluster::{
     run_experiment, AppKind, CoordinatorConfig, DispatchPolicy, ExperimentConfig, FleetConfig,
     Policy,
 };
-use desim::{EventQueue, QueueBackend, SimDuration, SimTime, SplitMix64};
+use desim::{EventQueue, SimDuration, SimTime, SplitMix64};
 use ncap_bench::{fast_mode, smoke_mode};
 use simstats::Table;
 use std::time::Instant;
@@ -44,11 +38,9 @@ const PER_BACKEND_RPS: f64 = 120_000.0;
 const PER_BACKEND_LOAD_RPS: f64 = 60_000.0;
 
 /// Steady-state pending population for the hold model: the measured
-/// peak of the 64-backend full-mode fleet run (`Simulation::
-/// peak_pending` reports ~287 K over its 60 ms horizon — open-loop
-/// clients pre-schedule the whole run's arrivals, plus per-backend
-/// NIC/kernel/governor timers and request cascades), rounded to the
-/// nearest power of two.
+/// peak of the 64-backend full-mode jsq fleet run below
+/// (`Profile::peak_pending` reads 245,792 over its 60 ms horizon at
+/// 3.84 M rps), rounded to the nearest power of two.
 const HOLD_PENDING: usize = 1 << 18;
 
 fn fleet_cfg(backends: usize, dispatch: DispatchPolicy) -> ExperimentConfig {
@@ -103,12 +95,12 @@ fn timed_run(cfg: &ExperimentConfig) -> (u64, f64) {
 /// µs-scale events (wire latency, DMA, service stages), 15% ~1 ms
 /// timers (watchdog, coordinator, NCAP CIT), 5% ~10 ms timers (the
 /// ondemand governor period) — so the pending population, like the real
-/// 64-backend run's, is a dense cursor-side cluster plus a long sparse
+/// 64-backend run's, is a dense near-term cluster plus a long sparse
 /// timer tail. Returns events/second (one hold op = one pop + one
 /// push = counted as one event).
-fn hold_model(backend: QueueBackend, pending: usize, ops: usize, seed: u64) -> f64 {
+fn hold_model(pending: usize, ops: usize, seed: u64) -> f64 {
     let mut rng = SplitMix64::new(seed);
-    let mut q: EventQueue<u64> = EventQueue::with_backend(backend);
+    let mut q: EventQueue<u64> = EventQueue::new();
     for i in 0..pending {
         q.push(SimTime::from_nanos(rng.next_below(1_000_000)), i as u64);
     }
@@ -134,9 +126,9 @@ fn hold_model(backend: QueueBackend, pending: usize, ops: usize, seed: u64) -> f
 
 /// Best-of-`rounds` hold-model throughput (wall-clock noise control; the
 /// schedule is identical every round).
-fn hold_best(backend: QueueBackend, pending: usize, ops: usize, rounds: usize) -> f64 {
+fn hold_best(pending: usize, ops: usize, rounds: usize) -> f64 {
     (0..rounds)
-        .map(|_| hold_model(backend, pending, ops, 0x4E43_4150))
+        .map(|_| hold_model(pending, ops, 0x4E43_4150))
         .fold(0.0f64, f64::max)
 }
 
@@ -158,26 +150,6 @@ fn main() {
     } else {
         "full"
     };
-
-    // Diagnosis mode (`NCAP_BENCH_PROFILE=1`): skip the sweep and
-    // self-profile the backend comparison only — per-event-class wall
-    // time on the calendar queue vs the reference heap. The profiler
-    // splits pop/peek cost (`queue`) from handler cost (which includes
-    // the push path), so a calendar-vs-heap delta localizes to one side.
-    if std::env::var_os("NCAP_BENCH_PROFILE").is_some() {
-        let cfg = fleet_cfg(64, DispatchPolicy::LeastOutstanding).with_profile();
-        for backend in [QueueBackend::Calendar, QueueBackend::BinaryHeap] {
-            let r = run_experiment(&cfg.clone().with_queue_backend(backend));
-            let p = r.self_profile.expect("profiling enabled");
-            println!(
-                "--- {backend:?}: {} events, {:.0} ev/s profiled ---",
-                r.events_processed,
-                p.events_per_sec()
-            );
-            print!("{}", p.render());
-        }
-        return;
-    }
 
     // 1. End-to-end fleet throughput.
     let sizes: &[usize] = if smoke_mode() {
@@ -220,25 +192,7 @@ fn main() {
     }
     println!("{t}");
 
-    // 2. Calendar vs BinaryHeap, end to end at the largest fleet.
-    let cmp_backends = *sizes.last().expect("non-empty");
-    let cmp_cfg = fleet_cfg(cmp_backends, DispatchPolicy::LeastOutstanding);
-    let (cal_events, cal_wall) = timed_run(&cmp_cfg);
-    let (heap_events, heap_wall) =
-        timed_run(&cmp_cfg.clone().with_queue_backend(QueueBackend::BinaryHeap));
-    assert_eq!(
-        cal_events, heap_events,
-        "backends must process identical event streams"
-    );
-    let e2e_cal = cal_events as f64 / cal_wall;
-    let e2e_heap = heap_events as f64 / heap_wall;
-    println!(
-        "end-to-end {cmp_backends}-backend jsq: calendar {e2e_cal:.0} ev/s vs \
-         binaryheap {e2e_heap:.0} ev/s ({:.2}x, queue cost diluted by model code)",
-        e2e_cal / e2e_heap
-    );
-
-    // 3. Queue-level hold model at the 64-backend operating point.
+    // 2. Queue-level hold model at the 64-backend operating point.
     let (ops, rounds) = if smoke_mode() {
         (50_000, 1)
     } else if fast_mode() {
@@ -247,13 +201,8 @@ fn main() {
         (4_000_000, 5)
     };
     let pending = if smoke_mode() { 512 } else { HOLD_PENDING };
-    let hold_cal = hold_best(QueueBackend::Calendar, pending, ops, rounds);
-    let hold_heap = hold_best(QueueBackend::BinaryHeap, pending, ops, rounds);
-    let speedup = hold_cal / hold_heap;
-    println!(
-        "queue hold model ({pending} pending, {ops} ops): calendar {hold_cal:.0} ev/s vs \
-         binaryheap {hold_heap:.0} ev/s — {speedup:.2}x"
-    );
+    let hold = hold_best(pending, ops, rounds);
+    println!("queue hold model ({pending} pending, {ops} ops): {hold:.0} ev/s");
 
     // JSON record for scripts/bench_record.sh → BENCH_6.json.
     if let Some(path) = std::env::var_os("NCAP_BENCH_JSON") {
@@ -279,15 +228,8 @@ fn main() {
         json.push_str(&e2e_rows.join(",\n"));
         json.push_str("\n  ],\n");
         json.push_str(&format!(
-            "  \"end_to_end_backend_comparison\": {{\"backends\": {cmp_backends}, \
-             \"dispatch\": \"jsq\", \"calendar_events_per_sec\": {e2e_cal:.0}, \
-             \"binaryheap_events_per_sec\": {e2e_heap:.0}, \"speedup\": {:.3}}},\n",
-            e2e_cal / e2e_heap
-        ));
-        json.push_str(&format!(
             "  \"queue_hold_64_backend_point\": {{\"pending\": {pending}, \"ops\": {ops}, \
-             \"calendar_events_per_sec\": {hold_cal:.0}, \
-             \"binaryheap_events_per_sec\": {hold_heap:.0}, \"speedup\": {speedup:.3}}}\n"
+             \"events_per_sec\": {hold:.0}}}\n"
         ));
         json.push_str("}\n");
         match std::fs::write(&path, &json) {

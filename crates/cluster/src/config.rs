@@ -139,11 +139,6 @@ pub struct ExperimentConfig {
     /// with an L4 load balancer (clients address the VIP) and, when the
     /// embedded coordinator is set, park/unpark backends with load.
     pub fleet: Option<FleetConfig>,
-    /// Event-queue backend for the run. The default calendar queue and
-    /// the reference `BinaryHeap` deliver identical event streams, so
-    /// results are byte-identical either way; the knob exists for
-    /// differential tests and benchmark baselines.
-    pub queue_backend: desim::QueueBackend,
     /// Collect the full-population per-stage latency breakdown
     /// ([`ExperimentResult::breakdown`](crate::runner::ExperimentResult)).
     /// The path stamps are written regardless, so on vs off is
@@ -200,7 +195,6 @@ impl ExperimentConfig {
             deadline: None,
             watchdog: WatchdogConfig::default(),
             fleet: None,
-            queue_backend: desim::QueueBackend::default(),
             breakdown: true,
             breakdown_tail: 99.0,
             profile: false,
@@ -404,15 +398,6 @@ impl ExperimentConfig {
     #[must_use]
     pub fn with_fleet(mut self, fleet: FleetConfig) -> Self {
         self.fleet = Some(fleet);
-        self
-    }
-
-    /// Selects the event-queue backend (builder style). Results do not
-    /// depend on the choice — `tests/cluster_integration.rs` pins a
-    /// 64-backend fleet run byte-identical across backends.
-    #[must_use]
-    pub fn with_queue_backend(mut self, backend: desim::QueueBackend) -> Self {
-        self.queue_backend = backend;
         self
     }
 

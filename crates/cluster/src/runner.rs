@@ -267,7 +267,7 @@ pub fn try_run_experiment(cfg: &ExperimentConfig) -> Result<ExperimentResult, Co
     }
     let (cluster, initial) = assemble(cfg);
     let horizon = SimTime::ZERO + cfg.horizon();
-    let mut sim = Simulation::with_backend(cluster, cfg.queue_backend);
+    let mut sim = Simulation::new(cluster);
     if cfg.profile {
         sim.enable_profiling();
     }

@@ -11,10 +11,8 @@
 //!
 //! * [`EventQueue`] orders events by `(time, insertion sequence)`, so
 //!   simultaneous events always fire in the order they were scheduled.
-//!   The default backend is a calendar queue (O(1) amortized push/pop);
-//!   a reference `BinaryHeap` backend remains selectable via
-//!   [`QueueBackend`] as a differential-test oracle, and both deliver
-//!   identical streams.
+//!   It is a `std::collections::BinaryHeap` min-heap, checked operation
+//!   by operation against a naive model in `tests/differential.rs`.
 //! * [`SplitMix64`] provides a tiny, dependency-free deterministic RNG for
 //!   internal jitter; workload-level randomness uses seeded `rand` RNGs in
 //!   higher layers.
@@ -43,7 +41,7 @@ pub mod timer;
 
 pub use config::ConfigError;
 pub use profiler::{ClassStats, Profile, PROFILE_BUCKETS};
-pub use queue::{EventQueue, QueueBackend};
+pub use queue::EventQueue;
 pub use rng::SplitMix64;
 pub use runner::{EventHandler, RunOutcome, Simulation};
 pub use time::{SimDuration, SimTime};

@@ -3,18 +3,18 @@
 //! The profiler attributes *host* time — where the simulator itself
 //! spends its wall clock — to event classes supplied by
 //! [`EventHandler::classify`](crate::EventHandler::classify), plus the
-//! event queue's pop path. It exists to answer questions like "why is
-//! the end-to-end events/second lower on backend X" that simulated-time
-//! instrumentation cannot see.
+//! event queue's pop path. It exists to answer questions like "which
+//! layer pays for a slower run" that simulated-time instrumentation
+//! cannot see.
 //!
 //! It is explicitly **outside** the determinism contract: readings vary
 //! run to run with host load, and enabling it never changes any
 //! simulated result (it only reads `std::time::Instant` around the
 //! dispatch loop). Handler time includes the cost of events the handler
 //! pushes while reacting (the queue's insert path); the pop/peek path is
-//! accounted separately in [`Profile::queue_ns`]. Differential runs —
-//! same workload, two queue backends — therefore attribute pop-side
-//! differences to `queue_ns` and push-side differences to handler time.
+//! accounted separately in [`Profile::queue_ns`]. A change to the queue
+//! therefore shows its pop-side cost in `queue_ns` and its push-side cost
+//! in handler time.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -95,13 +95,14 @@ impl Profiler {
         self.classes[i].record(ns);
     }
 
-    pub(crate) fn snapshot(&self) -> Profile {
+    pub(crate) fn snapshot(&self, peak_pending: usize) -> Profile {
         let mut classes = self.classes.clone();
         classes.sort_by_key(|c| std::cmp::Reverse(c.elapsed_ns));
         Profile {
             handler_ns: classes.iter().map(|c| c.elapsed_ns).sum(),
             queue_ns: self.queue_ns,
             events: self.events,
+            peak_pending,
             wall_ns: self.started.map_or(0, |t| {
                 t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
             }),
@@ -123,6 +124,9 @@ pub struct Profile {
     pub queue_ns: u64,
     /// Events dispatched while profiling.
     pub events: u64,
+    /// High-water mark of the pending-event population over the run
+    /// ([`Simulation::peak_pending`](crate::Simulation::peak_pending)).
+    pub peak_pending: usize,
     /// Wall time since the profiler was enabled (ns).
     pub wall_ns: u64,
 }
@@ -168,8 +172,10 @@ impl Profile {
         );
         let _ = writeln!(
             out,
-            "total: {} events, handler {:.3} ms, queue {:.3} ms, wall {:.3} ms ({:.0} ev/s)",
+            "total: {} events, peak {} pending, handler {:.3} ms, queue {:.3} ms, \
+             wall {:.3} ms ({:.0} ev/s)",
             self.events,
+            self.peak_pending,
             self.handler_ns as f64 / 1e6,
             self.queue_ns as f64 / 1e6,
             self.wall_ns as f64 / 1e6,
@@ -189,7 +195,7 @@ mod tests {
         p.record("a", 100);
         p.record("a", 300);
         p.record("b", 50);
-        let s = p.snapshot();
+        let s = p.snapshot(0);
         assert_eq!(s.events, 3);
         assert_eq!(s.handler_ns, 450);
         assert_eq!(s.classes[0].name, "a"); // heaviest first
@@ -213,8 +219,9 @@ mod tests {
         let mut p = Profiler::new();
         p.record("deliver", 1000);
         p.queue_ns = 500;
-        let text = p.snapshot().render();
+        let text = p.snapshot(42).render();
         assert!(text.contains("deliver"));
+        assert!(text.contains("peak 42 pending"));
         assert!(text.contains("queue(pop/peek)"));
         assert!(text.contains("total: 1 events"));
     }

@@ -5,22 +5,10 @@
 //! events scheduled for the same instant are delivered in scheduling order.
 //! This tie-break is what makes whole-simulation runs bit-reproducible.
 //!
-//! Two interchangeable backends implement that contract (see
-//! [`QueueBackend`]):
-//!
-//! * **Calendar** (the default): an array of time-bucketed lanes covering a
-//!   sliding "year" of simulated time, giving O(1) amortized push/pop for
-//!   the near horizon, plus an overflow ladder (a small binary heap) for
-//!   far-future events. The lane array resizes and the bucket width
-//!   re-derives from the observed event spread as occupancy drifts.
-//! * **BinaryHeap**: the original `std::collections::BinaryHeap` min-heap.
-//!   It is kept verbatim as the differential-test oracle
-//!   (`crates/desim/tests/differential.rs`) and as the benchmark baseline
-//!   (`crates/bench/benches/sim_throughput.rs`).
-//!
-//! Both backends deliver the exact same `(time, seq)` stream for the same
-//! sequence of operations — the calendar structure is a pure speed change,
-//! proven equivalent by the differential tests, never assumed.
+//! The store is a `std::collections::BinaryHeap` min-heap: O(log n) push
+//! and pop, no tuning parameters, and memory that tracks the pending
+//! population. `crates/desim/tests/differential.rs` checks it operation by
+//! operation against a naive linear-scan model.
 //!
 //! Counters obey the conservation identity
 //! `total_pushed == total_popped + total_cleared + len` at every instant.
@@ -29,33 +17,8 @@ use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Which data structure backs an [`EventQueue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum QueueBackend {
-    /// Time-bucketed calendar lanes with a far-future overflow ladder.
-    #[default]
-    Calendar,
-    /// The reference `std::collections::BinaryHeap` min-heap (the
-    /// pre-calendar implementation): differential oracle and benchmark
-    /// baseline.
-    BinaryHeap,
-}
-
-impl QueueBackend {
-    /// Short stable name, used in bench output and recorded JSON.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            QueueBackend::Calendar => "calendar",
-            QueueBackend::BinaryHeap => "binaryheap",
-        }
-    }
-}
-
-/// A scheduled entry. The derived comparisons below are *reversed* so a
-/// `std::collections::BinaryHeap<Entry<E>>` acts as a min-heap (heap
-/// backend); the calendar backend compares keys directly via
-/// [`entry_lt`].
+/// A scheduled entry. The comparisons below are *reversed* so a
+/// `std::collections::BinaryHeap<Entry<E>>` acts as a min-heap.
 struct Entry<E> {
     time: SimTime,
     seq: u64,
@@ -82,479 +45,6 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// Direct min-order key comparison for the calendar's manual heaps.
-#[inline]
-fn entry_lt<E>(a: &Entry<E>, b: &Entry<E>) -> bool {
-    (a.time, a.seq) < (b.time, b.seq)
-}
-
-/// Index of the lane's `(time, seq)` minimum. Lanes are *unsorted*: a
-/// push is a plain append and a pop is this linear scan plus a
-/// `swap_remove`. Resize keeps lanes down to a handful of events, where
-/// a branch-predictable contiguous scan beats a binary heap's pointer
-/// chasing; a same-instant flood concentrating one lane degrades to
-/// O(lane) per pop but stays correct (the scan keeps the first —
-/// lowest-`seq` — minimum).
-#[inline]
-fn lane_min_idx<E>(lane: &[Entry<E>]) -> Option<usize> {
-    let mut it = lane.iter().enumerate();
-    let (_, first) = it.next()?;
-    let mut best = 0;
-    let mut best_key = (first.time, first.seq);
-    for (i, e) in it {
-        let key = (e.time, e.seq);
-        if key < best_key {
-            best = i;
-            best_key = key;
-        }
-    }
-    Some(best)
-}
-
-/// Removes and returns the lane's minimum plus the *runner-up's* time
-/// (the lane's new minimum after removal, `None` when the lane empties).
-/// One scan serves both the pop and the `min_time` cache refresh: while
-/// the cursor lane stays non-empty its minimum IS the queue minimum —
-/// every other lane covers a strictly later day and the overflow ladder
-/// sits past the year end.
-#[inline]
-fn lane_take_min<E>(lane: &mut Vec<Entry<E>>) -> Option<(Entry<E>, Option<SimTime>)> {
-    let mut it = lane.iter().enumerate();
-    let (_, first) = it.next()?;
-    let mut best = 0;
-    let mut best_key = (first.time, first.seq);
-    let mut next_time: Option<SimTime> = None;
-    for (i, e) in it {
-        let key = (e.time, e.seq);
-        if key < best_key {
-            next_time = Some(best_key.0);
-            best = i;
-            best_key = key;
-        } else if next_time.is_none_or(|t| key.0 < t) {
-            next_time = Some(key.0);
-        }
-    }
-    Some((lane.swap_remove(best), next_time))
-}
-
-/// Pushes onto a `Vec`-backed binary min-heap ordered by `(time, seq)`
-/// (used for the overflow ladder, which can hold thousands of far-future
-/// events — there the heap's O(log n) wins over a scan).
-fn lane_push<E>(lane: &mut Vec<Entry<E>>, entry: Entry<E>) {
-    lane.push(entry);
-    let mut i = lane.len() - 1;
-    while i > 0 {
-        let parent = (i - 1) / 2;
-        if entry_lt(&lane[i], &lane[parent]) {
-            lane.swap(i, parent);
-            i = parent;
-        } else {
-            break;
-        }
-    }
-}
-
-/// Pops the minimum from a `Vec`-backed binary min-heap.
-fn lane_pop<E>(lane: &mut Vec<Entry<E>>) -> Option<Entry<E>> {
-    let last = lane.len().checked_sub(1)?;
-    lane.swap(0, last);
-    let out = lane.pop();
-    let n = lane.len();
-    let mut i = 0;
-    loop {
-        let left = 2 * i + 1;
-        if left >= n {
-            break;
-        }
-        let right = left + 1;
-        let mut min = left;
-        if right < n && entry_lt(&lane[right], &lane[left]) {
-            min = right;
-        }
-        if entry_lt(&lane[min], &lane[i]) {
-            lane.swap(i, min);
-            i = min;
-        } else {
-            break;
-        }
-    }
-    out
-}
-
-/// Smallest and largest lane counts the calendar will use. Both are
-/// powers of two so bucket indexing is a shift and a mask. The ceiling
-/// covers the measured pending population of a 64-backend fleet run
-/// (~150 K events: clients pre-schedule the run's arrivals) at about
-/// one event per lane.
-const MIN_BUCKETS: usize = 16;
-const MAX_BUCKETS: usize = 1 << 18;
-/// Bucket width is `1 << width_shift` nanoseconds; capped so
-/// `MAX_BUCKETS << MAX_WIDTH_SHIFT` cannot overflow a `u64`.
-const MAX_WIDTH_SHIFT: u32 = 40;
-/// Grow the lane array when near occupancy exceeds `GROW_FACTOR` events
-/// per bucket; shrink when it falls below `1 / SHRINK_FACTOR`. The wide
-/// gap between the two thresholds is the hysteresis that prevents
-/// resize thrash.
-const GROW_FACTOR: usize = 4;
-const SHRINK_FACTOR: usize = 8;
-/// Re-bucket every `REBUCKET_FACTOR * nbuckets` pops even when occupancy
-/// sits between the grow/shrink thresholds: a steady-state population
-/// (constant pending count) never crosses them, yet its time *spread*
-/// drifts, and a stale bucket width degrades the lanes toward heaps.
-/// Proportional to `nbuckets`, the rebuild stays O(1) amortized per pop.
-const REBUCKET_FACTOR: u64 = 8;
-
-/// The calendar backend: `nbuckets` lanes, each a small *unsorted* vec
-/// popped by `(time, seq)` min-scan, covering the sliding year
-/// `[day_start, day_start + nbuckets * width)`. The lane at `cursor`
-/// owns the earliest window **and** anything scheduled at or before it;
-/// far-future events (past the year end) wait in the `overflow` ladder
-/// and are pulled forward as the cursor advances.
-struct Calendar<E> {
-    buckets: Vec<Vec<Entry<E>>>,
-    /// One bit per lane (bit set ⇔ lane non-empty): the cursor skips
-    /// runs of empty lanes with word-wide bit scans instead of touching
-    /// every lane header.
-    occupied: Vec<u64>,
-    /// Far-future ladder: min-heap of events at or past the year end.
-    overflow: Vec<Entry<E>>,
-    /// Retired lane allocations, reused across resizes (event pooling:
-    /// popped `Entry` storage is recycled, not freed).
-    pool: Vec<Vec<Entry<E>>>,
-    /// `buckets.len()`, always a power of two.
-    nbuckets: usize,
-    /// Bucket width is `1 << width_shift` nanoseconds.
-    width_shift: u32,
-    /// Lower edge (ns) of the cursor bucket's time window.
-    day_start: u64,
-    /// Index of the bucket whose window starts at `day_start`.
-    cursor: usize,
-    /// Events currently stored in the lanes (excludes `overflow`).
-    near: usize,
-    /// Pops since the last rebuild, for the periodic re-bucket.
-    pops_since_resize: u64,
-    /// Cached earliest pending time. `None` in the cell means *unknown*
-    /// (recompute on the next peek), `Some(None)` would be unrepresentable
-    /// — an empty queue stores `Some` of `None` via [`MinCache`]. Kept in
-    /// a `Cell` so `peek_time` can refresh it lazily on a `&self`
-    /// receiver: a pop that no one peeks after (the common case in a
-    /// tight drain loop) pays nothing for cache maintenance.
-    min_cache: std::cell::Cell<MinCache>,
-}
-
-/// State of the lazily maintained `min_time` cache.
-#[derive(Clone, Copy)]
-enum MinCache {
-    /// The earliest pending time is known to be this (`None` = empty).
-    Known(Option<SimTime>),
-    /// A pop invalidated the cache; recompute on demand.
-    Stale,
-}
-
-impl<E> Calendar<E> {
-    fn new() -> Self {
-        Calendar {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            occupied: vec![0; MIN_BUCKETS.div_ceil(64)],
-            overflow: Vec::new(),
-            pool: Vec::new(),
-            nbuckets: MIN_BUCKETS,
-            // 1.024 us lanes: a reasonable default for the ns-resolution
-            // packet/timer mix; the first resize re-derives it anyway.
-            width_shift: 10,
-            day_start: 0,
-            cursor: 0,
-            near: 0,
-            pops_since_resize: 0,
-            min_cache: std::cell::Cell::new(MinCache::Known(None)),
-        }
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.near + self.overflow.len()
-    }
-
-    /// Exclusive upper edge (ns) of the lane-covered year.
-    #[inline]
-    fn year_end(&self) -> u64 {
-        self.day_start
-            .saturating_add((self.nbuckets as u64) << self.width_shift)
-    }
-
-    fn push(&mut self, entry: Entry<E>) {
-        if self.len() == 0 {
-            // Empty calendar: re-anchor the year at the new event so a
-            // large time jump never forces a long cursor scan.
-            self.day_start = entry.time.as_nanos();
-        }
-        // Keep a known cache exact for free; a stale one stays stale
-        // (the push cannot be earlier than a minimum we don't know).
-        if let MinCache::Known(m) = self.min_cache.get() {
-            if m.is_none_or(|m| entry.time < m) {
-                self.min_cache.set(MinCache::Known(Some(entry.time)));
-            }
-        }
-        self.place(entry);
-        if self.near > self.nbuckets * GROW_FACTOR && self.nbuckets < MAX_BUCKETS {
-            self.resize();
-        }
-    }
-
-    /// Routes an entry to its lane, or to the overflow ladder when it
-    /// falls past the year end. Events at or before `day_start` (the
-    /// simulator never schedules in the past, but the API allows it) go
-    /// to the cursor bucket, which is always drained first.
-    fn place(&mut self, entry: Entry<E>) {
-        let t = entry.time.as_nanos();
-        let offset = t.saturating_sub(self.day_start) >> self.width_shift;
-        if offset >= self.nbuckets as u64 {
-            lane_push(&mut self.overflow, entry);
-        } else {
-            let idx = (self.cursor + offset as usize) & (self.nbuckets - 1);
-            self.buckets[idx].push(entry);
-            self.occupied[idx / 64] |= 1 << (idx % 64);
-            self.near += 1;
-        }
-    }
-
-    fn pop(&mut self) -> Option<Entry<E>> {
-        if self.len() == 0 {
-            return None;
-        }
-        self.seek();
-        let (entry, rest_min) =
-            lane_take_min(&mut self.buckets[self.cursor]).expect("seek found an event");
-        if rest_min.is_none() {
-            self.occupied[self.cursor / 64] &= !(1 << (self.cursor % 64));
-        }
-        self.near -= 1;
-        self.pops_since_resize += 1;
-        // A rebuild moves events between lanes but never changes the
-        // pending *set*, so `rest_min` (when the cursor lane stayed
-        // non-empty) survives it.
-        if self.nbuckets > MIN_BUCKETS && self.near * SHRINK_FACTOR < self.nbuckets {
-            self.resize();
-        } else if self.pops_since_resize > REBUCKET_FACTOR * self.nbuckets as u64 {
-            self.rebucket();
-        }
-        self.min_cache.set(if self.len() == 0 {
-            MinCache::Known(None)
-        } else if rest_min.is_some() {
-            // The cursor lane survived, so its runner-up (tracked by the
-            // same scan that found the popped minimum) is the new queue
-            // minimum — a rebuild above moves events between lanes but
-            // never changes the pending *set*, so this survives it.
-            MinCache::Known(rest_min)
-        } else {
-            // The lane drained. Finding the next minimum would mean
-            // seeking and scanning another lane — skip it until someone
-            // actually peeks.
-            MinCache::Stale
-        });
-        Some(entry)
-    }
-
-    /// Advances the cursor to the bucket holding the earliest pending
-    /// event. The earliest event is always in the first non-empty bucket
-    /// at or after the cursor: lanes ahead only ever receive events from
-    /// strictly later windows, and past-scheduled events land in the
-    /// cursor bucket itself. Caller guarantees `len() > 0`.
-    fn seek(&mut self) {
-        if self.near == 0 {
-            // Everything pending is far-future: re-anchor the year at
-            // the ladder's minimum and pull the near window in, instead
-            // of stepping the cursor across an arbitrarily long gap.
-            self.day_start = self.overflow[0].time.as_nanos();
-            self.refill();
-            debug_assert!(self.near > 0, "refill must cover the overflow minimum");
-            return;
-        }
-        let k = self.next_occupied_offset();
-        if k > 0 {
-            // Jump the cursor straight to the next occupied lane. The
-            // year slides by the same k days; one refill then pulls in
-            // every overflow event the slide exposed — all of them land
-            // in the year's trailing k lanes (their times are at or past
-            // the *old* year end), so none can precede the jump target.
-            self.day_start = self
-                .day_start
-                .saturating_add((k as u64) << self.width_shift);
-            self.cursor = (self.cursor + k) & (self.nbuckets - 1);
-            self.refill();
-        }
-        debug_assert!(!self.buckets[self.cursor].is_empty(), "seek found an event");
-    }
-
-    /// Earliest pending time, refreshing a stale cache. Read-only: the
-    /// next occupied lane is located through the bitmap without moving
-    /// the cursor, so this works on a `&self` receiver.
-    fn min_time(&self) -> Option<SimTime> {
-        if let MinCache::Known(m) = self.min_cache.get() {
-            return m;
-        }
-        let min = if self.len() == 0 {
-            None
-        } else if self.near == 0 {
-            // Everything pending sits in the far-future ladder.
-            Some(self.overflow[0].time)
-        } else {
-            // The first occupied lane at or after the cursor holds the
-            // queue minimum: later lanes cover strictly later days and
-            // the overflow ladder sits past the year end.
-            let k = self.next_occupied_offset();
-            let lane = &self.buckets[(self.cursor + k) & (self.nbuckets - 1)];
-            let idx = lane_min_idx(lane).expect("occupied lane has an event");
-            Some(lane[idx].time)
-        };
-        self.min_cache.set(MinCache::Known(min));
-        min
-    }
-
-    /// Circular distance (in lanes) from the cursor to the first
-    /// occupied lane, zero when the cursor lane itself is occupied.
-    /// Caller guarantees `near > 0`, so some bit is set.
-    #[inline]
-    fn next_occupied_offset(&self) -> usize {
-        let nb = self.nbuckets;
-        let (w, bit) = (self.cursor / 64, self.cursor % 64);
-        let first = self.occupied[w] >> bit;
-        if first != 0 {
-            return first.trailing_zeros() as usize;
-        }
-        let nwords = self.occupied.len();
-        for step in 1..=nwords {
-            let i = (w + step) % nwords;
-            let word = self.occupied[i];
-            if word != 0 {
-                let idx = i * 64 + word.trailing_zeros() as usize;
-                return (idx + nb - self.cursor) & (nb - 1);
-            }
-        }
-        unreachable!("near > 0 guarantees an occupied lane")
-    }
-
-    /// Moves every overflow event that now falls inside the year into
-    /// its lane (called whenever the year slides or re-anchors).
-    fn refill(&mut self) {
-        let year_end = self.year_end();
-        while self
-            .overflow
-            .first()
-            .is_some_and(|e| e.time.as_nanos() < year_end)
-        {
-            let entry = lane_pop(&mut self.overflow).expect("checked non-empty");
-            self.place(entry);
-        }
-    }
-
-    /// Bucket width ≈ half the average inter-event gap (rounded up to a
-    /// power of two), so steady-state occupancy lands around one event
-    /// per occupied lane and push/pop degenerate to a vec append/pop —
-    /// the calendar sweet spot. The year then covers at least the
-    /// observed spread, keeping the overflow ladder for genuine
-    /// outliers. A same-instant flood (zero spread) degrades
-    /// gracefully: one hot lane, min-scanned.
-    fn width_for(lo: u64, hi: u64, n: usize) -> u32 {
-        let gap = ((hi - lo) / n as u64).max(1);
-        let ceil_log2 = 64 - (gap - 1).leading_zeros().min(63);
-        ceil_log2.min(MAX_WIDTH_SHIFT)
-    }
-
-    /// The periodic re-bucket, guarded by a read-only probe: scan the
-    /// pending population for the geometry a rebuild would derive, and
-    /// skip the drain-and-replace when neither the lane count nor the
-    /// bucket width would change. The probe reads one `u64` per entry;
-    /// the rebuild it avoids moves every entry — payload and all, and
-    /// simulation events run to hundreds of bytes — twice. A
-    /// steady-state population with a stable time spread (the common
-    /// case between load shifts) pays only the probe.
-    fn rebucket(&mut self) {
-        let n = self.len();
-        let target = (n * 2).next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
-        if n >= 1 && target == self.nbuckets {
-            let (mut lo, mut hi) = (u64::MAX, 0u64);
-            for e in self.buckets.iter().flatten().chain(&self.overflow) {
-                let t = e.time.as_nanos();
-                lo = lo.min(t);
-                hi = hi.max(t);
-            }
-            if Self::width_for(lo, hi, n) == self.width_shift {
-                self.pops_since_resize = 0;
-                return;
-            }
-        }
-        self.resize();
-    }
-
-    /// Rebuilds the lane array sized to the current near population and
-    /// re-derives the bucket width from the observed event spread. Lane
-    /// allocations are recycled through the pool.
-    fn resize(&mut self) {
-        let mut scratch = self.pool.pop().unwrap_or_default();
-        for bucket in &mut self.buckets {
-            scratch.append(bucket);
-        }
-        // The ladder joins the sample: sizing the year from lane events
-        // alone under-measures the spread whenever a long timer tail
-        // lives in overflow, and the truncation self-reinforces (a short
-        // year keeps the tail in overflow, which keeps the year short).
-        // Heap order is irrelevant here — `place` re-routes every entry.
-        scratch.append(&mut self.overflow);
-        let n = scratch.len();
-        let target = (n * 2).next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
-        if n >= 1 {
-            let (mut lo, mut hi) = (u64::MAX, 0u64);
-            for e in &scratch {
-                let t = e.time.as_nanos();
-                lo = lo.min(t);
-                hi = hi.max(t);
-            }
-            self.width_shift = Self::width_for(lo, hi, n);
-            // Re-anchor the year at the population minimum. Without this,
-            // everything earlier than wherever `day_start` happened to sit
-            // (it anchors at the *first* push after empty, not the
-            // earliest) collapses into the cursor catch-all lane and
-            // stays there across rebuilds.
-            self.day_start = lo;
-        }
-        while self.buckets.len() > target {
-            let lane = self.buckets.pop().expect("checked len");
-            self.pool.push(lane);
-        }
-        while self.buckets.len() < target {
-            self.buckets.push(self.pool.pop().unwrap_or_default());
-        }
-        self.nbuckets = target;
-        self.cursor = 0;
-        self.near = 0;
-        self.pops_since_resize = 0;
-        self.occupied.clear();
-        self.occupied.resize(target.div_ceil(64), 0);
-        for entry in scratch.drain(..) {
-            self.place(entry);
-        }
-        self.pool.push(scratch);
-        // The resized year may reach further than the old one did.
-        self.refill();
-    }
-
-    fn clear(&mut self) {
-        for bucket in &mut self.buckets {
-            bucket.clear();
-        }
-        self.occupied.fill(0);
-        self.overflow.clear();
-        self.near = 0;
-        self.min_cache.set(MinCache::Known(None));
-    }
-}
-
-enum Backend<E> {
-    Calendar(Calendar<E>),
-    Heap(BinaryHeap<Entry<E>>),
-}
-
 /// A deterministic future-event list.
 ///
 /// Events of type `E` are scheduled at absolute [`SimTime`] instants and
@@ -574,7 +64,7 @@ enum Backend<E> {
 /// assert_eq!(order, ['a', 'b', 'c']);
 /// ```
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
     pushed: u64,
     popped: u64,
@@ -588,44 +78,21 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue on the default (calendar) backend.
+    /// Creates an empty queue.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_backend(QueueBackend::Calendar)
+        Self::with_capacity(0)
     }
 
-    /// Creates an empty queue on an explicit backend. Delivery order is
-    /// identical across backends; only the cost profile differs.
+    /// Creates an empty queue with room for `capacity` pending events.
     #[must_use]
-    pub fn with_backend(backend: QueueBackend) -> Self {
+    pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
-            backend: match backend {
-                QueueBackend::Calendar => Backend::Calendar(Calendar::new()),
-                QueueBackend::BinaryHeap => Backend::Heap(BinaryHeap::new()),
-            },
+            heap: BinaryHeap::with_capacity(capacity),
             next_seq: 0,
             pushed: 0,
             popped: 0,
             cleared: 0,
-        }
-    }
-
-    /// Creates an empty queue with pre-allocated capacity.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        let mut q = Self::new();
-        if let Backend::Calendar(c) = &mut q.backend {
-            c.overflow.reserve(capacity / 2);
-        }
-        q
-    }
-
-    /// The backend this queue runs on.
-    #[must_use]
-    pub fn backend(&self) -> QueueBackend {
-        match &self.backend {
-            Backend::Calendar(_) => QueueBackend::Calendar,
-            Backend::Heap(_) => QueueBackend::BinaryHeap,
         }
     }
 
@@ -634,19 +101,12 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.pushed += 1;
-        let entry = Entry { time, seq, event };
-        match &mut self.backend {
-            Backend::Calendar(c) => c.push(entry),
-            Backend::Heap(h) => h.push(entry),
-        }
+        self.heap.push(Entry { time, seq, event });
     }
 
     /// Removes and returns the earliest event, or `None` when empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = match &mut self.backend {
-            Backend::Calendar(c) => c.pop(),
-            Backend::Heap(h) => h.pop(),
-        }?;
+        let entry = self.heap.pop()?;
         self.popped += 1;
         Some((entry.time, entry.event))
     }
@@ -654,7 +114,7 @@ impl<E> EventQueue<E> {
     /// Pops every event scheduled at or before `bound` — at most `max`
     /// of them — appending `(time, event)` pairs to `out`. Returns the
     /// number of events popped. Used by the simulation driver to drain
-    /// same-instant batches with one queue traversal.
+    /// same-instant batches with one call.
     pub fn pop_batch_until(
         &mut self,
         bound: SimTime,
@@ -677,19 +137,13 @@ impl<E> EventQueue<E> {
     /// The instant of the earliest pending event, if any.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Calendar(c) => c.min_time(),
-            Backend::Heap(h) => h.peek().map(|e| e.time),
-        }
+        self.heap.peek().map(|e| e.time)
     }
 
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Calendar(c) => c.len(),
-            Backend::Heap(h) => h.len(),
-        }
+        self.heap.len()
     }
 
     /// `true` when no events are pending.
@@ -747,17 +201,13 @@ impl<E> EventQueue<E> {
     /// ordering stays globally monotonic across a clear).
     pub fn clear(&mut self) {
         self.cleared += self.len() as u64;
-        match &mut self.backend {
-            Backend::Calendar(c) => c.clear(),
-            Backend::Heap(h) => h.clear(),
-        }
+        self.heap.clear();
     }
 }
 
 impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("backend", &self.backend().name())
             .field("pending", &self.len())
             .field("pushed", &self.pushed)
             .field("popped", &self.popped)
@@ -773,51 +223,41 @@ mod tests {
     use crate::time::SimDuration;
     use check::{ensure, gen, Check};
 
-    /// Every unit property below runs against both backends: the calendar
-    /// must be indistinguishable from the reference heap.
-    fn both(mut f: impl FnMut(EventQueue<u64>)) {
-        f(EventQueue::with_backend(QueueBackend::Calendar));
-        f(EventQueue::with_backend(QueueBackend::BinaryHeap));
-    }
-
     #[test]
     fn pops_in_time_order() {
-        both(|mut q| {
-            q.push(SimTime::from_us(30), 3);
-            q.push(SimTime::from_us(10), 1);
-            q.push(SimTime::from_us(20), 2);
-            assert_eq!(q.pop(), Some((SimTime::from_us(10), 1)));
-            assert_eq!(q.pop(), Some((SimTime::from_us(20), 2)));
-            assert_eq!(q.pop(), Some((SimTime::from_us(30), 3)));
-            assert_eq!(q.pop(), None);
-        });
+        let mut q: EventQueue<u64> = EventQueue::new();
+        q.push(SimTime::from_us(30), 3);
+        q.push(SimTime::from_us(10), 1);
+        q.push(SimTime::from_us(20), 2);
+        assert_eq!(q.pop(), Some((SimTime::from_us(10), 1)));
+        assert_eq!(q.pop(), Some((SimTime::from_us(20), 2)));
+        assert_eq!(q.pop(), Some((SimTime::from_us(30), 3)));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn fifo_among_simultaneous_events() {
-        both(|mut q| {
-            for i in 0..100 {
-                q.push(SimTime::from_us(5), i);
-            }
-            for i in 0..100 {
-                assert_eq!(q.pop().map(|(_, e)| e), Some(i));
-            }
-        });
+        let mut q: EventQueue<u64> = EventQueue::new();
+        for i in 0..100 {
+            q.push(SimTime::from_us(5), i);
+        }
+        for i in 0..100 {
+            assert_eq!(q.pop().map(|(_, e)| e), Some(i));
+        }
     }
 
     #[test]
     fn counters_track_traffic() {
-        both(|mut q| {
-            q.push(SimTime::ZERO, 0);
-            q.push(SimTime::ZERO, 1);
-            let _ = q.pop();
-            assert_eq!(q.total_pushed(), 2);
-            assert_eq!(q.total_popped(), 1);
-            assert_eq!(q.len(), 1);
-            q.clear();
-            assert!(q.is_empty());
-            assert_eq!(q.total_pushed(), 2);
-        });
+        let mut q: EventQueue<u64> = EventQueue::new();
+        q.push(SimTime::ZERO, 0);
+        q.push(SimTime::ZERO, 1);
+        let _ = q.pop();
+        assert_eq!(q.total_pushed(), 2);
+        assert_eq!(q.total_popped(), 1);
+        assert_eq!(q.len(), 1);
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.total_pushed(), 2);
     }
 
     /// The PR-3/4-style ledger for the queue itself:
@@ -826,71 +266,68 @@ mod tests {
     /// different stories).
     #[test]
     fn clear_preserves_conservation_identity() {
-        both(|mut q| {
-            let identity = |q: &EventQueue<u64>| {
-                assert_eq!(
-                    q.total_pushed(),
-                    q.total_popped() + q.total_cleared() + q.len() as u64,
-                    "conservation identity violated: {q:?}"
-                );
-            };
-            for i in 0..10 {
-                q.push(SimTime::from_us(i), i);
-            }
-            identity(&q);
-            let _ = q.pop();
-            let _ = q.pop();
-            identity(&q);
-            q.clear();
-            assert_eq!(q.total_cleared(), 8);
-            identity(&q);
-            // The queue stays usable after a clear, and the sequence
-            // counter keeps FIFO monotonic across it.
-            q.push(SimTime::from_us(1), 100);
-            q.push(SimTime::from_us(1), 101);
-            identity(&q);
-            assert_eq!(q.pop(), Some((SimTime::from_us(1), 100)));
-            assert_eq!(q.pop(), Some((SimTime::from_us(1), 101)));
-            identity(&q);
-            q.clear();
-            identity(&q);
-            assert_eq!(q.total_cleared(), 8);
-        });
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let identity = |q: &EventQueue<u64>| {
+            assert_eq!(
+                q.total_pushed(),
+                q.total_popped() + q.total_cleared() + q.len() as u64,
+                "conservation identity violated: {q:?}"
+            );
+        };
+        for i in 0..10 {
+            q.push(SimTime::from_us(i), i);
+        }
+        identity(&q);
+        let _ = q.pop();
+        let _ = q.pop();
+        identity(&q);
+        q.clear();
+        assert_eq!(q.total_cleared(), 8);
+        identity(&q);
+        // The queue stays usable after a clear, and the sequence
+        // counter keeps FIFO monotonic across it.
+        q.push(SimTime::from_us(1), 100);
+        q.push(SimTime::from_us(1), 101);
+        identity(&q);
+        assert_eq!(q.pop(), Some((SimTime::from_us(1), 100)));
+        assert_eq!(q.pop(), Some((SimTime::from_us(1), 101)));
+        identity(&q);
+        q.clear();
+        identity(&q);
+        assert_eq!(q.total_cleared(), 8);
     }
 
     #[test]
     fn peek_does_not_consume() {
-        both(|mut q| {
-            q.push(SimTime::from_ms(1), 7);
-            assert_eq!(q.peek_time(), Some(SimTime::from_ms(1)));
-            assert_eq!(q.len(), 1);
-        });
+        let mut q: EventQueue<u64> = EventQueue::new();
+        q.push(SimTime::from_ms(1), 7);
+        assert_eq!(q.peek_time(), Some(SimTime::from_ms(1)));
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
     fn pop_batch_until_respects_bound_and_cap() {
-        both(|mut q| {
-            for i in 0..6 {
-                q.push(SimTime::from_us(10), i);
-            }
-            q.push(SimTime::from_us(20), 100);
-            let mut out = Vec::new();
-            // Cap smaller than the batch: exactly `max` events come out.
-            assert_eq!(q.pop_batch_until(SimTime::from_us(10), 4, &mut out), 4);
-            assert_eq!(out.len(), 4);
-            // Remainder of the same instant, bound excludes the 20us event.
-            assert_eq!(q.pop_batch_until(SimTime::from_us(10), 100, &mut out), 2);
-            let ids: Vec<u64> = out.iter().map(|&(_, e)| e).collect();
-            assert_eq!(ids, [0, 1, 2, 3, 4, 5], "FIFO preserved through batches");
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.peek_time(), Some(SimTime::from_us(20)));
-        });
+        let mut q: EventQueue<u64> = EventQueue::new();
+        for i in 0..6 {
+            q.push(SimTime::from_us(10), i);
+        }
+        q.push(SimTime::from_us(20), 100);
+        let mut out = Vec::new();
+        // Cap smaller than the batch: exactly `max` events come out.
+        assert_eq!(q.pop_batch_until(SimTime::from_us(10), 4, &mut out), 4);
+        assert_eq!(out.len(), 4);
+        // Remainder of the same instant, bound excludes the 20us event.
+        assert_eq!(q.pop_batch_until(SimTime::from_us(10), 100, &mut out), 2);
+        let ids: Vec<u64> = out.iter().map(|&(_, e)| e).collect();
+        assert_eq!(ids, [0, 1, 2, 3, 4, 5], "FIFO preserved through batches");
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.peek_time(), Some(SimTime::from_us(20)));
     }
 
     #[test]
-    fn far_future_outliers_take_the_overflow_ladder() {
+    fn far_future_outliers_pop_in_time_order() {
         let mut q: EventQueue<u64> = EventQueue::new();
-        // A dense near-term population plus outliers half a year out.
+        // A dense near-term population plus outliers ten seconds out.
         for i in 0..100 {
             q.push(SimTime::from_nanos(i * 100), i);
         }
@@ -909,33 +346,23 @@ mod tests {
 
     #[test]
     fn same_instant_flood_is_fifo() {
-        both(|mut q| {
-            // Adversarial: a flood large enough to cross several resize
-            // boundaries, all at one instant.
-            for i in 0..5_000u64 {
-                q.push(SimTime::from_us(3), i);
-            }
-            for i in 0..5_000u64 {
-                assert_eq!(q.pop().map(|(_, e)| e), Some(i));
-            }
-        });
+        let mut q: EventQueue<u64> = EventQueue::new();
+        // Adversarial: thousands of events at one instant, ordered by
+        // sequence number alone.
+        for i in 0..5_000u64 {
+            q.push(SimTime::from_us(3), i);
+        }
+        for i in 0..5_000u64 {
+            assert_eq!(q.pop().map(|(_, e)| e), Some(i));
+        }
     }
 
     #[test]
     fn debug_is_nonempty() {
         let q: EventQueue<u8> = EventQueue::new();
         let rendered = format!("{q:?}");
-        assert!(rendered.contains("calendar"));
+        assert!(rendered.contains("pending"));
         assert!(rendered.contains("cleared"));
-    }
-
-    #[test]
-    fn backend_is_reported() {
-        let q: EventQueue<u8> = EventQueue::with_backend(QueueBackend::BinaryHeap);
-        assert_eq!(q.backend(), QueueBackend::BinaryHeap);
-        assert_eq!(q.backend().name(), "binaryheap");
-        let q: EventQueue<u8> = EventQueue::new();
-        assert_eq!(q.backend(), QueueBackend::Calendar);
     }
 
     /// Invariant `event-queue FIFO-tie ordering`: delivery is

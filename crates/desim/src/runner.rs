@@ -5,7 +5,7 @@
 //! clock, and lets the handler react (usually by scheduling further events).
 
 use crate::profiler::{Profile, Profiler};
-use crate::queue::{EventQueue, QueueBackend};
+use crate::queue::EventQueue;
 use crate::time::SimTime;
 
 /// Upper bound on events delivered per queue traversal in
@@ -88,16 +88,8 @@ impl<H: EventHandler> Simulation<H> {
 
     /// Creates a simulation at time zero with an empty queue.
     pub fn new(handler: H) -> Self {
-        Self::with_backend(handler, QueueBackend::default())
-    }
-
-    /// Creates a simulation whose event queue runs on an explicit
-    /// backend. Delivery order — and therefore every simulation result —
-    /// is identical across backends; this exists for differential tests
-    /// and benchmark baselines.
-    pub fn with_backend(handler: H, backend: QueueBackend) -> Self {
         Simulation {
-            queue: EventQueue::with_backend(backend),
+            queue: EventQueue::new(),
             handler,
             now: SimTime::ZERO,
             processed: 0,
@@ -122,7 +114,9 @@ impl<H: EventHandler> Simulation<H> {
     /// A snapshot of the self-profile, if profiling is enabled.
     #[must_use]
     pub fn profile(&self) -> Option<Profile> {
-        self.profiler.as_ref().map(Profiler::snapshot)
+        self.profiler
+            .as_ref()
+            .map(|p| p.snapshot(self.peak_pending))
     }
 
     /// Replaces the runaway-protection event budget.
@@ -144,7 +138,8 @@ impl<H: EventHandler> Simulation<H> {
 
     /// High-water mark of the pending-event population, sampled once per
     /// dispatch batch. Sizes the queue's working set (and the
-    /// sim-throughput bench's hold-model operating point).
+    /// sim-throughput bench's hold-model operating point); also reported
+    /// as [`Profile::peak_pending`].
     #[must_use]
     pub fn peak_pending(&self) -> usize {
         self.peak_pending
@@ -385,27 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn backend_choice_does_not_change_results() {
-        let run = |backend| {
-            let mut sim = Simulation::with_backend(
-                Ticker {
-                    period: SimDuration::from_us(100),
-                    ticks: Vec::new(),
-                    limit: 50,
-                },
-                backend,
-            );
-            sim.queue_mut().push(SimTime::ZERO, ());
-            sim.run_until(SimTime::from_ms(3));
-            (sim.now(), sim.events_processed(), sim.into_handler().ticks)
-        };
-        assert_eq!(
-            run(crate::queue::QueueBackend::Calendar),
-            run(crate::queue::QueueBackend::BinaryHeap)
-        );
-    }
-
-    #[test]
     fn profiling_is_observer_free_and_attributes_events() {
         let run = |profile: bool| {
             let mut sim = ticker(50);
@@ -430,6 +404,8 @@ mod tests {
         assert_eq!(profile.classes.len(), 1); // default classify
         assert_eq!(profile.classes[0].count, n_on);
         assert!(profile.wall_ns > 0);
+        // The ticker keeps exactly one event pending.
+        assert_eq!(profile.peak_pending, 1);
     }
 
     #[test]

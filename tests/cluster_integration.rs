@@ -205,13 +205,9 @@ fn fnv1a(s: &str) -> u64 {
     h
 }
 
-/// The golden digest of the 64-backend scale scenario below. Pinned so
-/// the delivery order of the calendar event queue provably matches the
-/// pre-swap `BinaryHeap` order: the digest was captured from the
-/// heap-backend run (which reproduces the original implementation's
-/// order exactly), and the calendar-backend run must hash to the same
-/// value. Any change to event ordering, RNG derivation, or result
-/// accounting shows up here as a digest mismatch.
+/// The golden digest of the 64-backend scale scenario below. Any change
+/// to event ordering, RNG derivation, or result accounting shows up here
+/// as a digest mismatch.
 ///
 /// Re-pinned when `ExperimentResult` gained the `breakdown` and
 /// `self_profile` fields (the digest covers the full `Debug` render):
@@ -279,15 +275,6 @@ fn fleet_scale_64_backends_is_deterministic_and_pinned() {
     assert!(traced.sim_trace.is_some(), "tracer must attach data");
     traced.sim_trace = None;
     assert_eq!(render(&traced), serial, "tracing perturbed the run");
-
-    // The reference BinaryHeap backend reproduces the pre-calendar-swap
-    // delivery order; the default calendar backend must match it bit for
-    // bit at fleet scale.
-    let heap = render(&run_experiment(
-        &cfg.clone()
-            .with_queue_backend(desim::QueueBackend::BinaryHeap),
-    ));
-    assert_eq!(heap, serial, "queue backends diverged at 64 backends");
 
     // Splice proof: the datapath PR added exactly two zero-valued fields
     // to this run's render (`polled_frames` in each backend's
