@@ -4,6 +4,12 @@
 //! command-line parser and the command implementations, kept in a library
 //! so they are unit-testable.
 //!
+//! The CLI has no configuration type of its own: `run`, `trace` and
+//! `report` write their flags straight into an [`ExperimentConfig`], and
+//! every config a command carries has passed
+//! [`ExperimentConfig::validate`] at parse time, so a bad flag is a typed
+//! [`ConfigError`] and never a panic mid-run.
+//!
 //! ```text
 //! ncap policies
 //! ncap run    --app memcached --policy ncap.cons --load 35000 [flags]
@@ -16,33 +22,37 @@
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
+use cluster::config::{token, value};
 use cluster::{
     run_experiment, run_experiments_parallel, try_run_experiment, AppKind, CoordinatorConfig,
-    Datapath, DispatchPolicy, ExperimentConfig, FailureMode, FailureSchedule, FailureSpec,
-    FaultConfig, FleetConfig, HealthConfig, OverloadConfig, Policy, RetxConfig, ShedPolicy,
-    TraceConfig, DEFAULT_FAULT_SEED,
+    Datapath, DispatchPolicy, ExperimentConfig, FailureMode, FailureSpec, FleetConfig,
+    HealthConfig, OverloadConfig, Policy, RetxConfig, ShedPolicy, TraceConfig,
 };
-use desim::{SimDuration, SimTime};
+use desim::{ConfigError, SimDuration, SimTime};
 use simstats::{fmt_ns, FleetAggregate, Table};
+use std::iter::once;
 
-/// A parsed command line.
-#[derive(Debug, Clone, PartialEq)]
+/// A parsed command line. Every [`ExperimentConfig`] it carries has
+/// passed [`ExperimentConfig::validate`].
+#[derive(Debug, Clone)]
 pub enum Command {
     /// List the seven policies.
     Policies,
     /// Run one experiment.
-    Run(RunArgs),
-    /// Run a policy × load grid.
-    Sweep(SweepArgs),
-    /// Find the SLA via the perf latency-load knee.
-    Sla {
-        /// The application to sweep.
-        app: AppKind,
-    },
+    Run(ExperimentConfig),
+    /// Run a policy × load grid (loads outer, policies inner).
+    Sweep(Vec<ExperimentConfig>),
+    /// Find the SLA via the perf latency-load knee: one config per load.
+    Sla(Vec<ExperimentConfig>),
     /// Run one experiment with event tracing and export Perfetto/CSV.
-    Trace(TraceArgs),
+    Trace {
+        /// The traced experiment.
+        cfg: ExperimentConfig,
+        /// Directory receiving `trace.json` and `trace.csv`.
+        out: String,
+    },
     /// Run one experiment and print the per-stage latency attribution.
-    Report(ReportArgs),
+    Report(ExperimentConfig),
     /// Run a seeded chaos campaign (or replay one scenario file).
     Chaos(ChaosArgs),
     /// Print usage.
@@ -72,493 +82,280 @@ pub struct ChaosArgs {
     pub poll_cores: Option<u8>,
 }
 
-/// Arguments of `ncap run`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunArgs {
-    /// Application.
-    pub app: AppKind,
-    /// Policy.
-    pub policy: Policy,
-    /// Offered load, requests/second.
-    pub load: f64,
-    /// Measured window (ms).
-    pub measure_ms: u64,
-    /// Warmup (ms).
-    pub warmup_ms: u64,
-    /// Seed.
-    pub seed: u64,
-    /// Poisson arrivals instead of bursts.
-    pub poisson: bool,
-    /// RSS queues on the server NIC.
-    pub queues: usize,
-    /// §7 per-core boost.
-    pub per_core: bool,
-    /// TOE on the server NIC.
-    pub toe: bool,
-    /// Per-frame loss probability on every link (0 disables).
-    pub loss: f64,
-    /// Per-frame corruption probability on every link (0 disables).
-    pub corrupt: f64,
-    /// Per-frame reorder probability on every link (0 disables).
-    pub reorder: f64,
-    /// Uniform per-frame latency jitter bound, microseconds (0 disables).
-    pub jitter_us: u64,
-    /// Seed for the fault-injection RNG streams.
-    pub fault_seed: u64,
-    /// Server run-queue admission capacity (None keeps shedding off
-    /// unless another overload flag turns the server defaults on).
-    pub queue_cap: Option<usize>,
-    /// Admission policy shedding work when server queues fill.
-    pub shed_policy: Option<ShedPolicy>,
-    /// End-to-end request deadline stamped by clients, microseconds.
-    pub deadline_us: Option<u64>,
-    /// Backend servers behind an L4 load-balancer VIP (1 = the paper's
-    /// single-server topology, no fleet layer).
-    pub servers: usize,
-    /// Fleet dispatch policy (meaningful with `--servers` > 1 or
-    /// `--coordinator`).
-    pub dispatch: DispatchPolicy,
-    /// Arm the fleet power coordinator (parks/unparks backends with
-    /// load).
-    pub coordinator: bool,
-    /// Scheduled backend failures: `(backend, at_ms, restart_ms)`.
-    /// Non-empty implies a fleet topology.
-    pub fail_backends: Vec<(usize, u64, Option<u64>)>,
-    /// Failure mode applied to every scheduled failure.
-    pub fail_mode: FailureMode,
-    /// Health-prober probe period override, microseconds.
-    pub health_interval_us: Option<u64>,
-    /// Consecutive probe failures before ejection.
-    pub health_eject: Option<u32>,
-    /// Consecutive probe successes before reinstatement.
-    pub health_rejoin: Option<u32>,
-    /// Server datapath: the kernel interrupt stack, a poll-mode
-    /// kernel-bypass stack, or the kernel stack with NCAP offloaded
-    /// onto the NIC.
-    pub datapath: Datapath,
-    /// Dedicated busy-poll cores per server (bypass datapath only).
-    pub poll_cores: u8,
-}
-
-/// Arguments of `ncap trace`: an ordinary run plus an output directory.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceArgs {
-    /// The experiment to run (same knobs as `ncap run`).
-    pub run: RunArgs,
-    /// Directory receiving `trace.json` and `trace.csv`.
-    pub out: String,
-    /// Metrics bin width for the CSV export, microseconds.
-    pub window_us: u64,
-}
-
-/// Arguments of `ncap report`: an ordinary run plus attribution knobs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReportArgs {
-    /// The experiment to run (same knobs as `ncap run`).
-    pub run: RunArgs,
-    /// Percentile the tail view conditions on.
-    pub tail: f64,
-    /// Also print the simulator's wall-clock self-profile.
-    pub profile: bool,
-}
-
-/// Arguments of `ncap sweep`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepArgs {
-    /// Application.
-    pub app: AppKind,
-    /// Policies to run.
-    pub policies: Vec<Policy>,
-    /// Loads to run.
-    pub loads: Vec<f64>,
-    /// Measured window (ms).
-    pub measure_ms: u64,
-}
-
-/// A parse failure with a user-facing message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError(pub String);
-
-impl core::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-fn parse_app(s: &str) -> Result<AppKind, ParseError> {
-    match s {
-        "apache" => Ok(AppKind::Apache),
-        "memcached" => Ok(AppKind::Memcached),
-        other => Err(ParseError(format!(
-            "unknown app '{other}' (expected apache|memcached)"
-        ))),
-    }
-}
-
-fn parse_policy(s: &str) -> Result<Policy, ParseError> {
-    Policy::ALL
-        .iter()
-        .copied()
-        .find(|p| p.name() == s)
-        .ok_or_else(|| {
-            let names: Vec<&str> = Policy::ALL.iter().map(|p| p.name()).collect();
-            ParseError(format!(
-                "unknown policy '{s}' (expected one of {})",
-                names.join(", ")
-            ))
+impl ChaosArgs {
+    /// The campaign: the scenarios of seeds `from..from + seeds`, with the
+    /// forced datapath and poll-core count applied.
+    pub fn scenarios(&self) -> impl Iterator<Item = cluster::ChaosScenario> + '_ {
+        (self.from..self.from.saturating_add(self.seeds)).map(|seed| {
+            let mut sc = cluster::ChaosScenario::generate(seed);
+            sc.datapath = self.datapath.unwrap_or(sc.datapath);
+            sc.poll_cores = self.poll_cores.unwrap_or(sc.poll_cores);
+            // A forced datapath may contradict the drawn policy; coerce to
+            // a compatible pool member so every scenario still validates.
+            match sc.datapath {
+                Datapath::Bypass if sc.policy.is_ncap() => sc.policy = Policy::OndIdle,
+                Datapath::Offload if !sc.policy.uses_ncap_hardware() => {
+                    sc.policy = Policy::NcapCons;
+                }
+                _ => {}
+            }
+            sc
         })
-}
-
-fn take_value<'a>(
-    args: &mut impl Iterator<Item = &'a str>,
-    flag: &str,
-) -> Result<&'a str, ParseError> {
-    args.next()
-        .ok_or_else(|| ParseError(format!("{flag} requires a value")))
-}
-
-fn default_run_args() -> RunArgs {
-    RunArgs {
-        app: AppKind::Memcached,
-        policy: Policy::NcapCons,
-        load: 35_000.0,
-        measure_ms: 400,
-        warmup_ms: 100,
-        seed: 0x4E43_4150,
-        poisson: false,
-        queues: 1,
-        per_core: false,
-        toe: false,
-        loss: 0.0,
-        corrupt: 0.0,
-        reorder: 0.0,
-        jitter_us: 0,
-        fault_seed: DEFAULT_FAULT_SEED,
-        queue_cap: None,
-        shed_policy: None,
-        deadline_us: None,
-        servers: 1,
-        dispatch: DispatchPolicy::RoundRobin,
-        coordinator: false,
-        fail_backends: Vec::new(),
-        fail_mode: FailureMode::Stop,
-        health_interval_us: None,
-        health_eject: None,
-        health_rejoin: None,
-        datapath: Datapath::Kernel,
-        poll_cores: 1,
     }
+}
+
+/// Nanoseconds per microsecond, the unit of `--health-interval` and the
+/// `-us` flags.
+const US: u64 = 1_000;
+/// Nanoseconds per millisecond, the unit of the `-ms` flags.
+const MS: u64 = 1_000_000;
+
+/// The value after `flag`, a count of `unit`-nanosecond ticks, as a span.
+fn span(
+    flag: &'static str,
+    unit: u64,
+    it: &mut impl Iterator<Item = &'static str>,
+) -> Result<SimDuration, ConfigError> {
+    let n: u64 = value(flag, it)?;
+    n.checked_mul(unit)
+        .map(SimDuration::from_nanos)
+        .ok_or_else(|| ConfigError::new(flag, format!("{n} overflows the simulated clock")))
+}
+
+/// Whole milliseconds in `d`, for display.
+fn ms(d: SimDuration) -> u64 {
+    d.as_nanos() / MS
 }
 
 /// Parses a `--fail-backend` value: `idx@t_ms` or `idx@t_ms:restart_ms`.
-fn parse_fail_backend(v: &str) -> Result<(usize, u64, Option<u64>), ParseError> {
-    let err = || {
-        ParseError(format!(
-            "bad --fail-backend '{v}' (expected idx@t_ms[:restart_ms])"
-        ))
-    };
-    let (idx, rest) = v.split_once('@').ok_or_else(err)?;
-    let (at, restart) = match rest.split_once(':') {
-        Some((at, r)) => (at, Some(r)),
-        None => (rest, None),
-    };
-    let idx = idx.parse().map_err(|_| err())?;
-    let at = at.parse().map_err(|_| err())?;
-    let restart = match restart {
-        Some(r) => Some(r.parse().map_err(|_| err())?),
-        None => None,
-    };
-    Ok((idx, at, restart))
+/// The failure mode is filled in once every flag is read.
+fn fail_backend(v: &'static str) -> Result<FailureSpec, ConfigError> {
+    const FLAG: &str = "--fail-backend";
+    let (backend, times) = v.split_once('@').ok_or_else(|| {
+        ConfigError::new(FLAG, format!("expected idx@t_ms[:restart_ms], got {v:?}"))
+    })?;
+    let mut times = times.splitn(2, ':').peekable();
+    Ok(FailureSpec {
+        backend: value(FLAG, &mut once(backend))?,
+        at: SimTime::ZERO + span(FLAG, MS, &mut times)?,
+        mode: FailureMode::Stop,
+        restart_after: match times.peek() {
+            Some(_) => Some(span(FLAG, MS, &mut times)?),
+            None => None,
+        },
+    })
 }
 
-fn parse_probability(flag: &str, value: &str) -> Result<f64, ParseError> {
-    let p: f64 = value
-        .parse()
-        .map_err(|_| ParseError(format!("{flag} expects a probability")))?;
-    if !(0.0..=1.0).contains(&p) {
-        return Err(ParseError(format!("{flag} must be in [0, 1]")));
+/// Turns on admission control at the server defaults the first time an
+/// overload flag asks for it.
+fn overload(c: &mut ExperimentConfig) -> &mut OverloadConfig {
+    if c.overload == OverloadConfig::off() {
+        c.overload = OverloadConfig::server_defaults();
     }
-    Ok(p)
+    &mut c.overload
 }
 
-/// Applies one `run`-style flag; returns `Ok(false)` if the flag is not
-/// one of the shared run/trace flags.
-fn apply_run_flag<'a>(
-    a: &mut RunArgs,
-    flag: &'a str,
-    it: &mut impl Iterator<Item = &'a str>,
-) -> Result<bool, ParseError> {
-    match flag {
-        "--app" => a.app = parse_app(take_value(it, flag)?)?,
-        "--policy" => a.policy = parse_policy(take_value(it, flag)?)?,
-        "--load" => {
-            a.load = take_value(it, flag)?
-                .parse()
-                .map_err(|_| ParseError("--load expects a number".into()))?;
-        }
-        "--measure-ms" => {
-            a.measure_ms = take_value(it, flag)?
-                .parse()
-                .map_err(|_| ParseError("--measure-ms expects an integer".into()))?;
-        }
-        "--warmup-ms" => {
-            a.warmup_ms = take_value(it, flag)?
-                .parse()
-                .map_err(|_| ParseError("--warmup-ms expects an integer".into()))?;
-        }
-        "--seed" => {
-            a.seed = take_value(it, flag)?
-                .parse()
-                .map_err(|_| ParseError("--seed expects an integer".into()))?;
-        }
-        "--queues" => {
-            a.queues = take_value(it, flag)?
-                .parse()
-                .map_err(|_| ParseError("--queues expects an integer".into()))?;
-        }
-        "--poisson" => a.poisson = true,
-        "--per-core" => a.per_core = true,
-        "--toe" => a.toe = true,
-        "--loss" => a.loss = parse_probability(flag, take_value(it, flag)?)?,
-        "--corrupt" => a.corrupt = parse_probability(flag, take_value(it, flag)?)?,
-        "--reorder" => a.reorder = parse_probability(flag, take_value(it, flag)?)?,
-        "--jitter-us" => {
-            a.jitter_us = take_value(it, flag)?
-                .parse()
-                .map_err(|_| ParseError("--jitter-us expects an integer".into()))?;
-        }
-        "--fault-seed" => {
-            a.fault_seed = take_value(it, flag)?
-                .parse()
-                .map_err(|_| ParseError("--fault-seed expects an integer".into()))?;
-        }
-        "--queue-cap" => {
-            a.queue_cap = Some(
-                take_value(it, flag)?
-                    .parse()
-                    .map_err(|_| ParseError("--queue-cap expects an integer".into()))?,
-            );
-        }
-        "--shed-policy" => {
-            let v = take_value(it, flag)?;
-            a.shed_policy = Some(ShedPolicy::parse(v).ok_or_else(|| {
-                ParseError(format!(
-                    "unknown shed policy '{v}' (expected none|drop-tail|deadline|codel)"
-                ))
-            })?);
-        }
-        "--deadline-us" => {
-            a.deadline_us = Some(
-                take_value(it, flag)?
-                    .parse()
-                    .map_err(|_| ParseError("--deadline-us expects an integer".into()))?,
-            );
-        }
-        "--servers" => {
-            a.servers = take_value(it, flag)?
-                .parse()
-                .map_err(|_| ParseError("--servers expects an integer".into()))?;
-            if a.servers == 0 {
-                return Err(ParseError("--servers must be at least 1".into()));
-            }
-        }
-        "--dispatch" => {
-            let v = take_value(it, flag)?;
-            a.dispatch = DispatchPolicy::parse(v).ok_or_else(|| {
-                ParseError(format!("unknown dispatch '{v}' (expected rr|jsq|pack)"))
-            })?;
-        }
-        "--coordinator" => a.coordinator = true,
-        "--fail-backend" => a
-            .fail_backends
-            .push(parse_fail_backend(take_value(it, flag)?)?),
-        "--fail-mode" => {
-            let v = take_value(it, flag)?;
-            a.fail_mode = FailureMode::parse(v).ok_or_else(|| {
-                ParseError(format!("unknown fail mode '{v}' (expected stop|slow|hang)"))
-            })?;
-        }
-        "--health-interval" => {
-            let us: u64 = take_value(it, flag)?
-                .parse()
-                .map_err(|_| ParseError("--health-interval expects microseconds".into()))?;
-            if us == 0 {
-                return Err(ParseError("--health-interval must be positive".into()));
-            }
-            a.health_interval_us = Some(us);
-        }
-        "--health-eject" => {
-            a.health_eject = Some(
-                take_value(it, flag)?
-                    .parse()
-                    .map_err(|_| ParseError("--health-eject expects an integer".into()))?,
-            );
-        }
-        "--health-rejoin" => {
-            a.health_rejoin = Some(
-                take_value(it, flag)?
-                    .parse()
-                    .map_err(|_| ParseError("--health-rejoin expects an integer".into()))?,
-            );
-        }
-        "--datapath" => {
-            a.datapath =
-                Datapath::parse(take_value(it, flag)?).map_err(|e| ParseError(e.to_string()))?;
-        }
-        "--poll-cores" => {
-            a.poll_cores = take_value(it, flag)?
-                .parse()
-                .map_err(|_| ParseError("--poll-cores expects an integer".into()))?;
-        }
-        _ => return Ok(false),
-    }
-    Ok(true)
+/// The fleet, created (one backend, round-robin) by the first fleet flag.
+fn fleet(c: &mut ExperimentConfig) -> &mut FleetConfig {
+    c.fleet
+        .get_or_insert_with(|| FleetConfig::new(1, DispatchPolicy::RoundRobin))
 }
 
-/// Cross-flag checks shared by every `run`-style command, applied once
-/// the whole line is parsed (so flag order cannot matter).
-fn check_run_args(a: &RunArgs) -> Result<(), ParseError> {
-    if a.load <= 0.0 {
-        return Err(ParseError("--load must be positive".into()));
-    }
-    match a.datapath {
-        Datapath::Bypass => {
-            if a.policy.is_ncap() {
-                return Err(ParseError(format!(
-                    "--datapath bypass removes the interrupt path that policy {} \
-                     drives; use --datapath offload for on-NIC NCAP",
-                    a.policy
-                )));
-            }
-            if a.poll_cores == 0 || a.poll_cores >= 4 {
-                return Err(ParseError(format!(
-                    "--poll-cores must be in 1..4 on a 4-core server, got {}",
-                    a.poll_cores
-                )));
-            }
-        }
-        Datapath::Offload => {
-            if !a.policy.uses_ncap_hardware() {
-                return Err(ParseError(format!(
-                    "--datapath offload needs an NCAP hardware policy \
-                     (ncap.cons|ncap.aggr), got {}",
-                    a.policy
-                )));
-            }
-        }
-        Datapath::Kernel => {}
-    }
-    for &(backend, _, _) in &a.fail_backends {
-        if backend >= a.servers {
-            return Err(ParseError(format!(
-                "--fail-backend index {backend} is out of range: --servers {} \
-                 means valid backends are 0..={}",
-                a.servers,
-                a.servers - 1
-            )));
-        }
-    }
-    Ok(())
+/// The fleet's health prober, armed at its standard policy by the first
+/// health flag.
+fn health(c: &mut ExperimentConfig) -> &mut HealthConfig {
+    fleet(c).health.get_or_insert_with(HealthConfig::standard)
 }
 
-/// Parses a command line (without the program name).
+/// The error for a flag `cmd` does not take.
+fn unknown(cmd: &str, flag: &'static str) -> ConfigError {
+    ConfigError::new(flag, format!("not a flag of `ncap {cmd}`"))
+}
+
+/// Parses the flags of `run`, `trace` or `report` straight into the
+/// experiment they describe, and validates it. Implications that several
+/// flags decide together are applied once the whole line is read, so
+/// flag order cannot matter. Returns the config and `trace`'s `--out`.
+fn parse_experiment(
+    cmd: &str,
+    it: &mut impl Iterator<Item = &'static str>,
+) -> Result<(ExperimentConfig, Option<&'static str>), ConfigError> {
+    let mut cfg = ExperimentConfig::new(AppKind::Memcached, Policy::NcapCons, 35_000.0);
+    if cmd == "trace" {
+        // Traced runs default to a short window: the event ring holds the
+        // full stream for tens of simulated milliseconds.
+        cfg = cfg
+            .with_durations(SimDuration::from_ms(10), SimDuration::from_ms(40))
+            .with_trace(TraceConfig::per_ms())
+            .with_event_trace(simtrace::TracerConfig::default());
+    }
+    let mut out = None;
+    let mut shed_policy_given = false;
+    let mut fail_mode = FailureMode::Stop;
+    while let Some(flag) = it.next() {
+        let c = &mut cfg;
+        match (cmd, flag) {
+            (_, "--app") => c.app = AppKind::parse(token(flag, it)?)?,
+            (_, "--policy") => c.policy = Policy::parse(token(flag, it)?)?,
+            (_, "--load") => c.load_rps = value(flag, it)?,
+            (_, "--measure-ms") => c.measure = span(flag, MS, it)?,
+            (_, "--warmup-ms") => c.warmup = span(flag, MS, it)?,
+            (_, "--seed") => c.seed = value(flag, it)?,
+            (_, "--poisson") => c.poisson = true,
+            (_, "--queues") => c.nic_queues = value(flag, it)?,
+            (_, "--per-core") => c.per_core_boost = true,
+            (_, "--toe") => c.toe = Some(nicsim::ToeConfig::typical()),
+            (_, "--loss") => c.faults.loss = value(flag, it)?,
+            (_, "--corrupt") => c.faults.corrupt = value(flag, it)?,
+            (_, "--reorder") => c.faults.reorder = value(flag, it)?,
+            (_, "--jitter-us") => c.faults.jitter = span(flag, US, it)?,
+            (_, "--fault-seed") => c.faults.seed = value(flag, it)?,
+            (_, "--queue-cap") => overload(c).run_queue_cap = Some(value(flag, it)?),
+            (_, "--shed-policy") => {
+                overload(c).policy = ShedPolicy::parse(token(flag, it)?)?;
+                shed_policy_given = true;
+            }
+            (_, "--deadline-us") => overload(c).default_deadline = Some(span(flag, US, it)?),
+            (_, "--servers") => fleet(c).backends = value(flag, it)?,
+            (_, "--dispatch") => fleet(c).dispatch = DispatchPolicy::parse(token(flag, it)?)?,
+            // Sized against the app's knee once every flag is read.
+            (_, "--coordinator") => fleet(c).coordinator = Some(CoordinatorConfig::new(0.0)),
+            (_, "--fail-backend") => fleet(c).faults.specs.push(fail_backend(token(flag, it)?)?),
+            (_, "--fail-mode") => fail_mode = FailureMode::parse(token(flag, it)?)?,
+            (_, "--health-interval") => health(c).interval = span(flag, US, it)?,
+            (_, "--health-eject") => health(c).eject_after = value(flag, it)?,
+            (_, "--health-rejoin") => health(c).rejoin_after = value(flag, it)?,
+            (_, "--datapath") => c.datapath = Datapath::parse(token(flag, it)?)?,
+            (_, "--poll-cores") => c.poll_cores = value(flag, it)?,
+            ("trace", "--out") => out = Some(token(flag, it)?),
+            ("trace", "--window-us") => {
+                c.event_trace = Some(simtrace::TracerConfig {
+                    window_ns: span(flag, US, it)?.as_nanos(),
+                    ..simtrace::TracerConfig::default()
+                });
+            }
+            ("report", "--tail") => c.breakdown_tail = value(flag, it)?,
+            ("report", "--profile") => c.profile = true,
+            _ => return Err(unknown(cmd, flag)),
+        }
+    }
+    if cfg.faults.impairs() {
+        // Any impairment arms retransmission. Reordered frames are held
+        // back by a few switch transits so they actually land behind
+        // later traffic.
+        cfg.faults.reorder_delay = SimDuration::from_us(50);
+        cfg.faults.retx = RetxConfig::standard();
+    }
+    if let Some(d) = cfg.overload.default_deadline {
+        // Clients stamp the deadline too, and without an explicit policy
+        // it implies deadline-aware shedding — the other policies never
+        // look at the stamp.
+        cfg.deadline = Some(d);
+        if !shed_policy_given {
+            cfg.overload.policy = ShedPolicy::Deadline;
+        }
+    }
+    if let Some(fleet) = &mut cfg.fleet {
+        if let Some(coordinator) = &mut fleet.coordinator {
+            // Nominal per-backend capacity is the app's knee load (§5);
+            // the coordinator sizes the active set against it.
+            coordinator.per_backend_rps = cfg.app.paper_loads()[2];
+        }
+        for spec in &mut fleet.faults.specs {
+            spec.mode = fail_mode;
+        }
+    }
+    cfg.validate()?;
+    Ok((cfg, out))
+}
+
+/// The validated policy × load grid of `sweep` and `sla`, loads outer.
+fn grid(
+    app: AppKind,
+    policies: &[Policy],
+    loads: &[f64],
+    measure: SimDuration,
+) -> Result<Vec<ExperimentConfig>, ConfigError> {
+    let configs: Vec<ExperimentConfig> = loads
+        .iter()
+        .flat_map(|&l| {
+            policies.iter().map(move |&p| {
+                ExperimentConfig::new(app, p, l).with_durations(SimDuration::from_ms(100), measure)
+            })
+        })
+        .collect();
+    configs.iter().try_for_each(ExperimentConfig::validate)?;
+    Ok(configs)
+}
+
+/// Parses a command line (without the program name). Every experiment
+/// the command will run is validated here.
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] describing the first problem.
-pub fn parse<'a, I: IntoIterator<Item = &'a str>>(args: I) -> Result<Command, ParseError> {
-    let mut it = args.into_iter();
+/// Returns a [`ConfigError`] naming the flag or config field at fault.
+pub fn parse<I: IntoIterator<Item = &'static str>>(args: I) -> Result<Command, ConfigError> {
+    let it = &mut args.into_iter();
     let cmd = match it.next() {
-        None | Some("help") | Some("--help") | Some("-h") => return Ok(Command::Help),
+        None | Some("help" | "--help" | "-h") => return Ok(Command::Help),
         Some(c) => c,
     };
     match cmd {
         "policies" => Ok(Command::Policies),
-        "sla" => {
-            let mut app = None;
-            while let Some(flag) = it.next() {
-                match flag {
-                    "--app" => app = Some(parse_app(take_value(&mut it, flag)?)?),
-                    other => return Err(ParseError(format!("unknown flag '{other}'"))),
-                }
-            }
-            Ok(Command::Sla {
-                app: app.ok_or_else(|| ParseError("sla requires --app".into()))?,
+        "run" => Ok(Command::Run(parse_experiment(cmd, it)?.0)),
+        "report" => Ok(Command::Report(parse_experiment(cmd, it)?.0)),
+        "trace" => {
+            let (cfg, out) = parse_experiment(cmd, it)?;
+            let out = out.ok_or_else(|| ConfigError::new("--out", "trace requires --out"))?;
+            Ok(Command::Trace {
+                cfg,
+                out: out.to_owned(),
             })
         }
-        "run" => {
-            let mut a = default_run_args();
+        "sweep" | "sla" => {
+            let mut app = None;
+            let mut policies = Vec::new();
+            let mut loads = Vec::new();
+            let mut measure = SimDuration::from_ms(300);
             while let Some(flag) = it.next() {
-                if !apply_run_flag(&mut a, flag, &mut it)? {
-                    return Err(ParseError(format!("unknown flag '{flag}'")));
+                match (cmd, flag) {
+                    (_, "--app") => app = Some(AppKind::parse(token(flag, it)?)?),
+                    ("sweep", "--policies") => {
+                        for p in token(flag, it)?.split(',') {
+                            policies.push(Policy::parse(p)?);
+                        }
+                    }
+                    ("sweep", "--loads") => {
+                        for l in token(flag, it)?.split(',') {
+                            loads.push(value(flag, &mut once(l))?);
+                        }
+                    }
+                    ("sweep", "--measure-ms") => measure = span(flag, MS, it)?,
+                    _ => return Err(unknown(cmd, flag)),
                 }
             }
-            check_run_args(&a)?;
-            Ok(Command::Run(a))
-        }
-        "trace" => {
-            // Traced runs default to a short window: the event ring holds
-            // the full stream for tens of simulated milliseconds.
-            let mut a = default_run_args();
-            a.warmup_ms = 10;
-            a.measure_ms = 40;
-            let mut out = None;
-            let mut window_us = 1_000;
-            while let Some(flag) = it.next() {
-                match flag {
-                    "--out" => out = Some(take_value(&mut it, flag)?.to_owned()),
-                    "--window-us" => {
-                        window_us = take_value(&mut it, flag)?
-                            .parse()
-                            .map_err(|_| ParseError("--window-us expects an integer".into()))?;
-                        if window_us == 0 {
-                            return Err(ParseError("--window-us must be positive".into()));
-                        }
-                    }
-                    other => {
-                        if !apply_run_flag(&mut a, other, &mut it)? {
-                            return Err(ParseError(format!("unknown flag '{other}'")));
-                        }
-                    }
+            let app =
+                app.ok_or_else(|| ConfigError::new("--app", format!("{cmd} requires --app")))?;
+            Ok(if cmd == "sla" {
+                let loads = match app {
+                    AppKind::Apache => [12e3, 24e3, 36e3, 45e3, 54e3, 60e3, 66e3, 72e3],
+                    AppKind::Memcached => [20e3, 40e3, 60e3, 90e3, 110e3, 127e3, 138e3, 150e3],
+                };
+                Command::Sla(grid(
+                    app,
+                    &[Policy::Perf],
+                    &loads,
+                    SimDuration::from_ms(300),
+                )?)
+            } else {
+                if policies.is_empty() {
+                    policies = Policy::ALL.to_vec();
                 }
-            }
-            check_run_args(&a)?;
-            Ok(Command::Trace(TraceArgs {
-                run: a,
-                out: out.ok_or_else(|| ParseError("trace requires --out".into()))?,
-                window_us,
-            }))
-        }
-        "report" => {
-            let mut a = default_run_args();
-            let mut tail = 99.0;
-            let mut profile = false;
-            while let Some(flag) = it.next() {
-                match flag {
-                    "--tail" => {
-                        tail = take_value(&mut it, flag)?
-                            .parse()
-                            .map_err(|_| ParseError("--tail expects a percentile".into()))?;
-                        if !(0.0..100.0).contains(&tail) {
-                            return Err(ParseError("--tail must be in [0, 100)".into()));
-                        }
-                    }
-                    "--profile" => profile = true,
-                    other => {
-                        if !apply_run_flag(&mut a, other, &mut it)? {
-                            return Err(ParseError(format!("unknown flag '{other}'")));
-                        }
-                    }
+                if loads.is_empty() {
+                    loads = app.paper_loads().to_vec();
                 }
-            }
-            check_run_args(&a)?;
-            Ok(Command::Report(ReportArgs {
-                run: a,
-                tail,
-                profile,
-            }))
+                Command::Sweep(grid(app, &policies, &loads, measure)?)
+            })
         }
         "chaos" => {
             let mut a = ChaosArgs {
@@ -573,97 +370,42 @@ pub fn parse<'a, I: IntoIterator<Item = &'a str>>(args: I) -> Result<Command, Pa
             };
             while let Some(flag) = it.next() {
                 match flag {
-                    "--seeds" => {
-                        a.seeds = take_value(&mut it, flag)?
-                            .parse()
-                            .map_err(|_| ParseError("--seeds expects an integer".into()))?;
-                        if a.seeds == 0 {
-                            return Err(ParseError("--seeds must be at least 1".into()));
-                        }
-                    }
-                    "--from" => {
-                        a.from = take_value(&mut it, flag)?
-                            .parse()
-                            .map_err(|_| ParseError("--from expects an integer".into()))?;
-                    }
-                    "--threads" => {
-                        a.threads = take_value(&mut it, flag)?
-                            .parse()
-                            .map_err(|_| ParseError("--threads expects an integer".into()))?;
-                    }
+                    "--seeds" => a.seeds = value(flag, it)?,
+                    "--from" => a.from = value(flag, it)?,
+                    "--threads" => a.threads = value(flag, it)?,
                     "--shrink" => a.shrink = true,
-                    "--scenario" => a.scenario = Some(take_value(&mut it, flag)?.to_owned()),
-                    "--out" => a.out = Some(take_value(&mut it, flag)?.to_owned()),
-                    "--datapath" => {
-                        a.datapath = Some(
-                            Datapath::parse(take_value(&mut it, flag)?)
-                                .map_err(|e| ParseError(e.to_string()))?,
-                        );
-                    }
+                    "--scenario" => a.scenario = Some(token(flag, it)?.to_owned()),
+                    "--out" => a.out = Some(token(flag, it)?.to_owned()),
+                    "--datapath" => a.datapath = Some(Datapath::parse(token(flag, it)?)?),
                     "--poll-cores" => {
-                        let n: u8 = take_value(&mut it, flag)?
-                            .parse()
-                            .map_err(|_| ParseError("--poll-cores expects an integer".into()))?;
-                        if n == 0 || n >= 4 {
-                            return Err(ParseError(format!(
-                                "--poll-cores must be in 1..4 on a 4-core server, got {n}"
-                            )));
-                        }
+                        let n = value(flag, it)?;
+                        // The forced count must suit a bypass server, the
+                        // only datapath that reads it.
+                        ExperimentConfig::new(AppKind::Memcached, Policy::Perf, 1.0)
+                            .with_datapath(Datapath::Bypass)
+                            .with_poll_cores(n)
+                            .validate()?;
                         a.poll_cores = Some(n);
                     }
-                    other => return Err(ParseError(format!("unknown flag '{other}'"))),
+                    _ => return Err(unknown(cmd, flag)),
                 }
+            }
+            // A wrapped `from + seeds` would run nothing and pass vacuously.
+            if a.seeds == 0 || a.from.checked_add(a.seeds).is_none() {
+                return Err(ConfigError::new(
+                    "--seeds",
+                    format!(
+                        "the campaign needs at least one seed, and {} + {} must fit in u64",
+                        a.from, a.seeds
+                    ),
+                ));
             }
             Ok(Command::Chaos(a))
         }
-        "sweep" => {
-            let mut app = None;
-            let mut policies = Vec::new();
-            let mut loads = Vec::new();
-            let mut measure_ms = 300;
-            while let Some(flag) = it.next() {
-                match flag {
-                    "--app" => app = Some(parse_app(take_value(&mut it, flag)?)?),
-                    "--policies" => {
-                        for p in take_value(&mut it, flag)?.split(',') {
-                            policies.push(parse_policy(p)?);
-                        }
-                    }
-                    "--loads" => {
-                        for l in take_value(&mut it, flag)?.split(',') {
-                            loads.push(
-                                l.parse().map_err(|_| {
-                                    ParseError(format!("bad load '{l}' in --loads"))
-                                })?,
-                            );
-                        }
-                    }
-                    "--measure-ms" => {
-                        measure_ms = take_value(&mut it, flag)?
-                            .parse()
-                            .map_err(|_| ParseError("--measure-ms expects an integer".into()))?;
-                    }
-                    other => return Err(ParseError(format!("unknown flag '{other}'"))),
-                }
-            }
-            Ok(Command::Sweep(SweepArgs {
-                app: app.ok_or_else(|| ParseError("sweep requires --app".into()))?,
-                policies: if policies.is_empty() {
-                    Policy::ALL.to_vec()
-                } else {
-                    policies
-                },
-                loads: if loads.is_empty() {
-                    app.map(AppKind::paper_loads)
-                        .unwrap_or([24_000.0, 45_000.0, 66_000.0])
-                        .to_vec()
-                } else {
-                    loads
-                },
-                measure_ms,
-            }))
-        }
-        other => Err(ParseError(format!("unknown command '{other}'"))),
+        other => Err(ConfigError::new(
+            "command",
+            format!("unknown command `{other}`"),
+        )),
     }
 }
 
@@ -734,97 +476,6 @@ USAGE:
              wall-clock self-profile (host-dependent, attribution of
              where the simulator itself spends time)
 ";
-
-/// Builds the [`ExperimentConfig`] for a set of `run`-style arguments.
-fn run_config(a: &RunArgs) -> ExperimentConfig {
-    let mut cfg = ExperimentConfig::new(a.app, a.policy, a.load)
-        .with_durations(
-            SimDuration::from_ms(a.warmup_ms),
-            SimDuration::from_ms(a.measure_ms),
-        )
-        .with_seed(a.seed)
-        .with_datapath(a.datapath)
-        .with_poll_cores(a.poll_cores);
-    if a.poisson {
-        cfg = cfg.with_poisson();
-    }
-    if a.queues > 1 {
-        cfg = cfg.with_nic_queues(a.queues);
-    }
-    if a.per_core {
-        cfg = cfg.with_per_core_boost();
-    }
-    if a.toe {
-        cfg = cfg.with_toe(nicsim::ToeConfig::typical());
-    }
-    let mut faults = FaultConfig::none();
-    faults.loss = a.loss;
-    faults.corrupt = a.corrupt;
-    faults.reorder = a.reorder;
-    faults.jitter = SimDuration::from_us(a.jitter_us);
-    faults.seed = a.fault_seed;
-    if faults.impairs() {
-        // Reordered frames are held back by a few switch transits so they
-        // actually land behind later traffic.
-        faults.reorder_delay = SimDuration::from_us(50);
-        faults.retx = RetxConfig::standard();
-        cfg = cfg.with_faults(faults);
-    }
-    if a.queue_cap.is_some() || a.shed_policy.is_some() || a.deadline_us.is_some() {
-        let mut ov = OverloadConfig::server_defaults();
-        if let Some(cap) = a.queue_cap {
-            ov = ov.with_run_queue_cap(cap);
-        }
-        // A deadline without an explicit policy implies deadline-aware
-        // shedding — the other policies never look at the stamp.
-        ov = ov.with_policy(match a.shed_policy {
-            Some(p) => p,
-            None if a.deadline_us.is_some() => ShedPolicy::Deadline,
-            None => ov.policy,
-        });
-        if let Some(us) = a.deadline_us {
-            let d = SimDuration::from_us(us);
-            ov = ov.with_default_deadline(d);
-            cfg = cfg.with_deadline(d);
-        }
-        cfg = cfg.with_overload(ov);
-    }
-    if a.servers > 1 || a.coordinator || !a.fail_backends.is_empty() {
-        let mut fleet = FleetConfig::new(a.servers, a.dispatch);
-        if a.coordinator {
-            // Nominal per-backend capacity is the app's knee load (§5);
-            // the coordinator sizes the active set against it.
-            fleet = fleet.with_coordinator(CoordinatorConfig::new(a.app.paper_loads()[2]));
-        }
-        if !a.fail_backends.is_empty() {
-            let mut sched = FailureSchedule::none();
-            for &(backend, at_ms, restart_ms) in &a.fail_backends {
-                sched = sched.with_failure(FailureSpec {
-                    backend,
-                    at: SimTime::from_ms(at_ms),
-                    mode: a.fail_mode,
-                    restart_after: restart_ms.map(SimDuration::from_ms),
-                });
-            }
-            fleet = fleet.with_faults(sched);
-        }
-        if a.health_interval_us.is_some() || a.health_eject.is_some() || a.health_rejoin.is_some() {
-            let mut h = HealthConfig::standard();
-            if let Some(us) = a.health_interval_us {
-                h = h.with_interval(SimDuration::from_us(us));
-            }
-            if let Some(k) = a.health_eject {
-                h = h.with_eject_after(k);
-            }
-            if let Some(k) = a.health_rejoin {
-                h = h.with_rejoin_after(k);
-            }
-            fleet = fleet.with_health(h);
-        }
-        cfg = cfg.with_fleet(fleet);
-    }
-    cfg
-}
 
 /// Renders an ASCII p50/p99 waterfall of the per-stage attribution: one
 /// row per stage that ever contributed, with a solid bar out to the
@@ -902,8 +553,8 @@ pub fn execute(cmd: Command) -> i32 {
             println!("{t}");
             0
         }
-        Command::Run(a) => {
-            let r = match try_run_experiment(&run_config(&a)) {
+        Command::Run(cfg) => {
+            let r = match try_run_experiment(&cfg) {
                 Ok(r) => r,
                 Err(e) => {
                     eprintln!("invalid configuration: {e}");
@@ -912,7 +563,11 @@ pub fn execute(cmd: Command) -> i32 {
             };
             println!(
                 "{} / {} / {} datapath @ {:.0} rps over {} ms:",
-                a.app, a.policy, a.datapath, a.load, a.measure_ms
+                cfg.app,
+                cfg.policy,
+                cfg.datapath,
+                cfg.load_rps,
+                ms(cfg.measure)
             );
             println!(
                 "  latency  p50 {}  p90 {}  p95 {}  p99 {}  mean {:.1}us",
@@ -927,7 +582,7 @@ pub fn execute(cmd: Command) -> i32 {
                 r.energy_j,
                 r.avg_power_w()
             );
-            if a.datapath.bypasses_kernel() {
+            if cfg.datapath.bypasses_kernel() {
                 println!(
                     "  polling  {:.2} J burned on dedicated busy-poll cores",
                     r.poll_energy_j
@@ -996,19 +651,7 @@ pub fn execute(cmd: Command) -> i32 {
             }
             0
         }
-        Command::Sweep(a) => {
-            let configs: Vec<ExperimentConfig> = a
-                .loads
-                .iter()
-                .flat_map(|&l| {
-                    a.policies.iter().map(move |&p| {
-                        ExperimentConfig::new(a.app, p, l).with_durations(
-                            SimDuration::from_ms(100),
-                            SimDuration::from_ms(a.measure_ms),
-                        )
-                    })
-                })
-                .collect();
+        Command::Sweep(configs) => {
             let results = run_experiments_parallel(&configs);
             let mut t = Table::new(vec![
                 "load (rps)",
@@ -1031,33 +674,30 @@ pub fn execute(cmd: Command) -> i32 {
             println!("{t}");
             0
         }
-        Command::Trace(t) => {
-            let a = &t.run;
-            let cfg = run_config(a)
-                .with_trace(TraceConfig::per_ms())
-                .with_event_trace(
-                    simtrace::TracerConfig::default().with_window_ns(t.window_us * 1_000),
-                );
+        Command::Trace { cfg, out } => {
             let r = run_experiment(&cfg);
             let Some(data) = r.sim_trace else {
                 eprintln!("internal error: traced run returned no trace data");
                 return 1;
             };
-            let horizon_ns = (a.warmup_ms + a.measure_ms) * 1_000_000;
-            let dir = std::path::Path::new(&t.out);
+            let dir = std::path::Path::new(&out);
             let json_path = dir.join("trace.json");
             let csv_path = dir.join("trace.csv");
             let written = std::fs::create_dir_all(dir)
                 .and_then(|()| std::fs::write(&json_path, data.to_chrome_json()))
-                .and_then(|()| std::fs::write(&csv_path, data.to_csv(horizon_ns)));
+                .and_then(|()| std::fs::write(&csv_path, data.to_csv(cfg.horizon().as_nanos())));
             if let Err(e) = written {
-                eprintln!("cannot write traces under {}: {e}", t.out);
+                eprintln!("cannot write traces under {out}: {e}");
                 return 1;
             }
             let comps = data.components_with_spans();
             println!(
                 "traced {} / {} @ {:.0} rps over {} ms (+{} ms warmup):",
-                a.app, a.policy, a.load, a.measure_ms, a.warmup_ms
+                cfg.app,
+                cfg.policy,
+                cfg.load_rps,
+                ms(cfg.measure),
+                ms(cfg.warmup)
             );
             println!(
                 "  events   {} recorded, {} dropped (ring capacity {})",
@@ -1079,15 +719,7 @@ pub fn execute(cmd: Command) -> i32 {
             println!("  wrote    {}", csv_path.display());
             0
         }
-        Command::Report(rep) => {
-            let a = &rep.run;
-            let cfg = {
-                let mut cfg = run_config(a).with_breakdown_tail(rep.tail);
-                if rep.profile {
-                    cfg = cfg.with_profile();
-                }
-                cfg
-            };
+        Command::Report(cfg) => {
             let r = match try_run_experiment(&cfg) {
                 Ok(r) => r,
                 Err(e) => {
@@ -1101,10 +733,10 @@ pub fn execute(cmd: Command) -> i32 {
             };
             println!(
                 "{} / {} @ {:.0} rps over {} ms — {} requests, mean {}, tail = p{:.0} (\u{2265} {}, {} requests):",
-                a.app,
-                a.policy,
-                a.load,
-                a.measure_ms,
+                cfg.app,
+                cfg.policy,
+                cfg.load_rps,
+                ms(cfg.measure),
                 b.count,
                 fmt_ns(b.total_mean as u64),
                 b.tail_percentile,
@@ -1164,31 +796,7 @@ pub fn execute(cmd: Command) -> i32 {
                 println!("replaying scenario {path} (seed {})", sc.seed);
                 chaos::run_scenarios(std::slice::from_ref(&sc), 1)
             } else {
-                let mut scenarios: Vec<ChaosScenario> = (a.from..a.from + a.seeds)
-                    .map(ChaosScenario::generate)
-                    .collect();
-                if a.datapath.is_some() || a.poll_cores.is_some() {
-                    for sc in &mut scenarios {
-                        if let Some(dp) = a.datapath {
-                            sc.datapath = dp;
-                        }
-                        if let Some(n) = a.poll_cores {
-                            sc.poll_cores = n;
-                        }
-                        // A forced datapath may contradict the drawn
-                        // policy; coerce to a compatible pool member so
-                        // every scenario still validates.
-                        match sc.datapath {
-                            Datapath::Bypass if sc.policy.is_ncap() => {
-                                sc.policy = Policy::OndIdle;
-                            }
-                            Datapath::Offload if !sc.policy.uses_ncap_hardware() => {
-                                sc.policy = Policy::NcapCons;
-                            }
-                            _ => {}
-                        }
-                    }
-                }
+                let scenarios: Vec<ChaosScenario> = a.scenarios().collect();
                 println!(
                     "chaos campaign: seeds {}..={} on {threads} threads",
                     a.from,
@@ -1256,22 +864,11 @@ pub fn execute(cmd: Command) -> i32 {
             }
             i32::from(!failing.is_empty())
         }
-        Command::Sla { app } => {
-            let loads: Vec<f64> = match app {
-                AppKind::Apache => vec![12e3, 24e3, 36e3, 45e3, 54e3, 60e3, 66e3, 72e3],
-                AppKind::Memcached => vec![20e3, 40e3, 60e3, 90e3, 110e3, 127e3, 138e3, 150e3],
-            };
-            let configs: Vec<ExperimentConfig> = loads
-                .iter()
-                .map(|&l| {
-                    ExperimentConfig::new(app, Policy::Perf, l)
-                        .with_durations(SimDuration::from_ms(100), SimDuration::from_ms(300))
-                })
-                .collect();
+        Command::Sla(configs) => {
             let results = run_experiments_parallel(&configs);
             let base = results[0].latency.p95.max(1);
             let mut t = Table::new(vec!["load (rps)", "p95", "note"]);
-            let mut knee = (loads[0], results[0].latency.p95);
+            let mut knee = (results[0].load_rps, results[0].latency.p95);
             for r in &results {
                 let within = r.latency.p95 as f64 <= base as f64 * 2.5;
                 if within && r.load_rps >= knee.0 {
@@ -1285,7 +882,8 @@ pub fn execute(cmd: Command) -> i32 {
             }
             println!("{t}");
             println!(
-                "SLA for {app}: {} (p95 at the {:.0} rps inflection)",
+                "SLA for {}: {} (p95 at the {:.0} rps inflection)",
+                configs[0].app,
                 fmt_ns(knee.1),
                 knee.0
             );
@@ -1297,400 +895,502 @@ pub fn execute(cmd: Command) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cluster::{FaultConfig, DEFAULT_FAULT_SEED};
+
+    /// Parses a command line written as one string.
+    fn line(text: &'static str) -> Result<Command, ConfigError> {
+        parse(text.split_whitespace())
+    }
+
+    /// The experiment `ncap run <flags>` describes.
+    fn run(flags: &'static str) -> ExperimentConfig {
+        match parse(once("run").chain(flags.split_whitespace())) {
+            Ok(Command::Run(cfg)) => cfg,
+            other => panic!("expected run, got {other:?}"),
+        }
+    }
+
+    /// Every experiment a command would run.
+    fn configs(cmd: &Command) -> Vec<ExperimentConfig> {
+        match cmd {
+            Command::Run(c) | Command::Report(c) | Command::Trace { cfg: c, .. } => vec![c.clone()],
+            Command::Sweep(cs) | Command::Sla(cs) => cs.clone(),
+            Command::Chaos(a) => a.scenarios().take(4).map(|s| s.to_config()).collect(),
+            Command::Policies | Command::Help => Vec::new(),
+        }
+    }
+
+    /// The `--flag` tokens [`USAGE`] lists under each command; `[run
+    /// flags]` lends `trace` and `report` every flag of `run`.
+    fn usage_flags() -> Vec<(&'static str, Vec<&'static str>)> {
+        let mut out: Vec<(&'static str, Vec<&'static str>)> = Vec::new();
+        for text in USAGE.lines() {
+            if let Some(rest) = text.strip_prefix("  ncap ") {
+                let cmd = rest.split_whitespace().next().expect("command name");
+                out.push((cmd, Vec::new()));
+            }
+            let Some((_, flags)) = out.last_mut() else {
+                continue;
+            };
+            for tok in text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+                if tok.starts_with("--") && !flags.contains(&tok) {
+                    flags.push(tok);
+                }
+            }
+        }
+        let run_flags = out[1].1.clone();
+        assert_eq!(out[1].0, "run");
+        for (cmd, flags) in &mut out {
+            if matches!(*cmd, "trace" | "report") {
+                flags.extend(&run_flags);
+            }
+        }
+        out
+    }
+
+    /// A value each flag accepts on its own; switches take none.
+    const SAMPLES: &[(&str, &[&str])] = &[
+        ("--app", &["memcached", "apache"]),
+        ("--policy", &["perf", "ond.idle", "ncap.cons", "ncap.sw"]),
+        ("--load", &["30000", "3000"]),
+        ("--measure-ms", &["20", "1"]),
+        ("--warmup-ms", &["5", "0"]),
+        ("--seed", &["7"]),
+        ("--poisson", &[]),
+        ("--queues", &["4", "1"]),
+        ("--per-core", &[]),
+        ("--toe", &[]),
+        ("--loss", &["0.01", "0"]),
+        ("--corrupt", &["0.002"]),
+        ("--reorder", &["0.005"]),
+        ("--jitter-us", &["20"]),
+        ("--fault-seed", &["99"]),
+        ("--queue-cap", &["64"]),
+        (
+            "--shed-policy",
+            &["codel", "drop-tail", "droptail", "none", "deadline"],
+        ),
+        ("--deadline-us", &["2000"]),
+        ("--servers", &["4", "1"]),
+        ("--dispatch", &["jsq", "rr", "pack"]),
+        ("--coordinator", &[]),
+        ("--fail-backend", &["0@10", "0@10:5"]),
+        ("--fail-mode", &["hang", "slow", "stop"]),
+        ("--health-interval", &["500"]),
+        ("--health-eject", &["2"]),
+        ("--health-rejoin", &["4"]),
+        ("--datapath", &["offload", "kernel", "bypass"]),
+        ("--poll-cores", &["2", "1"]),
+        ("--policies", &["perf,ncap.cons", "ond"]),
+        ("--loads", &["10000,20000", "5000"]),
+        ("--out", &["target/cli-out"]),
+        ("--window-us", &["500"]),
+        ("--seeds", &["3", "1"]),
+        ("--from", &["7", "0"]),
+        ("--threads", &["2", "0"]),
+        ("--shrink", &[]),
+        ("--scenario", &["repro.scenario"]),
+        ("--tail", &["95", "0"]),
+        ("--profile", &[]),
+    ];
+
+    fn samples(flag: &str) -> &'static [&'static str] {
+        SAMPLES
+            .iter()
+            .find(|(f, _)| *f == flag)
+            .unwrap_or_else(|| panic!("USAGE lists {flag} but SAMPLES has no value for it"))
+            .1
+    }
+
+    /// Flags a command cannot do without, so that the flag under test is
+    /// what decides the outcome.
+    fn required(cmd: &str) -> &'static [&'static str] {
+        match cmd {
+            "trace" => &["--out", "target/cli-out"],
+            "sweep" | "sla" => &["--app", "memcached"],
+            _ => &[],
+        }
+    }
+
+    #[test]
+    fn every_usage_flag_parses_for_its_command() {
+        let usage = usage_flags();
+        let names: Vec<&str> = usage.iter().map(|(cmd, _)| *cmd).collect();
+        assert_eq!(
+            names,
+            ["policies", "run", "sweep", "sla", "trace", "chaos", "report"]
+        );
+        for (cmd, flags) in &usage {
+            for &flag in flags {
+                let value = samples(flag).first();
+                let args: Vec<&'static str> = once(*cmd)
+                    .chain(required(cmd).iter().copied())
+                    .chain(once(flag))
+                    .chain(value.copied())
+                    .collect();
+                if let Err(e) = parse(args.iter().copied()) {
+                    panic!("{args:?} is rejected: {e}");
+                }
+            }
+        }
+    }
+
+    /// Boundary and garbage values, offered to every flag.
+    const HOSTILE: &[&str] = &[
+        "0",
+        "1",
+        "4",
+        "-1",
+        "-0",
+        "100",
+        "101",
+        "255",
+        "256",
+        "4294967296",
+        "18446744073709551615",
+        "18446744073709551616",
+        "1e308",
+        "nan",
+        "inf",
+        "",
+        "x",
+        "--",
+        "1@",
+        "@5",
+        "1@2:",
+        "1@2:3:4",
+        "0@18446744073709551615",
+        "0@1:18446744073709551615",
+        ",",
+        "1,,2",
+        "-5,5",
+        "ncap.warp",
+    ];
+
+    #[test]
+    fn prop_nothing_reachable_from_argv_panics() {
+        const COMMANDS: &[&str] = &[
+            "run", "trace", "report", "sweep", "sla", "chaos", "policies", "help", "frob",
+        ];
+        let usage = usage_flags();
+        let all: Vec<&'static str> = usage.iter().flat_map(|(_, f)| f.clone()).collect();
+        let pick = |rng: &mut check::Rng, from: &[&'static str]| -> &'static str {
+            from[rng.next_below(from.len() as u64) as usize]
+        };
+        check::Check::new("cli_parse_never_panics").cases(8192).run(
+            |rng, size| {
+                let cmd = pick(rng, COMMANDS);
+                let own = usage
+                    .iter()
+                    .find(|(c, _)| *c == cmd)
+                    .map_or(&all, |(_, f)| f);
+                let mut args = vec![cmd];
+                if rng.next_below(4) != 0 {
+                    args.extend(required(cmd));
+                }
+                for _ in 0..check::gen::len_in(rng, size, 0, 6) {
+                    let flag = pick(rng, if own.is_empty() { &all } else { own });
+                    args.push(flag);
+                    let valid = samples(flag);
+                    if !valid.is_empty() {
+                        args.push(pick(rng, valid));
+                    }
+                }
+                // Spoil up to two tokens of the otherwise valid line: swap
+                // one for a boundary or garbage value or a random number,
+                // add a flag of another command, or drop one.
+                for _ in 0..rng.next_below(3) {
+                    let at = 1 + rng.next_below(args.len() as u64) as usize;
+                    let spoilt = match rng.next_below(4) {
+                        0 => pick(rng, HOSTILE),
+                        1 => {
+                            let n = check::gen::u64_scaled(rng, size, 0, u64::MAX);
+                            Box::leak(n.to_string().into_boxed_str())
+                        }
+                        2 => {
+                            args.insert(at, pick(rng, &all));
+                            continue;
+                        }
+                        _ => {
+                            if at < args.len() {
+                                args.remove(at);
+                            }
+                            continue;
+                        }
+                    };
+                    match args.get_mut(at) {
+                        Some(token) => *token = spoilt,
+                        None => args.push(spoilt),
+                    }
+                }
+                args
+            },
+            |args| {
+                let Ok(cmd) = parse(args.iter().copied()) else {
+                    return Ok(());
+                };
+                for cfg in configs(&cmd) {
+                    cfg.validate()
+                        .map_err(|e| format!("{args:?} parsed to an invalid config: {e}"))?;
+                }
+                Ok(())
+            },
+        );
+    }
 
     #[test]
     fn parses_help_variants() {
-        assert_eq!(parse([]).unwrap(), Command::Help);
-        assert_eq!(parse(["help"]).unwrap(), Command::Help);
-        assert_eq!(parse(["--help"]).unwrap(), Command::Help);
+        for text in ["", "help", "--help"] {
+            assert!(matches!(line(text).unwrap(), Command::Help));
+        }
     }
 
     #[test]
     fn parses_run_with_flags() {
-        let cmd = parse([
-            "run",
-            "--app",
-            "apache",
-            "--policy",
-            "ncap.aggr",
-            "--load",
-            "24000",
-            "--poisson",
-            "--queues",
-            "4",
-            "--per-core",
-            "--toe",
-            "--seed",
-            "7",
-        ])
-        .unwrap();
-        let Command::Run(a) = cmd else {
-            panic!("expected run");
-        };
-        assert_eq!(a.app, AppKind::Apache);
-        assert_eq!(a.policy, Policy::NcapAggr);
-        assert_eq!(a.load, 24_000.0);
-        assert!(a.poisson && a.per_core && a.toe);
-        assert_eq!(a.queues, 4);
-        assert_eq!(a.seed, 7);
+        let c = run(
+            "--app apache --policy ncap.aggr --load 24000 --poisson --queues 4 \
+                     --per-core --toe --seed 7",
+        );
+        assert_eq!(c.app, AppKind::Apache);
+        assert_eq!(c.policy, Policy::NcapAggr);
+        assert_eq!(c.load_rps, 24_000.0);
+        assert!(c.poisson && c.per_core_boost && c.toe.is_some());
+        assert_eq!(c.nic_queues, 4);
+        assert_eq!(c.seed, 7);
     }
 
     #[test]
     fn parses_datapath_flags() {
-        let Command::Run(a) = parse([
-            "run",
-            "--app",
-            "memcached",
-            "--policy",
-            "perf.idle",
-            "--load",
-            "30000",
-            "--datapath",
-            "bypass",
-            "--poll-cores",
-            "2",
-        ])
-        .unwrap() else {
-            panic!("expected run");
-        };
-        assert_eq!(a.datapath, Datapath::Bypass);
-        assert_eq!(a.poll_cores, 2);
+        let c = run(
+            "--app memcached --policy perf.idle --load 30000 --datapath bypass \
+                     --poll-cores 2",
+        );
+        assert_eq!(c.datapath, Datapath::Bypass);
+        assert_eq!(c.poll_cores, 2);
         // Defaults keep the paper's kernel stack.
-        let d = default_run_args();
+        let d = run("");
         assert_eq!(d.datapath, Datapath::Kernel);
         assert_eq!(d.poll_cores, 1);
     }
 
     #[test]
     fn rejects_unknown_datapath() {
-        let err = parse(["run", "--datapath", "xdp"]).unwrap_err();
-        assert!(err.0.contains("kernel|bypass|offload"), "{err}");
+        let err = line("run --datapath xdp").unwrap_err();
+        assert!(err.reason.contains("kernel|bypass|offload"), "{err}");
     }
 
     #[test]
     fn rejects_bypass_with_ncap_policy() {
-        let err = parse(["run", "--policy", "ncap.cons", "--datapath", "bypass"]).unwrap_err();
-        assert!(err.0.contains("offload"), "{err}");
+        let err = line("run --policy ncap.cons --datapath bypass").unwrap_err();
+        assert!(err.reason.contains("offload"), "{err}");
     }
 
     #[test]
     fn rejects_bad_poll_core_counts() {
-        for n in ["0", "4", "9"] {
-            let err = parse([
-                "run",
-                "--policy",
-                "perf",
-                "--datapath",
-                "bypass",
-                "--poll-cores",
-                n,
-            ])
-            .unwrap_err();
-            assert!(err.0.contains("1..4"), "{err}");
+        for text in [
+            "run --policy perf --datapath bypass --poll-cores 0",
+            "run --policy perf --datapath bypass --poll-cores 4",
+            "run --policy perf --datapath bypass --poll-cores 9",
+            // Flag order must not matter: datapath after poll-cores.
+            "run --poll-cores 0 --datapath bypass --policy perf",
+        ] {
+            let err = line(text).unwrap_err();
+            assert!(err.reason.contains("1..4"), "{err}");
         }
-        // Flag order must not matter: datapath after poll-cores.
-        assert!(parse([
-            "run",
-            "--poll-cores",
-            "0",
-            "--datapath",
-            "bypass",
-            "--policy",
-            "perf"
-        ])
-        .is_err());
         // On the kernel datapath the knob is inert, not an error.
-        assert!(parse(["run", "--poll-cores", "0"]).is_ok());
+        assert!(line("run --poll-cores 0").is_ok());
     }
 
     #[test]
     fn rejects_offload_without_ncap_hardware() {
-        let err = parse(["run", "--policy", "ond.idle", "--datapath", "offload"]).unwrap_err();
-        assert!(err.0.contains("ncap.cons|ncap.aggr"), "{err}");
+        let err = line("run --policy ond.idle --datapath offload").unwrap_err();
+        assert_eq!(err.field, "datapath");
+        assert!(err.reason.contains("no NCAP hardware"), "{err}");
         // The default policy (ncap.cons) offloads fine.
-        assert!(parse(["run", "--datapath", "offload"]).is_ok());
+        assert!(line("run --datapath offload").is_ok());
     }
 
     #[test]
     fn datapath_flags_reach_trace_and_report() {
-        let Command::Trace(t) = parse([
-            "trace",
-            "--out",
-            "d",
-            "--datapath",
-            "bypass",
-            "--policy",
-            "perf",
-        ])
-        .unwrap() else {
+        let Ok(Command::Trace { cfg, .. }) = line("trace --out d --datapath bypass --policy perf")
+        else {
             panic!("expected trace");
         };
-        assert_eq!(t.run.datapath, Datapath::Bypass);
-        let Command::Report(r) = parse(["report", "--datapath", "offload"]).unwrap() else {
+        assert_eq!(cfg.datapath, Datapath::Bypass);
+        let Ok(Command::Report(r)) = line("report --datapath offload") else {
             panic!("expected report");
         };
-        assert_eq!(r.run.datapath, Datapath::Offload);
+        assert_eq!(r.datapath, Datapath::Offload);
     }
 
     #[test]
     fn parses_sweep_lists() {
-        let cmd = parse([
-            "sweep",
-            "--app",
-            "memcached",
-            "--policies",
-            "perf,ncap.cons",
-            "--loads",
-            "10000,20000",
-        ])
-        .unwrap();
-        let Command::Sweep(a) = cmd else {
+        let cmd = line("sweep --app memcached --policies perf,ncap.cons --loads 10000,20000");
+        let Ok(Command::Sweep(a)) = cmd else {
             panic!("expected sweep");
         };
-        assert_eq!(a.policies, vec![Policy::Perf, Policy::NcapCons]);
-        assert_eq!(a.loads, vec![10_000.0, 20_000.0]);
+        let grid: Vec<(f64, Policy)> = a.iter().map(|c| (c.load_rps, c.policy)).collect();
+        assert_eq!(
+            grid,
+            vec![
+                (10_000.0, Policy::Perf),
+                (10_000.0, Policy::NcapCons),
+                (20_000.0, Policy::Perf),
+                (20_000.0, Policy::NcapCons),
+            ]
+        );
+        assert!(a.iter().all(|c| c.measure == SimDuration::from_ms(300)));
     }
 
     #[test]
     fn sweep_defaults_to_all_policies_and_paper_loads() {
-        let Command::Sweep(a) = parse(["sweep", "--app", "apache"]).unwrap() else {
+        let Ok(Command::Sweep(a)) = line("sweep --app apache") else {
             panic!("expected sweep");
         };
-        assert_eq!(a.policies.len(), 7);
-        assert_eq!(a.loads, AppKind::Apache.paper_loads().to_vec());
+        let policies: Vec<Policy> = a.iter().take(7).map(|c| c.policy).collect();
+        assert_eq!(policies, Policy::ALL.to_vec());
+        let loads: Vec<f64> = a.iter().step_by(7).map(|c| c.load_rps).collect();
+        assert_eq!(loads, AppKind::Apache.paper_loads().to_vec());
+        assert_eq!(a.len(), 21);
     }
 
     #[test]
     fn parses_fault_flags() {
-        let Command::Run(a) = parse([
-            "run",
-            "--app",
-            "memcached",
-            "--policy",
-            "perf",
-            "--load",
-            "30000",
-            "--loss",
-            "0.01",
-            "--corrupt",
-            "0.002",
-            "--reorder",
-            "0.005",
-            "--jitter-us",
-            "20",
-            "--fault-seed",
-            "99",
-        ])
-        .unwrap() else {
-            panic!("expected run");
-        };
-        assert_eq!(a.loss, 0.01);
-        assert_eq!(a.corrupt, 0.002);
-        assert_eq!(a.reorder, 0.005);
-        assert_eq!(a.jitter_us, 20);
-        assert_eq!(a.fault_seed, 99);
+        let c = run(
+            "--app memcached --policy perf --load 30000 --loss 0.01 --corrupt 0.002 \
+                     --reorder 0.005 --jitter-us 20 --fault-seed 99",
+        );
+        assert_eq!(c.faults.loss, 0.01);
+        assert_eq!(c.faults.corrupt, 0.002);
+        assert_eq!(c.faults.reorder, 0.005);
+        assert_eq!(c.faults.jitter, SimDuration::from_us(20));
+        assert_eq!(c.faults.seed, 99);
+        // An impairment arms retransmission and the reorder hold-back.
+        assert!(c.faults.retx.enabled);
+        assert_eq!(c.faults.reorder_delay, SimDuration::from_us(50));
         // Defaults keep the fault subsystem fully off.
-        let d = default_run_args();
-        assert_eq!(d.loss, 0.0);
-        assert_eq!(d.fault_seed, DEFAULT_FAULT_SEED);
+        let d = run("");
+        assert_eq!(d.faults, FaultConfig::none());
+        assert_eq!(d.faults.seed, DEFAULT_FAULT_SEED);
     }
 
     #[test]
     fn parses_overload_flags() {
-        let Command::Run(a) = parse([
-            "run",
-            "--app",
-            "memcached",
-            "--policy",
-            "perf",
-            "--load",
-            "30000",
-            "--queue-cap",
-            "64",
-            "--shed-policy",
-            "codel",
-            "--deadline-us",
-            "500",
-        ])
-        .unwrap() else {
-            panic!("expected run");
-        };
-        assert_eq!(a.queue_cap, Some(64));
-        assert_eq!(a.shed_policy, Some(ShedPolicy::CoDel));
-        assert_eq!(a.deadline_us, Some(500));
+        let c = run("--app memcached --policy perf --load 30000 --queue-cap 64 \
+                     --shed-policy codel --deadline-us 500");
+        assert_eq!(c.overload.run_queue_cap, Some(64));
+        assert_eq!(c.overload.policy, ShedPolicy::CoDel);
+        assert_eq!(c.deadline, Some(SimDuration::from_us(500)));
+        // Any overload flag starts from the server defaults.
+        assert_eq!(
+            run("--shed-policy codel").overload,
+            OverloadConfig::server_defaults().with_policy(ShedPolicy::CoDel)
+        );
         // Defaults keep admission control fully off.
-        let d = default_run_args();
-        assert_eq!(d.queue_cap, None);
-        assert_eq!(d.shed_policy, None);
-        assert_eq!(d.deadline_us, None);
+        let d = run("");
+        assert_eq!(d.overload, OverloadConfig::off());
+        assert_eq!(d.deadline, None);
     }
 
     #[test]
     fn deadline_flag_implies_deadline_policy() {
-        let Command::Run(a) = parse(["run", "--load", "30000", "--deadline-us", "2000"]).unwrap()
-        else {
-            panic!("expected run");
-        };
-        let cfg = run_config(&a);
+        let cfg = run("--load 30000 --deadline-us 2000");
         assert_eq!(cfg.overload.policy, ShedPolicy::Deadline);
         assert_eq!(
             cfg.overload.default_deadline,
             Some(SimDuration::from_us(2_000))
         );
         assert_eq!(cfg.deadline, Some(SimDuration::from_us(2_000)));
-        // An explicit policy wins over the implication.
-        let Command::Run(b) = parse([
-            "run",
-            "--load",
-            "30000",
-            "--deadline-us",
-            "2000",
-            "--shed-policy",
-            "drop-tail",
-        ])
-        .unwrap() else {
-            panic!("expected run");
-        };
-        assert_eq!(run_config(&b).overload.policy, ShedPolicy::DropTail);
+        // An explicit policy wins over the implication, in either order.
+        for flags in [
+            "--load 30000 --deadline-us 2000 --shed-policy drop-tail",
+            "--load 30000 --shed-policy drop-tail --deadline-us 2000",
+        ] {
+            assert_eq!(run(flags).overload.policy, ShedPolicy::DropTail);
+        }
     }
 
     #[test]
     fn parses_fleet_flags() {
-        let Command::Run(a) = parse([
-            "run",
-            "--app",
-            "memcached",
-            "--policy",
-            "ond.idle",
-            "--load",
-            "40000",
-            "--servers",
-            "4",
-            "--dispatch",
-            "pack",
-            "--coordinator",
-        ])
-        .unwrap() else {
-            panic!("expected run");
-        };
-        assert_eq!(a.servers, 4);
-        assert_eq!(a.dispatch, DispatchPolicy::Packing);
-        assert!(a.coordinator);
-        let cfg = run_config(&a);
-        let fleet = cfg.fleet.expect("fleet configured");
+        let c = run(
+            "--app memcached --policy ond.idle --load 40000 --servers 4 \
+                     --dispatch pack --coordinator",
+        );
+        let fleet = c.fleet.expect("fleet configured");
         assert_eq!(fleet.backends, 4);
         assert_eq!(fleet.dispatch, DispatchPolicy::Packing);
-        assert!(fleet.coordinator.is_some());
+        assert_eq!(
+            fleet.coordinator,
+            Some(CoordinatorConfig::new(AppKind::Memcached.paper_loads()[2]))
+        );
+        // The coordinator is sized against the app however the flags
+        // are ordered.
+        let late_app = run("--coordinator --app apache").fleet;
+        let coordinator = late_app.and_then(|f| f.coordinator);
+        assert_eq!(coordinator.map(|c| c.per_backend_rps), Some(66_000.0));
         // Defaults keep the single-server topology.
-        let d = default_run_args();
-        assert_eq!(d.servers, 1);
-        assert_eq!(d.dispatch, DispatchPolicy::RoundRobin);
-        assert!(!d.coordinator);
-        assert!(run_config(&d).fleet.is_none());
+        assert!(run("").fleet.is_none());
     }
 
     #[test]
     fn parses_failure_flags() {
-        let Command::Run(a) = parse([
-            "run",
-            "--load",
-            "40000",
-            "--servers",
-            "4",
-            "--fail-backend",
-            "1@50",
-            "--fail-backend",
-            "2@60:30",
-            "--fail-mode",
-            "hang",
-            "--health-interval",
-            "500",
-            "--health-eject",
-            "2",
-            "--health-rejoin",
-            "4",
-        ])
-        .unwrap() else {
-            panic!("expected run");
-        };
-        assert_eq!(a.fail_backends, vec![(1, 50, None), (2, 60, Some(30))]);
-        assert_eq!(a.fail_mode, FailureMode::Hang);
-        assert_eq!(a.health_interval_us, Some(500));
-        assert_eq!(a.health_eject, Some(2));
-        assert_eq!(a.health_rejoin, Some(4));
-        let cfg = run_config(&a);
-        let fleet = cfg.fleet.expect("fleet configured");
-        assert_eq!(fleet.faults.specs.len(), 2);
-        assert_eq!(fleet.faults.specs[0].at, SimTime::from_ms(50));
-        assert_eq!(
-            fleet.faults.specs[1].restart_after,
-            Some(SimDuration::from_ms(30))
+        let c = run(
+            "--load 40000 --servers 4 --fail-backend 1@50 --fail-backend 2@60:30 \
+                     --fail-mode hang --health-interval 500 --health-eject 2 --health-rejoin 4",
         );
-        assert_eq!(fleet.faults.specs[1].mode, FailureMode::Hang);
+        let fleet = c.fleet.expect("fleet configured");
+        assert_eq!(
+            fleet.faults.specs,
+            vec![
+                FailureSpec {
+                    backend: 1,
+                    at: SimTime::from_ms(50),
+                    mode: FailureMode::Hang,
+                    restart_after: None,
+                },
+                FailureSpec {
+                    backend: 2,
+                    at: SimTime::from_ms(60),
+                    mode: FailureMode::Hang,
+                    restart_after: Some(SimDuration::from_ms(30)),
+                },
+            ]
+        );
         let h = fleet.health.expect("health configured");
         assert_eq!(h.interval, SimDuration::from_us(500));
         assert_eq!(h.eject_after, 2);
         assert_eq!(h.rejoin_after, 4);
+        // --fail-mode applies to every failure, whatever the flag order.
+        let early = run("--fail-mode slow --fail-backend 0@10").fleet;
+        assert_eq!(
+            early.expect("fleet").faults.specs[0].mode,
+            FailureMode::Slow
+        );
         // A failure schedule alone implies the fleet topology.
-        let Command::Run(solo) =
-            parse(["run", "--load", "20000", "--fail-backend", "0@10"]).unwrap()
-        else {
-            panic!("expected run");
-        };
-        assert!(run_config(&solo).fleet.is_some());
+        assert!(run("--load 20000 --fail-backend 0@10").fleet.is_some());
         // Defaults keep the failure layer fully off.
-        let d = default_run_args();
-        assert!(d.fail_backends.is_empty());
-        assert_eq!(d.fail_mode, FailureMode::Stop);
-        assert!(d.health_interval_us.is_none());
+        assert!(run("").fleet.is_none());
     }
 
     #[test]
     fn fail_backend_index_checked_against_servers() {
         // Out of range fails at parse time, not at runtime.
-        let err = parse([
-            "run",
-            "--load",
-            "1000",
-            "--servers",
-            "2",
-            "--fail-backend",
-            "2@10",
-        ])
-        .unwrap_err();
-        assert!(err.0.contains("out of range"), "{err}");
+        let err = line("run --load 1000 --servers 2 --fail-backend 2@10").unwrap_err();
+        assert_eq!(err.field, "faults.backend", "{err}");
         // The check runs after the whole line is parsed, so flag order
         // does not matter.
-        assert!(parse([
-            "run",
-            "--load",
-            "1000",
-            "--fail-backend",
-            "3@10",
-            "--servers",
-            "4"
-        ])
-        .is_ok());
+        assert!(line("run --load 1000 --fail-backend 3@10 --servers 4").is_ok());
         // An in-range index against the default single server is fine.
-        assert!(parse(["run", "--load", "1000", "--fail-backend", "0@10"]).is_ok());
-        assert!(parse(["run", "--load", "1000", "--fail-backend", "1@10"]).is_err());
+        assert!(line("run --load 1000 --fail-backend 0@10").is_ok());
+        assert!(line("run --load 1000 --fail-backend 1@10").is_err());
         // trace and report share the same cross-flag check.
-        assert!(parse([
-            "trace",
-            "--out",
-            "x",
-            "--servers",
-            "2",
-            "--fail-backend",
-            "5@10"
-        ])
-        .is_err());
-        assert!(parse(["report", "--servers", "2", "--fail-backend", "5@10"]).is_err());
+        assert!(line("trace --out x --servers 2 --fail-backend 5@10").is_err());
+        assert!(line("report --servers 2 --fail-backend 5@10").is_err());
     }
 
     #[test]
     fn parses_chaos_flags() {
-        let Command::Chaos(a) = parse(["chaos"]).unwrap() else {
+        let Ok(Command::Chaos(a)) = line("chaos") else {
             panic!("expected chaos");
         };
         assert_eq!(a.seeds, 40);
@@ -1698,122 +1398,118 @@ mod tests {
         assert_eq!(a.threads, 0);
         assert!(!a.shrink);
         assert!(a.scenario.is_none() && a.out.is_none());
-        let Command::Chaos(a) = parse([
-            "chaos",
-            "--seeds",
-            "200",
-            "--from",
-            "7",
-            "--threads",
-            "2",
-            "--shrink",
-            "--out",
-            "repros",
-        ])
-        .unwrap() else {
+        let cmd = line("chaos --seeds 200 --from 7 --threads 2 --shrink --out repros");
+        let Ok(Command::Chaos(a)) = cmd else {
             panic!("expected chaos");
         };
         assert_eq!((a.seeds, a.from, a.threads), (200, 7, 2));
         assert!(a.shrink);
         assert_eq!(a.out.as_deref(), Some("repros"));
-        let Command::Chaos(a) = parse(["chaos", "--scenario", "repro.scenario"]).unwrap() else {
+        let Ok(Command::Chaos(a)) = line("chaos --scenario repro.scenario") else {
             panic!("expected chaos");
         };
         assert_eq!(a.scenario.as_deref(), Some("repro.scenario"));
-        assert!(parse(["chaos", "--seeds", "0"]).is_err());
-        assert!(parse(["chaos", "--seeds", "many"]).is_err());
-        assert!(parse(["chaos", "--frob"]).is_err());
-        let Command::Chaos(a) =
-            parse(["chaos", "--datapath", "bypass", "--poll-cores", "2"]).unwrap()
-        else {
+        assert!(line("chaos --seeds 0").is_err());
+        assert!(line("chaos --seeds many").is_err());
+        assert!(line("chaos --frob").is_err());
+        // The seed range must fit in u64: a wrapped range would run no
+        // scenario and pass vacuously.
+        let err = line("chaos --from 18446744073709551615 --seeds 2").unwrap_err();
+        assert_eq!(err.field, "--seeds", "{err}");
+        assert!(line("chaos --from 18446744073709551614 --seeds 1").is_ok());
+        let Ok(Command::Chaos(a)) = line("chaos --datapath bypass --poll-cores 2") else {
             panic!("expected chaos");
         };
         assert_eq!(a.datapath, Some(Datapath::Bypass));
         assert_eq!(a.poll_cores, Some(2));
-        assert!(parse(["chaos", "--datapath", "warp"]).is_err());
-        assert!(parse(["chaos", "--poll-cores", "0"]).is_err());
-        assert!(parse(["chaos", "--poll-cores", "4"]).is_err());
+        assert!(line("chaos --datapath warp").is_err());
+        assert!(line("chaos --poll-cores 0").is_err());
+        assert!(line("chaos --poll-cores 4").is_err());
     }
 
     #[test]
     fn rejects_unknown_inputs() {
-        assert!(parse(["frobnicate"]).is_err());
-        assert!(parse(["run", "--app", "nginx"]).is_err());
-        assert!(parse(["run", "--policy", "turbo"]).is_err());
-        assert!(parse(["run", "--load"]).is_err());
-        assert!(parse(["run", "--load", "-5"]).is_err());
-        assert!(parse(["run", "--loss", "1.5"]).is_err());
-        assert!(parse(["run", "--loss", "-0.1"]).is_err());
-        assert!(parse(["run", "--corrupt", "nan"]).is_err());
-        assert!(parse(["run", "--queue-cap", "lots"]).is_err());
-        assert!(parse(["run", "--shed-policy", "yolo"]).is_err());
-        assert!(parse(["run", "--deadline-us", "-3"]).is_err());
-        assert!(parse(["run", "--servers", "0"]).is_err());
-        assert!(parse(["run", "--servers", "many"]).is_err());
-        assert!(parse(["run", "--dispatch", "random"]).is_err());
-        assert!(parse(["run", "--fail-backend", "1"]).is_err());
-        assert!(parse(["run", "--fail-backend", "one@50"]).is_err());
-        assert!(parse(["run", "--fail-backend", "1@50:"]).is_err());
-        assert!(parse(["run", "--fail-mode", "explode"]).is_err());
-        assert!(parse(["run", "--health-interval", "0"]).is_err());
-        assert!(parse(["run", "--health-eject", "soon"]).is_err());
-        assert!(parse(["sla"]).is_err());
-        assert!(parse(["trace"]).is_err(), "trace requires --out");
-        assert!(parse(["trace", "--out", "x", "--window-us", "0"]).is_err());
-        assert!(parse(["trace", "--out", "x", "--frob"]).is_err());
+        for text in [
+            "frobnicate",
+            "run --app nginx",
+            "run --policy turbo",
+            "run --load",
+            "run --load -5",
+            "run --loss 1.5",
+            "run --loss -0.1",
+            "run --corrupt nan",
+            "run --queue-cap lots",
+            "run --shed-policy yolo",
+            "run --deadline-us -3",
+            "run --servers 0",
+            "run --servers many",
+            "run --dispatch random",
+            "run --fail-backend 1",
+            "run --fail-backend one@50",
+            "run --fail-backend 1@50:",
+            "run --fail-mode explode",
+            "run --health-interval 0",
+            "run --health-eject soon",
+            "sla",
+            "trace",
+            "trace --out x --window-us 0",
+            "trace --out x --frob",
+        ] {
+            assert!(line(text).is_err(), "{text}");
+        }
+        // Each of these used to be accepted and then panic mid-run, or
+        // run silently as something else; each names the field at fault.
+        for (text, field) in [
+            (
+                "trace --out x --servers 2 --health-eject 0",
+                "health.eject_after",
+            ),
+            (
+                "trace --out x --servers 2 --fail-backend 0@1:0",
+                "faults.restart_after",
+            ),
+            ("trace --out x --measure-ms 0 --warmup-ms 0", "measure"),
+            ("sweep --app apache --loads -5", "load_rps"),
+            ("run --measure-ms 0 --warmup-ms 5", "measure"),
+            ("run --queues 0", "nic_queues"),
+        ] {
+            let err = line(text).unwrap_err();
+            assert_eq!(err.field, field, "{text}: {err}");
+        }
     }
 
     #[test]
     fn parses_trace_with_run_flags() {
-        let cmd = parse([
-            "trace",
-            "--out",
-            "traces/demo",
-            "--app",
-            "memcached",
-            "--policy",
-            "ncap.cons",
-            "--load",
-            "35000",
-            "--seed",
-            "3",
-            "--window-us",
-            "500",
-        ])
-        .unwrap();
-        let Command::Trace(t) = cmd else {
+        let cmd = line(
+            "trace --out traces/demo --app memcached --policy ncap.cons --load 35000 \
+                        --seed 3 --window-us 500",
+        );
+        let Ok(Command::Trace { cfg, out }) = cmd else {
             panic!("expected trace");
         };
-        assert_eq!(t.out, "traces/demo");
-        assert_eq!(t.window_us, 500);
-        assert_eq!(t.run.app, AppKind::Memcached);
-        assert_eq!(t.run.policy, Policy::NcapCons);
-        assert_eq!(t.run.seed, 3);
+        assert_eq!(out, "traces/demo");
+        assert_eq!(cfg.event_trace.map(|t| t.window_ns), Some(500_000));
+        assert_eq!(cfg.app, AppKind::Memcached);
+        assert_eq!(cfg.policy, Policy::NcapCons);
+        assert_eq!(cfg.seed, 3);
         // trace defaults to a short window, overridable with run flags.
-        assert_eq!(t.run.warmup_ms, 10);
-        assert_eq!(t.run.measure_ms, 40);
+        assert_eq!(cfg.warmup, SimDuration::from_ms(10));
+        assert_eq!(cfg.measure, SimDuration::from_ms(40));
     }
 
     #[test]
     fn tiny_trace_executes_and_writes_exports() {
         let dir = std::env::temp_dir().join(format!("ncap-trace-test-{}", std::process::id()));
-        let Command::Trace(mut t) = parse([
-            "trace",
-            "--out",
-            dir.to_str().unwrap(),
-            "--app",
-            "memcached",
-            "--policy",
-            "ncap.cons",
-            "--load",
-            "30000",
-        ])
-        .unwrap() else {
+        let out: &'static str = Box::leak(dir.to_str().unwrap().to_owned().into_boxed_str());
+        let flags = "--app memcached --policy ncap.cons --load 30000".split_whitespace();
+        let Ok(Command::Trace { mut cfg, out }) =
+            parse(["trace", "--out", out].into_iter().chain(flags))
+        else {
             panic!("expected trace");
         };
-        t.run.warmup_ms = 5;
-        t.run.measure_ms = 15;
-        assert_eq!(execute(Command::Trace(t)), 0);
+        cfg.warmup = SimDuration::from_ms(5);
+        cfg.measure = SimDuration::from_ms(15);
+        assert_eq!(execute(Command::Trace { cfg, out }), 0);
         let json = std::fs::read_to_string(dir.join("trace.json")).unwrap();
         assert!(json.starts_with('{') && json.contains("\"traceEvents\""));
         let csv = std::fs::read_to_string(dir.join("trace.csv")).unwrap();
@@ -1824,53 +1520,33 @@ mod tests {
 
     #[test]
     fn parses_report_with_run_flags() {
-        let Command::Report(r) = parse([
-            "report",
-            "--app",
-            "memcached",
-            "--policy",
-            "ond.idle",
-            "--load",
-            "20000",
-            "--tail",
-            "95",
-            "--profile",
-        ])
-        .unwrap() else {
+        let cmd = line("report --app memcached --policy ond.idle --load 20000 --tail 95 --profile");
+        let Ok(Command::Report(r)) = cmd else {
             panic!("expected report");
         };
-        assert_eq!(r.run.app, AppKind::Memcached);
-        assert_eq!(r.run.policy, Policy::OndIdle);
-        assert_eq!(r.tail, 95.0);
+        assert_eq!(r.app, AppKind::Memcached);
+        assert_eq!(r.policy, Policy::OndIdle);
+        assert_eq!(r.breakdown_tail, 95.0);
         assert!(r.profile);
         // Defaults: p99 tail, no self-profile.
-        let Command::Report(d) = parse(["report"]).unwrap() else {
+        let Ok(Command::Report(d)) = line("report") else {
             panic!("expected report");
         };
-        assert_eq!(d.tail, 99.0);
+        assert_eq!(d.breakdown_tail, 99.0);
         assert!(!d.profile);
-        assert!(parse(["report", "--tail", "101"]).is_err());
-        assert!(parse(["report", "--tail", "wat"]).is_err());
-        assert!(parse(["report", "--frob"]).is_err());
+        assert!(line("report --tail 101").is_err());
+        assert!(line("report --tail wat").is_err());
+        assert!(line("report --frob").is_err());
     }
 
     #[test]
     fn tiny_report_executes() {
-        let Command::Report(mut r) = parse([
-            "report",
-            "--app",
-            "memcached",
-            "--policy",
-            "ond.idle",
-            "--load",
-            "20000",
-            "--profile",
-        ])
-        .unwrap() else {
+        let cmd = line("report --app memcached --policy ond.idle --load 20000 --profile");
+        let Ok(Command::Report(mut r)) = cmd else {
             panic!("expected report");
         };
-        r.run.warmup_ms = 5;
-        r.run.measure_ms = 15;
+        r.warmup = SimDuration::from_ms(5);
+        r.measure = SimDuration::from_ms(15);
         assert_eq!(execute(Command::Report(r)), 0);
     }
 
@@ -1894,117 +1570,47 @@ mod tests {
         assert_eq!(execute(Command::Help), 0);
     }
 
+    /// Runs `ncap run <flags>` shortened to a 5 ms warmup and a 20 ms
+    /// measured window, and returns the exit code.
+    fn tiny_run(flags: &'static str) -> i32 {
+        let mut cfg = run(flags);
+        cfg.warmup = SimDuration::from_ms(5);
+        cfg.measure = SimDuration::from_ms(20);
+        execute(Command::Run(cfg))
+    }
+
     #[test]
     fn tiny_run_executes() {
-        let Command::Run(mut a) = parse([
-            "run",
-            "--app",
-            "memcached",
-            "--policy",
-            "perf",
-            "--load",
-            "20000",
-        ])
-        .unwrap() else {
-            panic!("expected run");
-        };
-        a.measure_ms = 30;
-        a.warmup_ms = 10;
-        assert_eq!(execute(Command::Run(a)), 0);
+        let mut cfg = run("--app memcached --policy perf --load 20000");
+        cfg.measure = SimDuration::from_ms(30);
+        cfg.warmup = SimDuration::from_ms(10);
+        assert_eq!(execute(Command::Run(cfg)), 0);
     }
 
     #[test]
     fn tiny_overloaded_run_executes() {
-        let Command::Run(mut a) = parse([
-            "run",
-            "--app",
-            "memcached",
-            "--policy",
-            "perf",
-            "--load",
-            "150000",
-            "--queue-cap",
-            "4",
-            "--shed-policy",
-            "drop-tail",
-        ])
-        .unwrap() else {
-            panic!("expected run");
-        };
-        a.measure_ms = 20;
-        a.warmup_ms = 5;
-        assert_eq!(execute(Command::Run(a)), 0);
+        let flags = "--app memcached --policy perf --load 150000 --queue-cap 4 \
+                     --shed-policy drop-tail";
+        assert_eq!(tiny_run(flags), 0);
     }
 
     #[test]
     fn tiny_fleet_run_executes() {
-        let Command::Run(mut a) = parse([
-            "run",
-            "--app",
-            "memcached",
-            "--policy",
-            "ond.idle",
-            "--load",
-            "30000",
-            "--servers",
-            "3",
-            "--dispatch",
-            "jsq",
-            "--coordinator",
-        ])
-        .unwrap() else {
-            panic!("expected run");
-        };
-        a.measure_ms = 20;
-        a.warmup_ms = 5;
-        assert_eq!(execute(Command::Run(a)), 0);
+        let flags = "--app memcached --policy ond.idle --load 30000 --servers 3 --dispatch jsq \
+                     --coordinator";
+        assert_eq!(tiny_run(flags), 0);
     }
 
     #[test]
     fn tiny_failover_run_executes() {
-        let Command::Run(mut a) = parse([
-            "run",
-            "--app",
-            "memcached",
-            "--policy",
-            "perf",
-            "--load",
-            "30000",
-            "--servers",
-            "3",
-            "--dispatch",
-            "jsq",
-            "--fail-backend",
-            "1@10",
-        ])
-        .unwrap() else {
-            panic!("expected run");
-        };
-        a.measure_ms = 20;
-        a.warmup_ms = 5;
-        assert_eq!(execute(Command::Run(a)), 0);
+        let flags = "--app memcached --policy perf --load 30000 --servers 3 --dispatch jsq \
+                     --fail-backend 1@10";
+        assert_eq!(tiny_run(flags), 0);
     }
 
     #[test]
     fn tiny_lossy_run_executes() {
-        let Command::Run(mut a) = parse([
-            "run",
-            "--app",
-            "memcached",
-            "--policy",
-            "perf",
-            "--load",
-            "20000",
-            "--loss",
-            "0.01",
-            "--fault-seed",
-            "7",
-        ])
-        .unwrap() else {
-            panic!("expected run");
-        };
-        a.measure_ms = 20;
-        a.warmup_ms = 5;
-        assert_eq!(execute(Command::Run(a)), 0);
+        let flags = "--app memcached --policy perf --load 20000 --loss 0.01 --fault-seed 7";
+        assert_eq!(tiny_run(flags), 0);
     }
 }

@@ -24,7 +24,7 @@
 //! replayable scenario file ([`ChaosScenario::to_file_string`] /
 //! [`ChaosScenario::from_file_str`]) consumed by `ncap chaos --scenario`.
 
-use crate::config::{AppKind, ExperimentConfig};
+use crate::config::{token, value, AppKind, ExperimentConfig};
 use crate::policy::Policy;
 use crate::runner::{run_experiment, run_experiments_on, ExperimentResult};
 use crate::watchdog::WatchdogConfig;
@@ -365,140 +365,106 @@ impl ChaosScenario {
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            let (key, value) = line.split_once('=').ok_or_else(|| {
-                ConfigError::new(
-                    "scenario",
-                    format!("line {}: expected key=value, got {line:?}", lineno + 1),
-                )
+            sc.apply_line(line).map_err(|e| {
+                ConfigError::new(e.field, format!("line {}: {}", lineno + 1, e.reason))
             })?;
-            let bad = |field: &'static str, what: &str| {
-                ConfigError::new(field, format!("line {}: {what}: {value:?}", lineno + 1))
-            };
-            match key {
-                "seed" => {
-                    sc.seed = value
-                        .parse()
-                        .map_err(|_| bad("scenario.seed", "not a u64"))?
-                }
-                "policy" => {
-                    sc.policy = Policy::ALL
-                        .into_iter()
-                        .find(|p| p.name() == value)
-                        .ok_or_else(|| bad("scenario.policy", "unknown policy"))?;
-                }
-                "backends" => {
-                    sc.backends = value
-                        .parse()
-                        .map_err(|_| bad("scenario.backends", "not a count"))?;
-                }
-                "dispatch" => {
-                    sc.dispatch = DispatchPolicy::parse(value)
-                        .ok_or_else(|| bad("scenario.dispatch", "unknown dispatch policy"))?;
-                }
-                "coordinator" => sc.coordinator = value == "1",
-                "datapath" => {
-                    sc.datapath = Datapath::parse(value)
-                        .map_err(|_| bad("scenario.datapath", "unknown datapath"))?;
-                }
-                "poll_cores" => {
-                    sc.poll_cores = value
-                        .parse()
-                        .map_err(|_| bad("scenario.poll_cores", "not a count"))?;
-                }
-                "poisson" => sc.poisson = value == "1",
-                "ledger_skew" => sc.ledger_skew = value == "1",
-                "load_rps" => {
-                    sc.load_rps = value
-                        .parse()
-                        .map_err(|_| bad("scenario.load_rps", "not a number"))?;
-                }
-                "warmup_ns" => {
-                    sc.warmup = SimDuration::from_nanos(
-                        value
-                            .parse()
-                            .map_err(|_| bad("scenario.warmup_ns", "not nanos"))?,
-                    );
-                }
-                "measure_ns" => {
-                    sc.measure = SimDuration::from_nanos(
-                        value
-                            .parse()
-                            .map_err(|_| bad("scenario.measure_ns", "not nanos"))?,
-                    );
-                }
-                "drain_ns" => {
-                    sc.drain = SimDuration::from_nanos(
-                        value
-                            .parse()
-                            .map_err(|_| bad("scenario.drain_ns", "not nanos"))?,
-                    );
-                }
-                "flash" => {
-                    let bad = |what| bad("scenario.flash", what);
-                    let (at, rps) = value.split_once(',').ok_or_else(|| bad("want at_ns,rps"))?;
-                    sc.flash_crowd = Some((
-                        SimDuration::from_nanos(at.parse().map_err(|_| bad("bad offset"))?),
-                        rps.parse().map_err(|_| bad("bad load"))?,
-                    ));
-                }
-                "crash" => {
-                    let bad = |what| bad("scenario.crash", what);
-                    let parts: Vec<&str> = value.split(',').collect();
-                    let [backend, mode, at, restart] = parts.as_slice() else {
-                        return Err(bad("want backend,mode,at_ns,restart_ns|never"));
-                    };
-                    sc.crashes.push(FailureSpec {
-                        backend: backend.parse().map_err(|_| bad("bad backend index"))?,
-                        mode: FailureMode::parse(mode).ok_or_else(|| bad("unknown mode"))?,
-                        at: SimTime::from_nanos(at.parse().map_err(|_| bad("bad instant"))?),
-                        restart_after: if *restart == "never" {
-                            None
-                        } else {
-                            Some(SimDuration::from_nanos(
-                                restart.parse().map_err(|_| bad("bad restart delay"))?,
-                            ))
-                        },
-                    });
-                }
-                "domain" => {
-                    let bad = |what| bad("scenario.domain", what);
-                    let parts: Vec<&str> = value.split(',').collect();
-                    let (impairment, members) = match parts.as_slice() {
-                        [_, _, "partition", members] => (DomainImpairment::Partition, *members),
-                        [_, _, "brownout", loss, jitter, members] => (
-                            DomainImpairment::Brownout {
-                                loss: loss.parse().map_err(|_| bad("bad loss"))?,
-                                jitter: SimDuration::from_nanos(
-                                    jitter.parse().map_err(|_| bad("bad jitter"))?,
-                                ),
-                            },
-                            *members,
-                        ),
-                        _ => return Err(bad("want at_ns,dur_ns,partition|brownout,…,members")),
-                    };
-                    let backends = members
-                        .split('+')
-                        .map(|m| m.parse().map_err(|_| bad("bad member index")))
-                        .collect::<Result<Vec<usize>, _>>()?;
-                    sc.domains.push(DomainFaultSpec {
-                        backends,
-                        at: SimTime::from_nanos(parts[0].parse().map_err(|_| bad("bad instant"))?),
-                        duration: SimDuration::from_nanos(
-                            parts[1].parse().map_err(|_| bad("bad duration"))?,
-                        ),
-                        impairment,
-                    });
-                }
-                _ => {
-                    return Err(ConfigError::new(
-                        "scenario",
-                        format!("line {}: unknown key {key:?}", lineno + 1),
-                    ));
-                }
-            }
         }
         sc.validate()?;
         Ok(sc)
+    }
+
+    /// Applies one `key=value[,value…]` line of a scenario file.
+    fn apply_line(&mut self, line: &str) -> Result<(), ConfigError> {
+        let (key, values) = line.split_once('=').ok_or_else(|| {
+            ConfigError::new("scenario", format!("expected key=value, got {line:?}"))
+        })?;
+        let it = &mut values.split(',');
+        // Name enum errors after the scenario key, like every other error.
+        let named = |field| move |e: ConfigError| ConfigError::new(field, e.reason);
+        match key {
+            "seed" => self.seed = value("scenario.seed", it)?,
+            "policy" => {
+                const F: &str = "scenario.policy";
+                self.policy = Policy::parse(token(F, it)?).map_err(named(F))?;
+            }
+            "backends" => self.backends = value("scenario.backends", it)?,
+            "dispatch" => {
+                const F: &str = "scenario.dispatch";
+                self.dispatch = DispatchPolicy::parse(token(F, it)?).map_err(named(F))?;
+            }
+            "datapath" => {
+                const F: &str = "scenario.datapath";
+                self.datapath = Datapath::parse(token(F, it)?).map_err(named(F))?;
+            }
+            "poll_cores" => self.poll_cores = value("scenario.poll_cores", it)?,
+            "coordinator" => self.coordinator = token("scenario.coordinator", it)? == "1",
+            "poisson" => self.poisson = token("scenario.poisson", it)? == "1",
+            "ledger_skew" => self.ledger_skew = token("scenario.ledger_skew", it)? == "1",
+            "load_rps" => self.load_rps = value("scenario.load_rps", it)?,
+            "warmup_ns" => self.warmup = SimDuration::from_nanos(value("scenario.warmup_ns", it)?),
+            "measure_ns" => {
+                self.measure = SimDuration::from_nanos(value("scenario.measure_ns", it)?);
+            }
+            "drain_ns" => self.drain = SimDuration::from_nanos(value("scenario.drain_ns", it)?),
+            "flash" => {
+                const F: &str = "scenario.flash";
+                self.flash_crowd = Some((SimDuration::from_nanos(value(F, it)?), value(F, it)?));
+            }
+            "crash" => {
+                const F: &str = "scenario.crash";
+                let backend = value(F, it)?;
+                let mode = FailureMode::parse(token(F, it)?).map_err(named(F))?;
+                let at = SimTime::from_nanos(value(F, it)?);
+                let restart_after = match token(F, it)? {
+                    "never" => None,
+                    ns => Some(SimDuration::from_nanos(value(F, &mut std::iter::once(ns))?)),
+                };
+                self.crashes.push(FailureSpec {
+                    backend,
+                    at,
+                    mode,
+                    restart_after,
+                });
+            }
+            "domain" => {
+                const F: &str = "scenario.domain";
+                let at = SimTime::from_nanos(value(F, it)?);
+                let duration = SimDuration::from_nanos(value(F, it)?);
+                let impairment = match token(F, it)? {
+                    "partition" => DomainImpairment::Partition,
+                    "brownout" => DomainImpairment::Brownout {
+                        loss: value(F, it)?,
+                        jitter: SimDuration::from_nanos(value(F, it)?),
+                    },
+                    other => {
+                        return Err(ConfigError::new(
+                            F,
+                            format!("unknown impairment {other:?} (expected partition|brownout)"),
+                        ));
+                    }
+                };
+                let mut backends = Vec::new();
+                for m in token(F, it)?.split('+') {
+                    backends.push(value(F, &mut std::iter::once(m))?);
+                }
+                self.domains.push(DomainFaultSpec {
+                    backends,
+                    at,
+                    duration,
+                    impairment,
+                });
+            }
+            _ => {
+                return Err(ConfigError::new("scenario", format!("unknown key {key:?}")));
+            }
+        }
+        match it.next() {
+            None => Ok(()),
+            Some(extra) => Err(ConfigError::new(
+                "scenario",
+                format!("unexpected value {extra:?} after {key}"),
+            )),
+        }
     }
 }
 
@@ -760,9 +726,19 @@ mod tests {
             ("crash=0,stop,oops,never", "scenario.crash"),
             ("domain=1,2,tsunami,1", "scenario.domain"),
             ("sneed=4", "scenario"),
+            ("seed=4,5", "scenario"),
         ] {
             let err = ChaosScenario::from_file_str(text).expect_err(text);
             assert_eq!(err.field, want, "{text}: {err}");
         }
+        // A file without a measured window would load and run nothing.
+        let text = ChaosScenario::generate(3).to_file_string();
+        let windowless: String = text
+            .lines()
+            .filter(|l| !l.starts_with("measure_ns="))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let err = ChaosScenario::from_file_str(&windowless).expect_err("no window");
+        assert_eq!(err.field, "measure", "{err}");
     }
 }

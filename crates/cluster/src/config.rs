@@ -7,6 +7,8 @@ use desim::{ConfigError, SimDuration};
 use fleetsim::FleetConfig;
 use netsim::FaultConfig;
 use oskernel::{Datapath, OverloadConfig};
+use std::fmt::Display;
+use std::str::FromStr;
 
 /// Which OLDI application the server runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -25,6 +27,23 @@ impl AppKind {
             AppKind::Apache => "apache",
             AppKind::Memcached => "memcached",
         }
+    }
+
+    /// Parses a display name (`apache`, `memcached`).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ConfigError`] listing the accepted names.
+    pub fn parse(s: &str) -> Result<Self, ConfigError> {
+        [AppKind::Apache, AppKind::Memcached]
+            .into_iter()
+            .find(|a| a.name() == s)
+            .ok_or_else(|| {
+                ConfigError::new(
+                    "app",
+                    format!("unknown app `{s}` (expected apache|memcached)"),
+                )
+            })
     }
 
     /// The paper's three evaluated load levels (requests/second):
@@ -459,6 +478,12 @@ impl ExperimentConfig {
                 "an RX ring needs at least one descriptor",
             ));
         }
+        if self.measure.is_zero() {
+            return Err(ConfigError::new(
+                "measure",
+                "the measured window must be positive",
+            ));
+        }
         if self.drain >= self.horizon() {
             return Err(ConfigError::new(
                 "drain",
@@ -507,6 +532,23 @@ impl ExperimentConfig {
             }
             Datapath::Kernel => {}
         }
+        if !(0.0..100.0).contains(&self.breakdown_tail) {
+            return Err(ConfigError::new(
+                "breakdown_tail",
+                format!(
+                    "the tail percentile must be in [0, 100), got {}",
+                    self.breakdown_tail
+                ),
+            ));
+        }
+        if let Some(t) = &self.event_trace {
+            if t.capacity == 0 || t.window_ns == 0 {
+                return Err(ConfigError::new(
+                    "event_trace",
+                    "the event ring and the metrics window must be positive",
+                ));
+            }
+        }
         self.faults.validate()?;
         self.overload.validate()?;
         if let Some(fleet) = &self.fleet {
@@ -518,6 +560,39 @@ impl ExperimentConfig {
 
 /// The default master seed: "NCAP" in ASCII.
 pub const DEFAULT_SEED: u64 = 0x4E43_4150;
+
+/// The next token of a command line or scenario-file record, or an error
+/// naming `field` when the input ends first.
+///
+/// # Errors
+///
+/// Returns a [`ConfigError`] for `field` if `it` is exhausted.
+pub fn token<'a>(
+    field: &'static str,
+    it: &mut impl Iterator<Item = &'a str>,
+) -> Result<&'a str, ConfigError> {
+    it.next()
+        .ok_or_else(|| ConfigError::new(field, "missing value"))
+}
+
+/// The next token parsed as a `T`: the one text-to-value conversion that
+/// `ncap` flags and chaos scenario files share.
+///
+/// # Errors
+///
+/// Returns a [`ConfigError`] for `field` if `it` is exhausted or the
+/// token does not parse.
+pub fn value<'a, T: FromStr>(
+    field: &'static str,
+    it: &mut impl Iterator<Item = &'a str>,
+) -> Result<T, ConfigError>
+where
+    T::Err: Display,
+{
+    let text = token(field, it)?;
+    text.parse()
+        .map_err(|e| ConfigError::new(field, format!("cannot parse {text:?}: {e}")))
+}
 
 #[cfg(test)]
 mod tests {
@@ -544,6 +619,16 @@ mod tests {
         let cfg = ExperimentConfig::new(AppKind::Apache, Policy::Perf, 10_000.0)
             .with_durations(SimDuration::from_ms(10), SimDuration::from_ms(30));
         assert_eq!(cfg.horizon(), SimDuration::from_ms(40));
+    }
+
+    #[test]
+    fn app_names_parse_back() {
+        for app in [AppKind::Apache, AppKind::Memcached] {
+            assert_eq!(AppKind::parse(app.name()), Ok(app));
+        }
+        let err = AppKind::parse("nginx").unwrap_err();
+        assert_eq!(err.field, "app");
+        assert!(err.reason.contains("apache|memcached"), "{err}");
     }
 
     #[test]
@@ -589,6 +674,18 @@ mod tests {
         assert_eq!(c.validate().unwrap_err().field, "request_trace_every");
         let c = base.clone().with_rx_ring(0);
         assert_eq!(c.validate().unwrap_err().field, "rx_ring_override");
+        let c = base
+            .clone()
+            .with_durations(SimDuration::from_ms(5), SimDuration::ZERO);
+        assert_eq!(c.validate().unwrap_err().field, "measure");
+        let c = base.clone().with_breakdown_tail(100.0);
+        assert_eq!(c.validate().unwrap_err().field, "breakdown_tail");
+        let mut c = base.clone();
+        c.event_trace = Some(simtrace::TracerConfig {
+            window_ns: 0,
+            ..simtrace::TracerConfig::default()
+        });
+        assert_eq!(c.validate().unwrap_err().field, "event_trace");
         let mut bad_faults = FaultConfig::lossy(0.01, 1);
         bad_faults.loss = 1.5;
         let c = base.with_faults(bad_faults);

@@ -1,7 +1,7 @@
 //! The seven evaluated power-management policies.
 
 use cpusim::{PStateId, PStateTable};
-use desim::SimDuration;
+use desim::{ConfigError, SimDuration};
 use governors::{CpufreqGovernor, CpuidleGovernor, Menu, Ondemand, Performance, PollIdle};
 use ncap::{EnhancedDriver, NcapConfig, SoftwareNcap};
 
@@ -49,6 +49,24 @@ impl Policy {
             Policy::NcapCons => "ncap.cons",
             Policy::NcapAggr => "ncap.aggr",
         }
+    }
+
+    /// Parses the paper's name for a policy.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ConfigError`] listing the accepted names.
+    pub fn parse(s: &str) -> Result<Self, ConfigError> {
+        Policy::ALL
+            .into_iter()
+            .find(|p| p.name() == s)
+            .ok_or_else(|| {
+                let names: Vec<&str> = Policy::ALL.iter().map(|p| p.name()).collect();
+                ConfigError::new(
+                    "policy",
+                    format!("unknown policy `{s}` (expected {})", names.join("|")),
+                )
+            })
     }
 
     /// `true` for the three NCAP variants.
@@ -167,6 +185,16 @@ mod tests {
                 "ncap.aggr"
             ]
         );
+    }
+
+    #[test]
+    fn names_parse_back() {
+        for p in Policy::ALL {
+            assert_eq!(Policy::parse(p.name()), Ok(p));
+        }
+        let err = Policy::parse("turbo").unwrap_err();
+        assert_eq!(err.field, "policy");
+        assert!(err.reason.contains("perf|ond|perf.idle"), "{err}");
     }
 
     #[test]

@@ -41,9 +41,20 @@ impl DispatchPolicy {
     }
 
     /// Parses a CLI name (`rr`, `jsq`, `pack`).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|p| p.name() == s)
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ConfigError`] listing the accepted names.
+    pub fn parse(s: &str) -> Result<Self, ConfigError> {
+        Self::ALL
+            .into_iter()
+            .find(|p| p.name() == s)
+            .ok_or_else(|| {
+                ConfigError::new(
+                    "dispatch",
+                    format!("unknown dispatch policy `{s}` (expected rr|jsq|pack)"),
+                )
+            })
     }
 }
 
@@ -379,10 +390,12 @@ mod tests {
     #[test]
     fn dispatch_names_roundtrip() {
         for p in DispatchPolicy::ALL {
-            assert_eq!(DispatchPolicy::parse(p.name()), Some(p));
+            assert_eq!(DispatchPolicy::parse(p.name()), Ok(p));
             assert_eq!(p.to_string(), p.name());
         }
-        assert_eq!(DispatchPolicy::parse("p2c"), None);
+        let err = DispatchPolicy::parse("p2c").unwrap_err();
+        assert_eq!(err.field, "dispatch");
+        assert!(err.reason.contains("rr|jsq|pack"), "{err}");
     }
 
     #[test]

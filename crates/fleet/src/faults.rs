@@ -52,11 +52,20 @@ impl FailureMode {
     }
 
     /// Parses a CLI name (`stop`, `slow`, `hang`).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ConfigError`] listing the accepted names.
+    pub fn parse(s: &str) -> Result<Self, ConfigError> {
         [FailureMode::Stop, FailureMode::Slow, FailureMode::Hang]
             .into_iter()
             .find(|m| m.name() == s)
+            .ok_or_else(|| {
+                ConfigError::new(
+                    "faults.mode",
+                    format!("unknown failure mode `{s}` (expected stop|slow|hang)"),
+                )
+            })
     }
 
     /// Whether a dead-simple L4 health probe against a backend in this
@@ -483,10 +492,12 @@ mod tests {
     #[test]
     fn mode_names_roundtrip() {
         for m in [FailureMode::Stop, FailureMode::Slow, FailureMode::Hang] {
-            assert_eq!(FailureMode::parse(m.name()), Some(m));
+            assert_eq!(FailureMode::parse(m.name()), Ok(m));
             assert_eq!(m.to_string(), m.name());
         }
-        assert_eq!(FailureMode::parse("explode"), None);
+        let err = FailureMode::parse("explode").unwrap_err();
+        assert_eq!(err.field, "faults.mode");
+        assert!(err.reason.contains("stop|slow|hang"), "{err}");
         assert!(!FailureMode::Stop.probe_succeeds());
         assert!(FailureMode::Slow.probe_succeeds());
         assert!(FailureMode::Hang.probe_succeeds());

@@ -45,15 +45,21 @@ impl ShedPolicy {
         }
     }
 
-    /// Parses the CLI spelling.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
+    /// Parses the CLI spelling (`droptail` also names drop-tail).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ConfigError`] listing the accepted names.
+    pub fn parse(s: &str) -> Result<Self, ConfigError> {
         match s {
-            "none" => Some(ShedPolicy::None),
-            "drop-tail" | "droptail" => Some(ShedPolicy::DropTail),
-            "deadline" => Some(ShedPolicy::Deadline),
-            "codel" => Some(ShedPolicy::CoDel),
-            _ => Option::None,
+            "none" => Ok(ShedPolicy::None),
+            "drop-tail" | "droptail" => Ok(ShedPolicy::DropTail),
+            "deadline" => Ok(ShedPolicy::Deadline),
+            "codel" => Ok(ShedPolicy::CoDel),
+            other => Err(ConfigError::new(
+                "shed_policy",
+                format!("unknown shed policy `{other}` (expected none|drop-tail|deadline|codel)"),
+            )),
         }
     }
 }
@@ -426,9 +432,15 @@ mod tests {
             ShedPolicy::Deadline,
             ShedPolicy::CoDel,
         ] {
-            assert_eq!(ShedPolicy::parse(p.name()), Some(p));
+            assert_eq!(ShedPolicy::parse(p.name()), Ok(p));
         }
-        assert_eq!(ShedPolicy::parse("bogus"), None);
+        assert_eq!(ShedPolicy::parse("droptail"), Ok(ShedPolicy::DropTail));
+        let err = ShedPolicy::parse("bogus").unwrap_err();
+        assert_eq!(err.field, "shed_policy");
+        assert!(
+            err.reason.contains("none|drop-tail|deadline|codel"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -40,6 +40,16 @@ head -1 "$trace_dir/trace.csv" | grep -q '^time_ns,.*cluster\.bw_rx' ||
     { echo "verify: trace.csv missing expected columns" >&2; exit 1; }
 echo "==> trace smoke ok ($trace_dir)"
 
+# Config-rejection smoke: a flag combination that fails
+# ExperimentConfig::validate() must exit 2 with a typed error at parse
+# time, never reach the simulator and panic (exit 101).
+status=0
+cargo run --release -q -p ncap-cli -- trace --out target/config-smoke \
+    --servers 2 --health-eject 0 2>/dev/null || status=$?
+[ "$status" = 2 ] ||
+    { echo "verify: invalid config exited $status, not 2" >&2; exit 1; }
+echo "==> config-rejection smoke ok"
+
 # Attribution smoke: `ncap report` must render the per-stage table,
 # the tail verdict, and the waterfall for a short sparse-load run (the
 # configuration EXPERIMENTS.md "tail_breakdown" documents). The output
