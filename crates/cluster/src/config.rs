@@ -541,6 +541,12 @@ impl ExperimentConfig {
                 ),
             ));
         }
+        if self.trace.is_some_and(|t| t.window.is_zero()) {
+            return Err(ConfigError::new(
+                "trace",
+                "the figure-trace window must be positive",
+            ));
+        }
         if let Some(t) = &self.event_trace {
             if t.capacity == 0 || t.window_ns == 0 {
                 return Err(ConfigError::new(
@@ -686,6 +692,10 @@ mod tests {
             ..simtrace::TracerConfig::default()
         });
         assert_eq!(c.validate().unwrap_err().field, "event_trace");
+        let c = base.clone().with_trace(TraceConfig {
+            window: SimDuration::ZERO,
+        });
+        assert_eq!(c.validate().unwrap_err().field, "trace");
         let mut bad_faults = FaultConfig::lossy(0.01, 1);
         bad_faults.loss = 1.5;
         let c = base.with_faults(bad_faults);

@@ -7,7 +7,7 @@
 //! response tracker (per the paper's methodology, client-side processing
 //! is not modelled — latency is measured at the final response frame).
 
-use crate::trace::{TraceCollector, TraceConfig, Traces};
+use crate::trace::{TraceConfig, Traces};
 use crate::watchdog::{AccountingView, Watchdog};
 use cpusim::{EnergyMeter, PowerMode};
 use desim::{ConfigError, EventHandler, EventQueue, SimDuration, SimTime};
@@ -216,8 +216,7 @@ pub struct ClusterSim {
     roles: Vec<Role>,
     tracker: ResponseTracker,
     switch: Switch,
-    collector: Option<TraceCollector>,
-    finished_traces: Option<Traces>,
+    traces: Option<Traces>,
     sample_period: SimDuration,
     load_end: SimTime,
     measure_start: SimTime,
@@ -375,8 +374,7 @@ impl ClusterSim {
             roles,
             tracker: ResponseTracker::new(),
             switch,
-            collector: trace.map(TraceCollector::new),
-            finished_traces: None,
+            traces: trace.map(Traces::new),
             sample_period,
             load_end: SimTime::MAX,
             measure_start: SimTime::ZERO,
@@ -495,7 +493,7 @@ impl ClusterSim {
         if !warmup.is_zero() {
             events.push((SimTime::ZERO + warmup, ClusterEvent::StartMeasure));
         }
-        if self.collector.is_some() {
+        if self.traces.is_some() {
             events.push((SimTime::ZERO + self.sample_period, ClusterEvent::Sample));
         }
         if let Some(wd) = &self.watchdog {
@@ -646,8 +644,8 @@ impl ClusterSim {
         }
         for frame in fx.transmit {
             let bytes = frame.wire_len() as f64;
-            if let Some(tr) = self.collector.as_mut() {
-                tr.on_tx(now, bytes);
+            if let Some(tr) = self.traces.as_mut() {
+                tr.tx.add(now.as_nanos(), bytes);
             }
             simtrace::metric_add("cluster", "bw_tx", now.as_nanos(), bytes);
             self.route(now, frame, queue);
@@ -736,8 +734,8 @@ impl ClusterSim {
                 return;
             }
             let bytes = frame.wire_len() as f64;
-            if let Some(tr) = self.collector.as_mut() {
-                tr.on_rx(now, bytes);
+            if let Some(tr) = self.traces.as_mut() {
+                tr.rx.add(now.as_nanos(), bytes);
             }
             simtrace::metric_add("cluster", "bw_rx", now.as_nanos(), bytes);
             let node = self.servers[si].node();
@@ -1363,12 +1361,20 @@ impl ClusterSim {
         // almost no server work but still resolve at clients.
         let served = self.tracker.completed() as f64;
         let rejected = self.tracker.rejected() as f64;
-        if let Some(tr) = self.collector.as_mut() {
+        let t = now.as_nanos();
+        if let Some(tr) = self.traces.as_mut() {
             tr.sample(now, freq_ghz, total_busy, cstate, ncores);
-            tr.throughput_sample(now, served, rejected);
+            tr.goodput.push(t, served);
+            tr.throughput.push(t, served + rejected);
         }
+        // The one mirror of the figure gauges onto the global tracer, so
+        // `ncap trace` CSVs carry the same series as `Traces`.
         if simtrace::is_enabled() {
-            let t = now.as_nanos();
+            simtrace::metric_set("cluster", "freq_ghz", t, freq_ghz);
+            simtrace::metric_set("cluster", "busy_ns", t, total_busy.as_nanos() as f64);
+            for (name, c) in ["c1_ns", "c3_ns", "c6_ns"].into_iter().zip(cstate) {
+                simtrace::metric_set("cluster", name, t, c.as_nanos() as f64);
+            }
             simtrace::metric_set("cluster", "goodput", t, served);
             simtrace::metric_set("cluster", "throughput", t, served + rejected);
         }
@@ -1432,12 +1438,10 @@ impl ClusterSim {
             wd.check_quiescence(now, &acc, ledger.as_ref());
             self.watchdog = Some(wd);
         }
-        if let Some(tr) = self.collector.take() {
-            let markers = self.servers[0].wake_marker_times().to_vec();
-            let mut traces = tr.finish(markers);
-            traces.rx_drops = self.servers.iter().map(|s| s.nic().rx_drops()).sum();
-            traces.fault_drops = self.switch.fault_stats().dropped();
-            self.finished_traces = Some(traces);
+        if let Some(tr) = self.traces.as_mut() {
+            tr.wake_markers = self.servers[0].wake_marker_times().to_vec();
+            tr.rx_drops = self.servers.iter().map(|s| s.nic().rx_drops()).sum();
+            tr.fault_drops = self.switch.fault_stats().dropped();
         }
     }
 
@@ -1599,18 +1603,19 @@ impl ClusterSim {
         &self.servers
     }
 
-    /// The collected traces, if tracing was enabled. Available after
+    /// The collected traces, if tracing was enabled. The whole-run
+    /// totals (wake markers, drop counts) are stamped at
     /// [`finalize`](Self::finalize).
     #[must_use]
     pub fn traces(&self) -> Option<&Traces> {
-        self.finished_traces.as_ref()
+        self.traces.as_ref()
     }
 
-    /// Consumes the simulation, returning the traces (reconstructed at
+    /// Consumes the simulation, returning the traces (complete after
     /// [`finalize`](Self::finalize)).
     #[must_use]
     pub fn into_traces(self) -> Option<Traces> {
-        self.finished_traces
+        self.traces
     }
 }
 

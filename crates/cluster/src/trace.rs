@@ -3,19 +3,15 @@
 //! Figures 4, 8(right) and 9(right) plot, over a window of a few hundred
 //! milliseconds: the server's normalized receive/transmit bandwidth, core
 //! utilization, the chip frequency, and (Figure 4(b)) per-C-state
-//! residency. Collection goes through the `simtrace` metrics registry —
-//! [`TraceCollector`] records counters (`cluster.bw_rx`, `cluster.bw_tx`)
-//! and gauges (`cluster.freq_ghz`, `cluster.busy_ns`, `cluster.c{1,3,6}_ns`)
-//! and mirrors each recording to the thread-global tracer so `ncap trace`
-//! exports see the same series — and [`Traces`] is reconstructed from a
-//! registry snapshot at the end of the run. The reconstruction repeats the
-//! sampling arithmetic on exact-in-f64 integer nanosecond values, so the
-//! figure output is byte-identical to sampling directly.
+//! residency. [`Traces`] holds those series and is the only place they are
+//! recorded: the cluster simulation adds wire bytes to `rx`/`tx` where it
+//! counts them and calls [`Traces::sample`] at the sampling period, then
+//! mirrors the same values onto the global `simtrace` tracer so
+//! `ncap trace` CSVs carry matching columns.
 
 use cpusim::PowerMode;
 use desim::{SimDuration, SimTime};
 use simstats::{RateTrace, TimeSeries};
-use simtrace::{Metrics, MetricsSnapshot};
 
 /// What to trace and at which granularity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,90 +28,6 @@ impl TraceConfig {
         TraceConfig {
             window: SimDuration::from_ms(1),
         }
-    }
-}
-
-/// Registry-backed figure-trace recorder: the hot-path half of the old
-/// `Traces` object. The cluster simulation feeds it RX/TX bytes and
-/// periodic core samples; [`TraceCollector::finish`] snapshots the
-/// registry and rebuilds [`Traces`] for the figure pipeline.
-#[derive(Debug)]
-pub struct TraceCollector {
-    window_ns: u64,
-    metrics: Metrics,
-    cores: usize,
-}
-
-impl TraceCollector {
-    /// Creates a collector with the given figure window.
-    #[must_use]
-    pub fn new(config: TraceConfig) -> Self {
-        TraceCollector {
-            window_ns: config.window.as_nanos(),
-            metrics: Metrics::new(config.window.as_nanos()),
-            cores: 1,
-        }
-    }
-
-    /// Wire bytes received by the server at `now`.
-    pub fn on_rx(&mut self, now: SimTime, wire_bytes: f64) {
-        self.metrics
-            .add("cluster", "bw_rx", now.as_nanos(), wire_bytes);
-    }
-
-    /// Wire bytes transmitted by the server at `now`.
-    pub fn on_tx(&mut self, now: SimTime, wire_bytes: f64) {
-        self.metrics
-            .add("cluster", "bw_tx", now.as_nanos(), wire_bytes);
-    }
-
-    /// Records one periodic sample of request-resolution counts:
-    /// `served` requests completed normally, `rejected` were refused by
-    /// admission control. Goodput (served) and throughput (served +
-    /// rejected) become separate figure series.
-    pub fn throughput_sample(&mut self, now: SimTime, served: f64, rejected: f64) {
-        let t = now.as_nanos();
-        self.metrics.set("cluster", "goodput", t, served);
-        self.metrics
-            .set("cluster", "throughput", t, served + rejected);
-    }
-
-    /// Records one periodic sample of aggregate core statistics as
-    /// registry gauges (raw values; deltas are taken at reconstruction).
-    pub fn sample(
-        &mut self,
-        now: SimTime,
-        freq_ghz: f64,
-        total_busy: SimDuration,
-        cstate_time: [SimDuration; 3],
-        cores: usize,
-    ) {
-        let t = now.as_nanos();
-        self.cores = cores;
-        self.metrics.set("cluster", "freq_ghz", t, freq_ghz);
-        self.metrics
-            .set("cluster", "busy_ns", t, total_busy.as_nanos() as f64);
-        let names = ["c1_ns", "c3_ns", "c6_ns"];
-        for (name, c) in names.iter().zip(cstate_time.iter()) {
-            self.metrics.set("cluster", name, t, c.as_nanos() as f64);
-        }
-        // Mirror onto the global tracer so `ncap trace` CSVs carry the
-        // same series (no-ops when no tracer is installed).
-        if simtrace::is_enabled() {
-            simtrace::metric_set("cluster", "freq_ghz", t, freq_ghz);
-            simtrace::metric_set("cluster", "busy_ns", t, total_busy.as_nanos() as f64);
-            for (name, c) in names.iter().zip(cstate_time.iter()) {
-                simtrace::metric_set("cluster", name, t, c.as_nanos() as f64);
-            }
-        }
-    }
-
-    /// Snapshots the registry and reconstructs the figure series.
-    #[must_use]
-    pub fn finish(self, wake_markers: Vec<SimTime>) -> Traces {
-        let cores = self.cores;
-        let window_ns = self.window_ns;
-        Traces::from_registry(&self.metrics.snapshot(), window_ns, cores, wake_markers)
     }
 }
 
@@ -146,9 +58,9 @@ pub struct Traces {
     /// Frames the switch impairment layer dropped (loss + corruption)
     /// over the whole run (stamped at cluster finalize).
     pub fault_drops: u64,
-    pub(crate) last_busy: SimDuration,
-    pub(crate) last_cstate: [SimDuration; 3],
-    pub(crate) last_sample: SimTime,
+    last_busy: SimDuration,
+    last_cstate: [SimDuration; 3],
+    last_sample: SimTime,
 }
 
 impl Traces {
@@ -203,85 +115,6 @@ impl Traces {
         self.last_cstate = cstate_time;
     }
 
-    /// Rebuilds the figure series from a metrics-registry snapshot.
-    ///
-    /// Bandwidth comes from the `cluster.bw_rx`/`bw_tx` counter bins
-    /// (same windowing arithmetic as [`RateTrace::add`]); utilization and
-    /// C-state shares are recomputed from the raw cumulative gauges with
-    /// the exact expressions [`Traces::sample`] uses. Gauge values are
-    /// integer nanosecond counts, exact in `f64`, so every derived sample
-    /// is bit-identical to direct sampling.
-    #[must_use]
-    pub fn from_registry(
-        snapshot: &MetricsSnapshot,
-        window_ns: u64,
-        cores: usize,
-        wake_markers: Vec<SimTime>,
-    ) -> Self {
-        let mut out = Traces::new(TraceConfig {
-            window: SimDuration::from_nanos(window_ns),
-        });
-        out.wake_markers = wake_markers;
-        if let Some(m) = snapshot.get("cluster", "bw_rx") {
-            out.rx = RateTrace::from_bins("bw_rx", window_ns, m.bins.clone());
-        }
-        if let Some(m) = snapshot.get("cluster", "bw_tx") {
-            out.tx = RateTrace::from_bins("bw_tx", window_ns, m.bins.clone());
-        }
-        if let Some(m) = snapshot.get("cluster", "freq_ghz") {
-            for &(t, v) in &m.points {
-                out.freq.push(t, v);
-            }
-        }
-        for (name, series) in [
-            ("goodput", &mut out.goodput),
-            ("throughput", &mut out.throughput),
-        ] {
-            if let Some(m) = snapshot.get("cluster", name) {
-                for &(t, v) in &m.points {
-                    series.push(t, v);
-                }
-            }
-        }
-        let empty: &[(u64, f64)] = &[];
-        let gauge = |name: &str| {
-            snapshot
-                .get("cluster", name)
-                .map_or(empty, |m| &m.points[..])
-        };
-        let busy = gauge("busy_ns");
-        let cstates = [gauge("c1_ns"), gauge("c3_ns"), gauge("c6_ns")];
-        // Replay the delta computation: previous cumulative values start
-        // at zero, exactly as a fresh `Traces` starts.
-        let mut prev_t = 0u64;
-        let mut prev_busy = 0.0f64;
-        let mut prev_cstate = [0.0f64; 3];
-        for (i, &(t, b)) in busy.iter().enumerate() {
-            let elapsed_ns = t.saturating_sub(prev_t);
-            if elapsed_ns != 0 {
-                let denom = elapsed_ns as f64 / 1_000_000_000.0 * cores as f64;
-                let busy_delta = (b - prev_busy).max(0.0);
-                out.util.push(t, busy_delta / 1_000_000_000.0 / denom);
-                for (j, points) in cstates.iter().enumerate() {
-                    let v = points.get(i).map_or(prev_cstate[j], |&(_, v)| v);
-                    let d = (v - prev_cstate[j]).max(0.0);
-                    out.cstate_share[j].push(t, d / 1_000_000_000.0 / denom);
-                }
-            }
-            prev_t = t;
-            prev_busy = b;
-            for (slot, points) in prev_cstate.iter_mut().zip(cstates.iter()) {
-                if let Some(&(_, v)) = points.get(i) {
-                    *slot = v;
-                }
-            }
-        }
-        out.last_sample = SimTime::from_nanos(prev_t);
-        out.last_busy = SimDuration::from_nanos(prev_busy as u64);
-        out.last_cstate = prev_cstate.map(|v| SimDuration::from_nanos(v as u64));
-        out
-    }
-
     /// Per-mode C-state time series name helper.
     #[must_use]
     pub fn cstate_modes() -> [PowerMode; 3] {
@@ -331,64 +164,9 @@ mod tests {
         assert_eq!(t.tx.finish(2_000_000), vec![0.0, 2000.0]);
     }
 
-    /// The registry-backed collector reproduces direct sampling exactly —
-    /// every derived f64 is bit-identical.
     #[test]
-    fn collector_matches_direct_sampling_bitwise() {
-        let cfg = TraceConfig::per_ms();
-        let mut direct = Traces::new(cfg);
-        let mut collector = TraceCollector::new(cfg);
-        let samples: [(u64, f64, u64, [u64; 3]); 4] = [
-            (1_000_000, 0.8, 123_457, [500_001, 0, 99_999]),
-            (2_000_000, 3.1, 923_457, [700_001, 123, 99_999]),
-            // Repeated timestamp: elapsed == 0 path.
-            (2_000_000, 3.1, 923_457, [700_001, 123, 99_999]),
-            (3_500_000, 1.7, 1_100_009, [900_000, 777_777, 100_000]),
-        ];
-        for &(t, f, busy, cs) in &samples {
-            let cstate = cs.map(SimDuration::from_nanos);
-            direct.sample(
-                SimTime::from_nanos(t),
-                f,
-                SimDuration::from_nanos(busy),
-                cstate,
-                4,
-            );
-            collector.sample(
-                SimTime::from_nanos(t),
-                f,
-                SimDuration::from_nanos(busy),
-                cstate,
-                4,
-            );
-        }
-        direct.rx.add(500_000, 1000.0);
-        collector.on_rx(SimTime::from_nanos(500_000), 1000.0);
-        direct.tx.add(1_500_000, 2000.0);
-        collector.on_tx(SimTime::from_nanos(1_500_000), 2000.0);
-        let rebuilt = collector.finish(vec![SimTime::from_us(7)]);
-        assert_eq!(rebuilt.rx.finish(4_000_000), direct.rx.finish(4_000_000));
-        assert_eq!(rebuilt.tx.finish(4_000_000), direct.tx.finish(4_000_000));
-        let same = |a: &TimeSeries, b: &TimeSeries| {
-            assert_eq!(a.len(), b.len(), "{} length", a.name());
-            for ((ta, va), (tb, vb)) in a.iter().zip(b.iter()) {
-                assert_eq!(ta, tb, "{} timestamps", a.name());
-                assert_eq!(va.to_bits(), vb.to_bits(), "{} values at {ta}", a.name());
-            }
-        };
-        same(&rebuilt.freq, &direct.freq);
-        same(&rebuilt.util, &direct.util);
-        for (r, d) in rebuilt.cstate_share.iter().zip(direct.cstate_share.iter()) {
-            same(r, d);
-        }
-        assert_eq!(rebuilt.wake_markers, vec![SimTime::from_us(7)]);
-        assert_eq!(rebuilt.last_sample, direct.last_sample);
-        assert_eq!(rebuilt.last_busy, direct.last_busy);
-    }
-
-    #[test]
-    fn empty_collector_finishes_empty() {
-        let t = TraceCollector::new(TraceConfig::per_ms()).finish(Vec::new());
+    fn new_traces_are_empty() {
+        let t = Traces::new(TraceConfig::per_ms());
         assert!(t.freq.is_empty());
         assert!(t.util.is_empty());
         assert_eq!(t.rx.finish(1_000_000), vec![0.0]);

@@ -200,7 +200,9 @@ pub struct KernelStats {
 
 /// A stage-level waterfall of one sampled request's life inside the
 /// server — measurement-only instrumentation (the gem5-pseudo-instruction
-/// role of the paper's methodology, at per-stage granularity).
+/// role of the paper's methodology, at per-stage granularity). Derived
+/// from the response's [`netsim::StageRecord`] when its final frame
+/// leaves on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestTrace {
     /// The client's request id.
@@ -335,7 +337,6 @@ pub struct Kernel {
     seen: HashMap<u64, DupState>,
     /// Resolved `seen` entries waiting out their linger.
     seen_wait: netsim::TimeWait,
-    req_traces: HashMap<u64, RequestTrace>,
     finished_traces: Vec<RequestTrace>,
     next_token: u64,
     tx_backlog: VecDeque<Packet>,
@@ -440,7 +441,6 @@ impl Kernel {
             requests: HashMap::new(),
             seen: HashMap::new(),
             seen_wait: netsim::TimeWait::default(),
-            req_traces: HashMap::new(),
             finished_traces: Vec::new(),
             next_token: 0,
             tx_backlog: VecDeque::new(),
@@ -612,18 +612,6 @@ impl Kernel {
         // until the SoftIRQ drain is NIC-resident time (DMA, moderation
         // hold, interrupt servicing, wake latency).
         frame.meta_mut().stages.arrival = now;
-        if let Some(id) = frame.meta().request_id {
-            if self.sampled(id) {
-                self.req_traces.entry(id).or_insert(RequestTrace {
-                    id,
-                    nic_arrival: now,
-                    stack_done: now,
-                    app_done: now,
-                    io_wait: desim::SimDuration::ZERO,
-                    last_tx: now,
-                });
-            }
-        }
         let out = self.nic.frame_arrived(now, frame);
         if self.cfg.datapath.bypasses_kernel() {
             // Poll mode: no interrupts. The busy-poll loop spins
@@ -1013,7 +1001,6 @@ impl Kernel {
         if self.cfg.reliable {
             self.close_dup(now, rid, DupState::Rejected);
         }
-        self.req_traces.remove(&rid);
         if simtrace::is_enabled() {
             let t = now.as_nanos();
             simtrace::instant_args(
@@ -1214,7 +1201,6 @@ impl Kernel {
                 // software).
                 Some(DupState::InFlight { .. }) => {
                     self.stats.dup_suppressed += 1;
-                    self.req_traces.remove(&rid);
                     if simtrace::is_enabled() {
                         let t = now.as_nanos();
                         simtrace::instant_args(
@@ -1234,7 +1220,6 @@ impl Kernel {
                     stages,
                 }) => {
                     self.stats.resp_replays += 1;
-                    self.req_traces.remove(&rid);
                     if simtrace::is_enabled() {
                         let t = now.as_nanos();
                         simtrace::instant_args(
@@ -1279,7 +1264,6 @@ impl Kernel {
                 // this request stays consistent.
                 Some(DupState::Rejected) => {
                     self.stats.reject_replays += 1;
-                    self.req_traces.remove(&rid);
                     if simtrace::is_enabled() {
                         let t = now.as_nanos();
                         simtrace::instant_args(
@@ -1314,7 +1298,6 @@ impl Kernel {
             payload: frame.payload_bytes(),
         };
         let Some(mut plan) = self.app.plan(now, &info) else {
-            self.req_traces.remove(&rid);
             return;
         };
         if self.cfg.datapath.bypasses_kernel() {
@@ -1338,9 +1321,6 @@ impl Kernel {
         }
         if self.cfg.reliable {
             self.seen.insert(rid, DupState::InFlight { since: now });
-        }
-        if let Some(tr) = self.req_traces.get_mut(&rid) {
-            tr.stack_done = now;
         }
         let token = self.next_token;
         self.next_token += 1;
@@ -1387,18 +1367,12 @@ impl Kernel {
                 self.try_dispatch(now, fx);
             }
             Some(AppPhase::Io { wait }) => {
-                if let Some(tr) = self.req_traces.get_mut(&state.info.id) {
-                    tr.io_wait += wait;
-                }
                 state.stages.io_ns = ns32(u64::from(state.stages.io_ns) + wait.as_nanos());
                 fx.at(now + wait, NodeEvent::IoDone { token });
             }
             None => {
                 let state = self.requests.remove(&token).expect("present above");
                 self.completed_responses += 1;
-                if let Some(tr) = self.req_traces.get_mut(&state.info.id) {
-                    tr.app_done = now;
-                }
                 let mut stages = state.stages;
                 stages.app_done = now;
                 if self.cfg.reliable {
@@ -1509,18 +1483,29 @@ impl Kernel {
 
     fn on_tx_wire(&mut self, now: SimTime, mut frame: Packet, fx: &mut Effects) {
         self.nic.tx_done(now, frame.wire_len());
-        if frame.meta().is_final {
+        if frame.meta().is_final && !frame.meta().rejected {
             if let Some(id) = frame.meta().request_id {
-                if let Some(mut tr) = self.req_traces.remove(&id) {
-                    tr.last_tx = now;
-                    self.finished_traces.push(tr);
-                }
-                if !frame.meta().rejected {
-                    // Attribution: TX stack + NIC serialization, app-done
-                    // to wire departure of the completing frame.
-                    let st = &mut frame.meta_mut().stages;
-                    st.tx_ns = ns32(now.as_nanos().saturating_sub(st.app_done.as_nanos()));
-                    st.last_tx = now;
+                // Attribution: TX stack + NIC serialization, app-done
+                // to wire departure of the completing frame.
+                let st = &mut frame.meta_mut().stages;
+                st.tx_ns = ns32(now.as_nanos().saturating_sub(st.app_done.as_nanos()));
+                st.last_tx = now;
+                // A sampled request's waterfall is read off its original
+                // response's record; a replay repeats a response already sent.
+                if st.replay_ns == 0 && self.sampled(id) {
+                    let ns = |d: u32| desim::SimDuration::from_nanos(u64::from(d));
+                    self.finished_traces.push(RequestTrace {
+                        id,
+                        nic_arrival: st.arrival,
+                        stack_done: st.dma_done
+                            + ns(st.moderation_ns)
+                            + ns(st.wake_ns)
+                            + ns(st.stack_ns)
+                            + ns(st.poll_wait_ns),
+                        app_done: st.app_done,
+                        io_wait: ns(st.io_ns),
+                        last_tx: now,
+                    });
                 }
             }
         }

@@ -41,7 +41,7 @@ mod metrics;
 mod tracer;
 
 pub use event::{arg, Arg, ArgValue, EventKind, TraceEvent};
-pub use metrics::{MetricKind, MetricSnapshot, Metrics, MetricsSnapshot};
+pub use metrics::{MetricKind, MetricSnapshot, MetricsSnapshot};
 pub use tracer::{TraceData, Tracer, TracerConfig};
 
 use std::cell::{Cell, RefCell};

@@ -3,9 +3,10 @@
 //!
 //! Counters accumulate a running total plus per-window sums; the window
 //! arithmetic (`bins[ts / window] += amount`) is deliberately identical to
-//! `simstats::RateTrace::add`, so a counter's windowed bins reproduce a
-//! legacy rate trace bit-for-bit. Gauges keep every `(ts, value)` sample
-//! (they are set at sampling cadence, not per packet) plus the last value.
+//! `simstats::RateTrace::add`, so a counter mirrored from a figure trace
+//! exports the same bins bit-for-bit. Gauges keep every `(ts, value)`
+//! sample (they are set at sampling cadence, not per packet) plus the
+//! last value.
 
 use std::collections::BTreeMap;
 
@@ -40,9 +41,8 @@ impl MetricData {
     }
 }
 
-/// The registry. One instance lives inside each installed tracer;
-/// subsystems that want figure-grade collection without global tracing
-/// (e.g. `cluster`'s legacy `Traces`) can own one directly.
+/// The registry. One instance lives inside each installed tracer and is
+/// written through the crate-root `metric_*` helpers.
 #[derive(Debug, Clone)]
 pub struct Metrics {
     window_ns: u64,
@@ -62,24 +62,6 @@ impl Metrics {
             window_ns,
             map: BTreeMap::new(),
         }
-    }
-
-    /// The counter window width in nanoseconds.
-    #[must_use]
-    pub fn window_ns(&self) -> u64 {
-        self.window_ns
-    }
-
-    /// Number of registered metrics.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` when nothing has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 
     fn entry(

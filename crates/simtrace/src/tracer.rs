@@ -123,7 +123,7 @@ impl Tracer {
     }
 
     /// The metrics registry.
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
+    pub(crate) fn metrics_mut(&mut self) -> &mut Metrics {
         &mut self.metrics
     }
 

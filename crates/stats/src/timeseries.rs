@@ -197,23 +197,6 @@ impl RateTrace {
         }
     }
 
-    /// Reconstructs a trace from already-windowed bins (e.g. a counter
-    /// snapshot from the metrics registry whose bin arithmetic matches
-    /// [`add`](Self::add)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window_ns` is zero.
-    #[must_use]
-    pub fn from_bins(name: impl Into<String>, window_ns: u64, bins: Vec<f64>) -> Self {
-        assert!(window_ns > 0, "window must be positive");
-        RateTrace {
-            name: name.into(),
-            window_ns,
-            bins,
-        }
-    }
-
     /// The trace name.
     #[must_use]
     pub fn name(&self) -> &str {
@@ -317,19 +300,10 @@ mod tests {
     }
 
     #[test]
-    fn rate_trace_from_bins_round_trips() {
-        let mut rt = RateTrace::new("rx", 100);
-        rt.add(0, 1.0);
-        rt.add(150, 4.0);
-        let rebuilt = RateTrace::from_bins("rx", 100, vec![1.0, 4.0]);
-        assert_eq!(rebuilt.name(), "rx");
-        assert_eq!(rebuilt.window_ns(), 100);
-        assert_eq!(rebuilt.finish(300), rt.finish(300));
-    }
-
-    #[test]
     fn rate_trace_accumulates_by_window() {
         let mut rt = RateTrace::new("rx", 100);
+        assert_eq!(rt.name(), "rx");
+        assert_eq!(rt.window_ns(), 100);
         rt.add(0, 1.0);
         rt.add(99, 1.0);
         rt.add(100, 5.0);

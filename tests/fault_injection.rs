@@ -15,10 +15,10 @@
 
 use check::{ensure, Check};
 use cluster::{
-    run_experiment, run_experiments_on, AppKind, ExperimentConfig, FaultConfig, FaultSummary,
-    Policy, RetxConfig, TraceConfig,
+    build_cluster, run_experiment, run_experiments_on, AppKind, ExperimentConfig, FaultConfig,
+    FaultSummary, Policy, RetxConfig, TraceConfig,
 };
-use desim::SimDuration;
+use desim::{SimDuration, SimTime, Simulation};
 
 fn quick(policy: Policy, load: f64) -> ExperimentConfig {
     ExperimentConfig::new(AppKind::Memcached, policy, load)
@@ -214,6 +214,39 @@ fn trace_counters_match_injected_faults_exactly() {
     ] {
         assert!(header.contains(col), "missing column {col} in {header}");
     }
+}
+
+/// Every response the server generates leaves exactly one waterfall when
+/// every request is sampled — even when a retransmitted copy reaches the
+/// server after the application finished and the response is replayed.
+#[test]
+fn lossy_runs_keep_one_waterfall_per_served_request() {
+    let mut faults = FaultConfig::none().with_retx(RetxConfig::standard());
+    faults.loss = 0.02;
+    let cfg = ExperimentConfig::new(AppKind::Apache, Policy::NcapCons, 24_000.0)
+        .with_durations(SimDuration::from_ms(5), SimDuration::from_ms(40))
+        .with_drain(SimDuration::from_ms(20))
+        .with_request_tracing(1)
+        .with_faults(faults);
+    let (cluster, initial) = build_cluster(&cfg).expect("valid config");
+    let mut sim = Simulation::new(cluster);
+    for (t, e) in initial {
+        sim.queue_mut().push(t, e);
+    }
+    sim.run_until(SimTime::ZERO + cfg.horizon());
+    let now = sim.now();
+    sim.handler_mut().finalize(now);
+    let server = &sim.handler().servers()[0];
+    assert!(
+        server.stats().resp_replays > 0,
+        "the run must replay responses"
+    );
+    let traces = server.request_traces();
+    assert_eq!(traces.len() as u64, server.completed_responses());
+    let mut ids: Vec<u64> = traces.iter().map(|t| t.id).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), traces.len(), "a request was traced twice");
 }
 
 #[test]

@@ -1,13 +1,14 @@
 //! Cross-crate observability tests: the structured event tracer and the
 //! metrics registry must be deterministic, observer-effect-free, and
-//! consistent with the legacy figure traces.
+//! consistent with the figure traces.
 //!
 //! These are the PR's acceptance properties:
 //!
 //! * same seed → byte-identical Perfetto JSON and CSV exports,
 //! * tracing on vs. off → bit-identical `ExperimentResult`s,
 //! * both also hold under the parallel runner,
-//! * the CSV's `cluster.bw_rx` column equals the legacy `Traces` rx bins,
+//! * the CSV's `cluster.bw_rx`, `cluster.bw_tx` and `cluster.freq_ghz`
+//!   columns equal the `Traces` series they mirror,
 //! * spans cover the simulator's major components.
 
 use cluster::{
@@ -60,7 +61,7 @@ fn tracing_does_not_perturb_results() {
     let off = run_experiment(&off_cfg);
     assert!(on.sim_trace.is_some() && off.sim_trace.is_none());
     assert_eq!(fingerprint(&on), fingerprint(&off));
-    // The legacy figure traces must also be bit-identical.
+    // The figure traces must also be bit-identical.
     let (ton, toff) = (on.traces.expect("traces"), off.traces.expect("traces"));
     assert_eq!(ton.rx.finish(HORIZON_NS), toff.rx.finish(HORIZON_NS));
     assert_eq!(ton.tx.finish(HORIZON_NS), toff.tx.finish(HORIZON_NS));
@@ -102,26 +103,49 @@ fn parallel_runner_traces_match_serial() {
 }
 
 #[test]
-fn csv_rx_bandwidth_matches_legacy_traces() {
+fn csv_figure_columns_match_traces() {
     let r = run_experiment(&traced(5));
-    let legacy = r.traces.expect("traces").rx.finish(HORIZON_NS);
+    let traces = r.traces.expect("traces");
     let csv = r.sim_trace.expect("trace data").to_csv(HORIZON_NS);
     let mut lines = csv.lines();
     let header: Vec<&str> = lines.next().expect("header").split(',').collect();
-    let col = header
-        .iter()
-        .position(|h| *h == "cluster.bw_rx")
-        .expect("bw_rx column");
-    let from_csv: Vec<f64> = lines
-        .map(|l| l.split(',').nth(col).unwrap().parse().unwrap())
+    let rows: Vec<Vec<f64>> = lines
+        .map(|l| l.split(',').map(|v| v.parse().unwrap()).collect())
         .collect();
-    assert_eq!(from_csv.len(), legacy.len());
-    for (i, (c, l)) in from_csv.iter().zip(&legacy).enumerate() {
-        assert_eq!(
-            c.to_bits(),
-            l.to_bits(),
-            "window {i}: csv {c} vs traces {l}"
-        );
+    let column = |name: &str| -> Vec<f64> {
+        let col = header
+            .iter()
+            .position(|h| *h == name)
+            .unwrap_or_else(|| panic!("{name} column"));
+        rows.iter().map(|r| r[col]).collect()
+    };
+    // A gauge column holds the last sample before each window's end,
+    // forward-filled from zero.
+    let window_ns = HORIZON_NS / rows.len() as u64;
+    let freq: Vec<f64> = (1..=rows.len() as u64)
+        .map(|w| {
+            traces
+                .freq
+                .iter()
+                .take_while(|&(t, _)| t < w * window_ns)
+                .last()
+                .map_or(0.0, |(_, v)| v)
+        })
+        .collect();
+    for (name, expected) in [
+        ("cluster.bw_rx", traces.rx.finish(HORIZON_NS)),
+        ("cluster.bw_tx", traces.tx.finish(HORIZON_NS)),
+        ("cluster.freq_ghz", freq),
+    ] {
+        let from_csv = column(name);
+        assert_eq!(from_csv.len(), expected.len(), "{name}");
+        for (i, (c, e)) in from_csv.iter().zip(&expected).enumerate() {
+            assert_eq!(
+                c.to_bits(),
+                e.to_bits(),
+                "{name} window {i}: csv {c} vs traces {e}"
+            );
+        }
     }
 }
 
