@@ -1,9 +1,10 @@
 //! Self-timed microbenchmarks: the simulator's own performance.
 //!
-//! Not a paper artifact — these guard the harness's throughput so the
-//! figure-regeneration benches stay fast: event-queue ops, packet
-//! construction + ReqMonitor inspection, DecisionEngine window handling,
-//! and end-to-end simulated-seconds-per-wall-second for a small cluster.
+//! Not a paper artifact — these time the components no end-to-end
+//! measurement isolates: event-queue ops, packet construction +
+//! ReqMonitor inspection, and DecisionEngine window handling. End-to-end
+//! simulator speed is the benchmark's `sim_s_per_wall_s`
+//! (`BENCHMARK.json`).
 //!
 //! `harness = false`, no external framework: each case is calibrated to
 //! a per-round wall-clock budget, run for several rounds, and the best
@@ -102,15 +103,5 @@ fn main() {
         now += SimDuration::from_us(50);
         req += 3;
         e.on_mitt_expiry(now, req, req * 1_500)
-    });
-
-    bench("cluster_sim_50ms_memcached_ncap", || {
-        let cfg = cluster::ExperimentConfig::new(
-            cluster::AppKind::Memcached,
-            cluster::Policy::NcapCons,
-            35_000.0,
-        )
-        .with_durations(SimDuration::from_ms(10), SimDuration::from_ms(40));
-        cluster::run_experiment(&cfg).completed
     });
 }

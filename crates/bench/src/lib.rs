@@ -3,11 +3,14 @@
 //! One bench target per table/figure of the paper (see DESIGN.md §5 for
 //! the index). Each target is a `harness = false` binary run by
 //! `cargo bench -p ncap-bench --bench <id>`, printing the same rows or
-//! series the paper reports. This library holds the shared plumbing:
-//! standard experiment construction, the SLA-finding sweep (the paper
-//! sets the SLA at the 95th-percentile latency of the `perf` baseline at
-//! the latency–load curve's inflection point, §6), and result-table
-//! rendering.
+//! series the paper reports. Two targets time the simulator instead:
+//! `micro` (components) and `overhead` (the ≤5% budgets of latency
+//! attribution and the health prober); end-to-end simulator speed is
+//! the benchmark's (`BENCHMARK.json`). This library holds the shared
+//! plumbing: standard experiment construction, the SLA-finding sweep
+//! (the paper sets the SLA at the 95th-percentile latency of the `perf`
+//! baseline at the latency–load curve's inflection point, §6), and
+//! result-table rendering.
 //!
 //! Set `NCAP_BENCH_FAST=1` to shrink simulated durations (~4× faster,
 //! noisier percentiles). Set `NCAP_BENCH_SMOKE=1` to shrink them much

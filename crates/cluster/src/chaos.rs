@@ -397,9 +397,9 @@ impl ChaosScenario {
                 self.datapath = Datapath::parse(token(F, it)?).map_err(named(F))?;
             }
             "poll_cores" => self.poll_cores = value("scenario.poll_cores", it)?,
-            "coordinator" => self.coordinator = token("scenario.coordinator", it)? == "1",
-            "poisson" => self.poisson = token("scenario.poisson", it)? == "1",
-            "ledger_skew" => self.ledger_skew = token("scenario.ledger_skew", it)? == "1",
+            "coordinator" => self.coordinator = flag("scenario.coordinator", it)?,
+            "poisson" => self.poisson = flag("scenario.poisson", it)?,
+            "ledger_skew" => self.ledger_skew = flag("scenario.ledger_skew", it)?,
             "load_rps" => self.load_rps = value("scenario.load_rps", it)?,
             "warmup_ns" => self.warmup = SimDuration::from_nanos(value("scenario.warmup_ns", it)?),
             "measure_ns" => {
@@ -465,6 +465,22 @@ impl ChaosScenario {
                 format!("unexpected value {extra:?} after {key}"),
             )),
         }
+    }
+}
+
+/// The next token as a scenario-file boolean: exactly `0` or `1`, the
+/// spellings [`ChaosScenario::to_file_string`] writes.
+fn flag<'a>(
+    field: &'static str,
+    it: &mut impl Iterator<Item = &'a str>,
+) -> Result<bool, ConfigError> {
+    match token(field, it)? {
+        "0" => Ok(false),
+        "1" => Ok(true),
+        other => Err(ConfigError::new(
+            field,
+            format!("expected 0 or 1, got {other:?}"),
+        )),
     }
 }
 
@@ -727,6 +743,9 @@ mod tests {
             ("domain=1,2,tsunami,1", "scenario.domain"),
             ("sneed=4", "scenario"),
             ("seed=4,5", "scenario"),
+            ("poisson=true", "scenario.poisson"),
+            ("coordinator=yes", "scenario.coordinator"),
+            ("ledger_skew=2", "scenario.ledger_skew"),
         ] {
             let err = ChaosScenario::from_file_str(text).expect_err(text);
             assert_eq!(err.field, want, "{text}: {err}");

@@ -28,7 +28,7 @@ use check::{ensure, Check};
 use cluster::{
     run_experiment, run_experiments_on, AppKind, BackendState, CoordinatorConfig, DispatchPolicy,
     ExperimentConfig, ExperimentResult, FailureMode, FailureSchedule, FailureSpec, FleetConfig,
-    OverloadConfig, Policy,
+    HealthConfig, OverloadConfig, Policy,
 };
 use desim::{SimDuration, SimTime, Simulation};
 
@@ -336,6 +336,46 @@ fn crashing_two_of_sixty_four_backends_recovers_goodput() {
         "goodput did not recover: wounded {} vs healthy {}",
         wounded.goodput(),
         healthy.goodput()
+    );
+}
+
+/// The prober observes; it must not perturb. On a fault-free fleet an
+/// explicitly armed prober adds its own probe events to the queue but
+/// leaves every client-visible result bit-identical to the prober-off
+/// run — the configuration whose wall-time cost the `overhead` bench
+/// holds to its 5% budget.
+#[test]
+fn armed_prober_on_a_healthy_fleet_changes_no_result() {
+    let cfg = |fleet: FleetConfig| {
+        ExperimentConfig::new(AppKind::Memcached, Policy::NcapCons, 480_000.0)
+            .with_durations(SimDuration::from_ms(2), SimDuration::from_ms(5))
+            .with_poisson()
+            .with_fleet(fleet)
+    };
+    let fleet = || {
+        FleetConfig::new(8, DispatchPolicy::LeastOutstanding)
+            .with_coordinator(CoordinatorConfig::new(PER_BACKEND_RPS).with_util_target(0.5))
+    };
+    let off = run_experiment(&cfg(fleet()));
+    let armed = run_experiment(&cfg(fleet().with_health(HealthConfig::standard())));
+    assert!(off.completed > 0, "nothing completed");
+    assert_eq!(off.completed, armed.completed, "prober changed completions");
+    assert_eq!(
+        off.latency, armed.latency,
+        "prober moved the latency summary"
+    );
+    assert_eq!(
+        off.energy_j.to_bits(),
+        armed.energy_j.to_bits(),
+        "prober changed energy"
+    );
+    let probes = armed.fleet.as_ref().expect("fleet summary").health_probes;
+    assert!(probes > 0, "armed prober never probed");
+    assert!(
+        armed.events_processed > off.events_processed,
+        "probes added no events: {} vs {}",
+        armed.events_processed,
+        off.events_processed
     );
 }
 
