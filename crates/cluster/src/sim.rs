@@ -246,6 +246,10 @@ pub struct ClusterSim {
     /// Collection gate; the sideband stamps are written regardless, so
     /// on vs off is bit-identical on simulated results.
     collect_breakdown: bool,
+    /// Planted bug: a stage whose duration `record_completion` counts
+    /// twice.
+    #[cfg(test)]
+    double_stamp: Option<usize>,
 }
 
 impl std::fmt::Debug for ClusterSim {
@@ -395,6 +399,8 @@ impl ClusterSim {
             fleet: None,
             breakdown: BreakdownCollector::new(),
             collect_breakdown: true,
+            #[cfg(test)]
+            double_stamp: None,
         })
     }
 
@@ -1145,6 +1151,14 @@ impl ClusterSim {
             return;
         }
         let (v, total) = Self::stage_vector(now, sent_at, st);
+        #[cfg(test)]
+        let v = {
+            let mut v = v;
+            if let Some(s) = self.double_stamp {
+                v[s] = v[s].saturating_mul(2);
+            }
+            v
+        };
         self.breakdown.record(v, total);
         if simtrace::is_enabled() {
             const ORDER: [usize; STAGE_COUNT] = [
@@ -1341,6 +1355,7 @@ impl ClusterSim {
             in_flight: self.inflight.len() as u64,
             misroutes: self.misroutes,
             late_copies: self.late_copies,
+            untiled: self.breakdown.untiled(),
         }
     }
 
@@ -1571,8 +1586,8 @@ impl ClusterSim {
         &self.tracker
     }
 
-    /// The raw per-stage attribution population collected during the
-    /// measured window (empty when collection is disabled).
+    /// The per-stage attribution collector for the measured window
+    /// (empty when collection is disabled).
     #[must_use]
     pub fn breakdown_collector(&self) -> &BreakdownCollector {
         &self.breakdown
@@ -1832,6 +1847,33 @@ mod tests {
             wd.violations()
                 .iter()
                 .any(|v| v.kind == crate::InvariantKind::LateCopies),
+            "{:?}",
+            wd.violations()
+        );
+    }
+
+    /// Planted bug: counting one stage twice breaks the per-request
+    /// tiling identity of every completion, and the watchdog's
+    /// `stage_tiling` check must catch it; the unplanted run must stay
+    /// clean.
+    #[test]
+    fn a_double_stamped_stage_is_caught_as_stage_tiling() {
+        let horizon = SimTime::from_ms(65);
+        let control = drive(reordering_fleet(), horizon);
+        assert!(control.tracker().completed() > 0);
+        assert_eq!(control.breakdown.untiled(), 0);
+        let wd = control.watchdog().expect("installed");
+        assert!(wd.violations().is_empty(), "{:?}", wd.violations());
+
+        let (mut planted, initial) = reordering_fleet();
+        planted.double_stamp = Some(stage::CPU);
+        let planted = drive((planted, initial), horizon);
+        assert!(planted.breakdown.untiled() >= planted.tracker().completed());
+        let wd = planted.watchdog().expect("installed");
+        assert!(
+            wd.violations()
+                .iter()
+                .any(|v| v.kind == crate::InvariantKind::StageTiling),
             "{:?}",
             wd.violations()
         );

@@ -42,6 +42,10 @@ pub enum InvariantKind {
     /// request and found no conntrack entry: a request-keyed table
     /// retired an entry while a copy could still arrive.
     LateCopies,
+    /// A completed request's stage durations did not sum exactly to its
+    /// client-observed latency: the attribution lost or double-counted
+    /// time somewhere on the path.
+    StageTiling,
 }
 
 impl InvariantKind {
@@ -55,6 +59,7 @@ impl InvariantKind {
             InvariantKind::Routing => "routing",
             InvariantKind::Quiescence => "quiescence",
             InvariantKind::LateCopies => "late_copies",
+            InvariantKind::StageTiling => "stage_tiling",
         }
     }
 }
@@ -161,6 +166,7 @@ pub struct Watchdog {
     seen_unmatched: u64,
     seen_dead_dispatches: u64,
     seen_late_copies: u64,
+    seen_untiled: u64,
 }
 
 /// Cluster-level accounting fed into the conservation check. All zeros
@@ -185,6 +191,8 @@ pub struct AccountingView {
     /// Request copies that reached the LB after their client resolved
     /// them and found no conntrack entry.
     pub late_copies: u64,
+    /// Completed requests whose stages did not sum to their latency.
+    pub untiled: u64,
 }
 
 impl Watchdog {
@@ -288,6 +296,18 @@ impl Watchdog {
                 ),
             );
             self.seen_late_copies = accounting.late_copies;
+        }
+        if accounting.untiled > self.seen_untiled {
+            self.violate(
+                InvariantKind::StageTiling,
+                now,
+                format!(
+                    "{} completed request(s) whose stage durations do not sum \
+                     to their client-observed latency",
+                    accounting.untiled
+                ),
+            );
+            self.seen_untiled = accounting.untiled;
         }
     }
 

@@ -55,7 +55,7 @@ impl LogHistogram {
     /// Values below `SUBBUCKETS` get exact unit buckets. Each octave
     /// `[2^k, 2^(k+1))` for `k >= SUBBUCKET_BITS` is split into
     /// `SUBBUCKETS / 2` linear sub-buckets of width `2^(k - SUBBUCKET_BITS + 1)`.
-    fn index(value: u64) -> usize {
+    pub(crate) fn index(value: u64) -> usize {
         if value < SUBBUCKETS {
             return value as usize;
         }
@@ -67,7 +67,7 @@ impl LogHistogram {
     }
 
     /// Representative (upper-bound) value of bucket `idx`.
-    fn bucket_high(idx: usize) -> u64 {
+    pub(crate) fn bucket_high(idx: usize) -> u64 {
         let idx = idx as u64;
         if idx < SUBBUCKETS {
             return idx;
@@ -77,7 +77,19 @@ impl LogHistogram {
         let k = m / half + u64::from(SUBBUCKET_BITS);
         let sub = m % half + half;
         let shift = k - u64::from(SUBBUCKET_BITS) + 1;
-        ((sub + 1) << shift) - 1
+        // One below where the next bucket starts, written without
+        // `(sub + 1) << shift`, which overflows for the last bucket.
+        (sub << shift) | ((1 << shift) - 1)
+    }
+
+    /// Smallest value bucket `idx` holds: buckets tile `u64` without gaps,
+    /// so it is one past the previous bucket's upper bound.
+    pub(crate) fn bucket_low(idx: usize) -> u64 {
+        if idx == 0 {
+            0
+        } else {
+            Self::bucket_high(idx - 1) + 1
+        }
     }
 
     /// Records one occurrence of `value`.
@@ -277,6 +289,23 @@ mod tests {
             |rng, size| gen::u64_scaled(rng, size, 1, u64::MAX / 2),
             |&v| bucket_error_within_bound(v),
         );
+    }
+
+    /// Every bucket's bounds map back to it, and the last bucket ends at
+    /// `u64::MAX`: the buckets tile the whole range.
+    #[test]
+    fn bucket_bounds_tile_u64() {
+        let last = LogHistogram::index(u64::MAX);
+        assert_eq!(LogHistogram::bucket_high(last), u64::MAX);
+        for idx in 0..=last {
+            let (low, high) = (
+                LogHistogram::bucket_low(idx),
+                LogHistogram::bucket_high(idx),
+            );
+            assert!(low <= high, "bucket {idx}: [{low}, {high}]");
+            assert_eq!(LogHistogram::index(low), idx);
+            assert_eq!(LogHistogram::index(high), idx);
+        }
     }
 
     /// Regression pinned from the pre-port proptest corpus

@@ -1,115 +1,64 @@
 //! Stage-level request waterfalls: where does a request's time go?
 //!
-//! Runs `ond.idle` and `ncap.cons` and breaks the *full population* of
-//! completed requests (no sampling) into the twelve attributed stages,
-//! printing a few per-request waterfalls plus the population means —
-//! making NCAP's hidden-wake-up and boosted-processing effects directly
-//! visible. Every printed request is checked against the conservation
-//! identity: the stage durations sum exactly to the client-observed
-//! latency.
+//! Runs `ond.idle` and `ncap.cons` with the server tracing every 50th
+//! request. For a few traced requests it prints the server-side waterfall
+//! (NIC arrival → stack → app → last TX), then the per-stage means over
+//! the *full population* of completed requests (no sampling) from the
+//! latency breakdown — making NCAP's hidden-wake-up and boosted-processing
+//! effects directly visible. The breakdown's stages tile every request's
+//! client-observed latency exactly; the run's watchdog checks that
+//! identity for every completion.
 //!
 //! Run with: `cargo run --release --example request_waterfall`
 
-use cluster::runner::build_server;
-use cluster::{AppKind, ClusterSim, ExperimentConfig, Policy};
-use desim::{SimDuration, SimTime, Simulation};
-use netsim::NodeId;
-use oldi_apps::{ClientConfig, OpenLoopClient};
-use simstats::breakdown::stage;
-use simstats::STAGE_COUNT;
+use cluster::{run_experiment, AppKind, ExperimentConfig, Policy};
+use desim::SimDuration;
 
-/// Runs one single-server experiment and returns the cluster with its
-/// full-population breakdown collector.
-fn run(policy: Policy) -> ClusterSim {
-    let cfg = ExperimentConfig::new(AppKind::Apache, policy, 24_000.0)
-        .with_durations(SimDuration::from_ms(50), SimDuration::from_ms(150));
-    let server = build_server(&cfg, NodeId(0));
-    let mut clients = Vec::new();
-    let mut background = Vec::new();
-    for i in 0..cfg.clients {
-        let me = NodeId(1 + i as u16);
-        clients.push(OpenLoopClient::new(ClientConfig::apache(
-            me,
-            NodeId(0),
-            cfg.burst_size,
-            cfg.burst_period(),
-            cfg.seed.wrapping_mul(0x9E37_79B9).wrapping_add(i as u64),
-        )));
-        background.push(false);
-    }
-    let mut cluster = ClusterSim::with_servers(vec![server], clients, background, None);
-    let horizon = SimTime::ZERO + cfg.horizon();
-    let initial = cluster.initial_events(cfg.warmup, horizon);
-    let mut sim = Simulation::new(cluster);
-    for (t, e) in initial {
-        sim.queue_mut().push(t, e);
-    }
-    sim.run_until(horizon);
-    let now = sim.now();
-    let mut cluster = sim.into_handler();
-    cluster.finalize(now);
-    cluster
-}
-
-fn us(ns: u64) -> String {
-    format!("{:.1}", ns as f64 / 1e3)
+fn us(d: SimDuration) -> String {
+    format!("{:.1}", d.as_nanos() as f64 / 1e3)
 }
 
 fn main() {
     for policy in [Policy::OndIdle, Policy::NcapCons] {
-        let cluster = run(policy);
-        let samples = cluster.breakdown_collector().samples();
+        let cfg = ExperimentConfig::new(AppKind::Apache, policy, 24_000.0)
+            .with_durations(SimDuration::from_ms(50), SimDuration::from_ms(150))
+            .with_request_tracing(50);
+        let r = run_experiment(&cfg);
+        let b = r
+            .breakdown
+            .as_ref()
+            .expect("the breakdown is on by default");
+        let traces = r.server_request_traces.as_deref().unwrap_or_default();
         println!(
-            "--- {policy}: {} completed requests (full population) ---",
-            samples.len()
+            "--- {policy}: {} completed requests, {} traced ---",
+            b.count,
+            traces.len()
         );
         println!(
-            "{:>4}  {:>8}  {:>8}  {:>8}  {:>8}  {:>8}  {:>8}  {:>9}",
-            "#", "net(us)", "nic", "wake", "stack", "app", "tx", "total(us)"
+            "{:>14}  {:>9}  {:>8}  {:>8}  {:>8}  {:>13}",
+            "request", "stack(us)", "app", "(io)", "tx", "residence(us)"
         );
-        for (i, &(v, total)) in samples.iter().take(8).enumerate() {
-            // Conservation identity: the stages tile the client-observed
-            // latency exactly, for every request.
-            let sum: u64 = v.iter().map(|&s| u64::from(s)).sum();
-            assert_eq!(sum, total, "stage sums must equal measured latency");
-            let net = u64::from(v[stage::NET_IN])
-                + u64::from(v[stage::NET_OUT])
-                + u64::from(v[stage::LB])
-                + u64::from(v[stage::RETX]);
-            let nic = u64::from(v[stage::DMA]) + u64::from(v[stage::MODERATION]);
-            let app =
-                u64::from(v[stage::RQ_WAIT]) + u64::from(v[stage::CPU]) + u64::from(v[stage::IO]);
+        for t in traces.iter().take(8) {
             println!(
-                "{:>4}  {:>8}  {:>8}  {:>8}  {:>8}  {:>8}  {:>8}  {:>9}",
-                i,
-                us(net),
-                us(nic),
-                us(u64::from(v[stage::WAKE])),
-                us(u64::from(v[stage::STACK])),
-                us(app),
-                us(u64::from(v[stage::TX])),
-                us(total)
+                "{:>14}  {:>9}  {:>8}  {:>8}  {:>8}  {:>13}",
+                t.id,
+                us(t.stack_done.saturating_since(t.nic_arrival)),
+                us(t.app_done.saturating_since(t.stack_done)),
+                us(t.io_wait),
+                us(t.last_tx.saturating_since(t.app_done)),
+                us(t.residence()),
             );
         }
-        // Population means over every completed request.
-        let n = samples.len().max(1) as f64;
-        let mut sums = [0u64; STAGE_COUNT];
-        let mut total_sum = 0u64;
-        for &(v, total) in samples {
-            for (acc, &s) in sums.iter_mut().zip(v.iter()) {
-                *acc += u64::from(s);
-            }
-            total_sum += total;
-        }
+        let mean_us = |name: &str| b.stage(name).map_or(0.0, |s| s.mean / 1e3);
         println!(
             "means: wake {:.1} us, moderation {:.1} us, stack {:.1} us, \
              cpu {:.1} us, io {:.1} us, end-to-end {:.1} us\n",
-            sums[stage::WAKE] as f64 / n / 1e3,
-            sums[stage::MODERATION] as f64 / n / 1e3,
-            sums[stage::STACK] as f64 / n / 1e3,
-            sums[stage::CPU] as f64 / n / 1e3,
-            sums[stage::IO] as f64 / n / 1e3,
-            total_sum as f64 / n / 1e3,
+            mean_us("wake"),
+            mean_us("moderation"),
+            mean_us("stack"),
+            mean_us("cpu"),
+            mean_us("io"),
+            b.total_mean / 1e3,
         );
     }
     println!(

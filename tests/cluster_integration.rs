@@ -230,7 +230,61 @@ fn fnv1a(s: &str) -> u64 {
 /// the prior pin `0x9EFB_C273_4A94_71C4`, demonstrating
 /// `Datapath::Kernel` is observer-effect-free: every pre-existing byte
 /// of the result is unchanged by the bypass subsystem.
-const SCALE_64_GOLDEN_DIGEST: u64 = 0x42B9_6683_DD82_1064;
+///
+/// Re-pinned when the breakdown's tail view became bucketed: the tail
+/// is now every request in or above the total-latency histogram bucket
+/// that holds the p99, and its threshold is that bucket's lower bound.
+/// Only the four tail fields moved. The in-test splice proof puts back
+/// their prior values ([`PRE_BUCKET_TAIL`]) and checks the result against
+/// the prior pin `0x42B9_6683_DD82_1064`.
+const SCALE_64_GOLDEN_DIGEST: u64 = 0x2B26_71C3_B142_E5B1;
+
+/// The pin before the tail view was bucketed.
+const SCALE_64_PRE_BUCKET_DIGEST: u64 = 0x42B9_6683_DD82_1064;
+
+/// This scenario's tail fields under the exact order-statistic threshold:
+/// `tail_threshold_ns`, `tail_count`, then each stage's `tail_mean` and
+/// `tail_share` in `STAGE_NAMES` order.
+const PRE_BUCKET_TAIL: (&str, &str, [(&str, &str); simstats::STAGE_COUNT]) = (
+    "247537",
+    "5",
+    [
+        ("5377.0", "0.021193538749451145"), // net_in
+        ("4000.0", "0.015766069369128617"), // lb
+        ("15033.0", "0.05925283020652763"), // dma
+        ("18543.8", "0.07309070929181181"), // moderation
+        ("47000.0", "0.18525131508726125"), // wake
+        ("7500.0", "0.029561380067116158"), // stack
+        ("0.0", "0.0"),                     // poll_wait
+        ("5000.0", "0.019707586711410773"), // rq_wait
+        ("105689.0", "0.4165750263884586"), // cpu
+        ("0.0", "0.0"),                     // io
+        ("37050.0", "0.14603321753155382"), // tx
+        ("8516.6", "0.03356832659728019"),  // net_out
+        ("0.0", "0.0"),                     // retx
+    ],
+);
+
+/// Replaces the value of each `(field, value)` pair's field, matched in
+/// order of appearance in `render`. A `Debug` value ends at `,`, ` ` or
+/// `}`.
+fn splice_fields(render: &str, fields: &[(&str, &str)]) -> String {
+    let mut out = String::with_capacity(render.len());
+    let mut rest = render;
+    for (field, value) in fields {
+        let key = format!("{field}: ");
+        let at = rest
+            .find(&key)
+            .unwrap_or_else(|| panic!("no {field} left in the render"))
+            + key.len();
+        out.push_str(&rest[..at]);
+        out.push_str(value);
+        rest = &rest[at..];
+        rest = &rest[rest.find([',', ' ', '}']).expect("the value ends")..];
+    }
+    out.push_str(rest);
+    out
+}
 
 /// The pin before the datapath PR — the splice proof in
 /// [`fleet_scale_64_backends_is_deterministic_and_pinned`] reduces the
@@ -276,6 +330,28 @@ fn fleet_scale_64_backends_is_deterministic_and_pinned() {
     traced.sim_trace = None;
     assert_eq!(render(&traced), serial, "tracing perturbed the run");
 
+    // Splice proof for the bucketed tail: the render holds exactly one
+    // breakdown, and putting back its prior tail values reproduces the
+    // prior pin, so no other byte of the result moved.
+    let (threshold, count, per_stage) = PRE_BUCKET_TAIL;
+    let mut tail_fields = vec![("tail_threshold_ns", threshold), ("tail_count", count)];
+    for (mean, share) in per_stage {
+        tail_fields.extend([("tail_mean", mean), ("tail_share", share)]);
+    }
+    for field in ["tail_threshold_ns", "tail_count", "tail_mean", "tail_share"] {
+        assert_eq!(
+            serial.matches(&format!("{field}: ")).count(),
+            tail_fields.iter().filter(|(f, _)| *f == field).count(),
+            "unexpected number of {field} fields in the render"
+        );
+    }
+    let pre_bucket = splice_fields(&serial, &tail_fields);
+    assert_eq!(
+        fnv1a(&pre_bucket),
+        SCALE_64_PRE_BUCKET_DIGEST,
+        "the bucketed tail changed more than the four tail fields"
+    );
+
     // Splice proof: the datapath PR added exactly two zero-valued fields
     // to this run's render (`polled_frames` in each backend's
     // `KernelStats`, `poll_energy_j` in `ExperimentResult`). Removing
@@ -301,7 +377,7 @@ fn fleet_scale_64_backends_is_deterministic_and_pinned() {
             "expected exactly one inserted {what} in the render"
         );
     }
-    let spliced = serial
+    let spliced = pre_bucket
         .replace(polled, "")
         .replace(poll_energy, "")
         .replace(poll_stage, "");

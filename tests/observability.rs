@@ -355,50 +355,42 @@ fn stage_sums_equal_client_latency() {
             };
             let datapath = [Datapath::Kernel, Datapath::Bypass, Datapath::Offload][dp as usize];
             let c = drive_cluster(seed, fleet, lossy, datapath);
-            let samples = c.breakdown_collector().samples();
-            ensure!(!samples.is_empty(), "no completions collected");
-            ensure_eq!(samples.len() as u64, c.tracker().completed());
-            let mut poll_wait_total = 0u64;
-            for (i, (stages, total)) in samples.iter().enumerate() {
-                let sum: u64 = stages.iter().map(|&v| u64::from(v)).sum();
-                ensure!(
-                    sum == *total,
-                    "request {i}: stage sum {sum} != total {total} \
-                     (fleet={fleet}, lossy={lossy}, datapath={datapath}, \
-                      stages {stages:?})"
-                );
-                poll_wait_total += u64::from(stages[simstats::breakdown::stage::POLL_WAIT]);
-                // The poll path replaces the interrupt path wholesale:
-                // kernel/offload requests never show poll_wait, bypass
-                // requests never show moderation or wake.
-                let irq: u64 = [
-                    simstats::breakdown::stage::MODERATION,
-                    simstats::breakdown::stage::WAKE,
-                    simstats::breakdown::stage::STACK,
-                ]
-                .iter()
-                .map(|&s| u64::from(stages[s]))
-                .sum();
-                if datapath == Datapath::Bypass {
+            let collector = c.breakdown_collector();
+            let context = format!("fleet={fleet}, lossy={lossy}, datapath={datapath}");
+            ensure!(
+                !collector.is_empty(),
+                "no completions collected ({context})"
+            );
+            ensure_eq!(collector.len() as u64, c.tracker().completed());
+            // Every recorded request's stages summed exactly to its
+            // client-observed latency.
+            ensure!(
+                collector.untiled() == 0,
+                "{} request(s) whose stage sum != total ({context})",
+                collector.untiled()
+            );
+            // The poll path replaces the interrupt path wholesale, and
+            // every request of a run shares one datapath: bypass runs
+            // never show moderation, wake or stack time, kernel and
+            // offload runs never show poll_wait.
+            let b = c.latency_breakdown(99.0);
+            let stage = |name: &str| b.stage(name).expect("known stage");
+            if datapath == Datapath::Bypass {
+                for name in ["moderation", "wake", "stack"] {
                     ensure!(
-                        irq == 0,
-                        "request {i}: bypass request shows interrupt-path time \
-                         ({stages:?})"
-                    );
-                } else {
-                    ensure!(
-                        stages[simstats::breakdown::stage::POLL_WAIT] == 0,
-                        "request {i}: {datapath} request shows poll_wait \
-                         ({stages:?})"
+                        stage(name).hist.max() == 0,
+                        "bypass run shows {name} time ({context})"
                     );
                 }
-            }
-            if datapath == Datapath::Bypass {
                 ensure!(
-                    poll_wait_total > 0,
-                    "bypass run attributed zero poll_wait across \
-                     {} requests",
-                    samples.len()
+                    stage("poll_wait").mean > 0.0,
+                    "bypass run attributed zero poll_wait across {} requests",
+                    b.count
+                );
+            } else {
+                ensure!(
+                    stage("poll_wait").hist.max() == 0,
+                    "{datapath} run shows poll_wait ({context})"
                 );
             }
             Ok(())
