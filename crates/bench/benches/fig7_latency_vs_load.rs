@@ -9,7 +9,7 @@
 
 use cluster::AppKind;
 use ncap_bench::{dump_tsv, find_sla, header};
-use simstats::{fmt_ns, Table};
+use simstats::{fmt_ns, sla_curve_table};
 
 fn main() {
     header(
@@ -20,18 +20,7 @@ fn main() {
     for app in [AppKind::Apache, AppKind::Memcached] {
         let sla = find_sla(app);
         println!("{app}: p95 vs offered load (perf baseline)");
-        let mut t = Table::new(vec!["load (rps)", "p95", "note"]);
-        for &(load, p95) in &sla.curve {
-            let note = if (load - sla.knee_rps).abs() < 1.0 {
-                "<-- inflection (SLA set here)"
-            } else if load > sla.knee_rps {
-                "past the knee"
-            } else {
-                ""
-            };
-            t.row(vec![format!("{load:.0}"), fmt_ns(p95), note.to_owned()]);
-        }
-        println!("{t}");
+        println!("{}", sla_curve_table(&sla.curve, sla.knee_rps));
         dump_tsv(
             &format!("fig7_{app}"),
             &["load_rps", "p95_ns"],

@@ -20,7 +20,7 @@
 use cluster::ExperimentResult;
 use cluster::{run_experiment, run_experiments_parallel, AppKind, ExperimentConfig, Policy};
 use desim::SimDuration;
-use simstats::{fmt_ns, Table};
+use simstats::{fmt_ns, sla_knee, Table};
 
 pub use simstats::pct;
 
@@ -69,32 +69,12 @@ pub struct SlaResult {
     pub curve: Vec<(f64, u64)>,
 }
 
-/// Load points for the latency–load sweep of each application.
-#[must_use]
-pub fn sweep_loads(app: AppKind) -> Vec<f64> {
-    match app {
-        AppKind::Apache => vec![
-            12_000.0, 24_000.0, 36_000.0, 45_000.0, 54_000.0, 60_000.0, 66_000.0, 72_000.0,
-            78_000.0,
-        ],
-        AppKind::Memcached => vec![
-            20_000.0, 35_000.0, 60_000.0, 90_000.0, 110_000.0, 127_000.0, 138_000.0, 150_000.0,
-            165_000.0,
-        ],
-    }
-}
-
-/// Sweeps the `perf` baseline over [`sweep_loads`] and locates the
-/// latency–load inflection: the last load whose p95 stays within 2.5× of
-/// the low-load baseline (past the knee, queueing makes p95 blow up by
-/// integer factors per step). The SLA is the p95 at that knee — the
-/// paper's §6 procedure ("the SLA is typically set near the inflexion
-/// point of the latency-load curve"). On this substrate the knees land at
-/// ~54 K rps (Apache) and ~110 K rps (Memcached) — a 2.0× ratio against
-/// the paper's 2.1×.
+/// Sweeps the `perf` baseline over [`AppKind::sla_loads`] and places the
+/// SLA at the curve's knee ([`simstats::sla_knee`]) — the paper's §6
+/// procedure, shared with `ncap sla`.
 #[must_use]
 pub fn find_sla(app: AppKind) -> SlaResult {
-    let loads = sweep_loads(app);
+    let loads = app.sla_loads();
     let configs: Vec<ExperimentConfig> = loads
         .iter()
         .map(|&l| standard(app, Policy::Perf, l))
@@ -105,18 +85,10 @@ pub fn find_sla(app: AppKind) -> SlaResult {
         .zip(results.iter())
         .map(|(&l, r)| (l, r.latency.p95))
         .collect();
-    let base = curve.first().map_or(1, |&(_, p)| p.max(1));
-    let mut knee = curve[0];
-    for &(l, p) in &curve {
-        if p as f64 <= base as f64 * 2.5 {
-            knee = (l, p);
-        } else {
-            break;
-        }
-    }
+    let (knee_rps, sla_ns) = sla_knee(&curve).expect("the sweep has loads");
     SlaResult {
-        sla_ns: knee.1,
-        knee_rps: knee.0,
+        sla_ns,
+        knee_rps,
         curve,
     }
 }
@@ -173,26 +145,6 @@ pub fn policy_table(results: &[ExperimentResult], sla_ns: u64) -> Table {
         ]);
     }
     t
-}
-
-/// Renders one experiment result as a single summary line.
-#[must_use]
-pub fn summary_line(r: &ExperimentResult) -> String {
-    format!(
-        "{:10} load={:>7.0} p95={:>9} energy={:>7.2}J goodput={:.3} wakes={}",
-        r.policy.name(),
-        r.load_rps,
-        fmt_ns(r.latency.p95),
-        r.energy_j,
-        r.goodput(),
-        r.wake_markers
-    )
-}
-
-/// Runs a single experiment with the standard durations (serial).
-#[must_use]
-pub fn run_one(app: AppKind, policy: Policy, load: f64) -> ExperimentResult {
-    run_experiment(&standard(app, policy, load))
 }
 
 /// The full Figures 8/9 reproduction for one application: per-load policy
@@ -300,18 +252,6 @@ pub fn header(id: &str, paper_ref: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sweep_loads_cover_paper_points() {
-        let a = sweep_loads(AppKind::Apache);
-        for p in AppKind::Apache.paper_loads() {
-            assert!(a.contains(&p), "missing apache paper load {p}");
-        }
-        let m = sweep_loads(AppKind::Memcached);
-        for p in AppKind::Memcached.paper_loads() {
-            assert!(m.contains(&p), "missing memcached paper load {p}");
-        }
-    }
 
     #[test]
     fn standard_config_uses_paper_setup() {

@@ -29,7 +29,7 @@ use cluster::{
     HealthConfig, OverloadConfig, Policy, RetxConfig, ShedPolicy, TraceConfig,
 };
 use desim::{ConfigError, SimDuration, SimTime};
-use simstats::{fmt_ns, FleetAggregate, Table};
+use simstats::{fmt_ns, sla_curve_table, sla_knee, FleetAggregate, Table};
 use std::iter::once;
 
 /// A parsed command line. Every [`ExperimentConfig`] it carries has
@@ -42,7 +42,8 @@ pub enum Command {
     Run(ExperimentConfig),
     /// Run a policy × load grid (loads outer, policies inner).
     Sweep(Vec<ExperimentConfig>),
-    /// Find the SLA via the perf latency-load knee: one config per load.
+    /// Find the SLA at the knee of the perf latency–load curve (§6): one
+    /// config per [`AppKind::sla_loads`] point.
     Sla(Vec<ExperimentConfig>),
     /// Run one experiment with event tracing and export Perfetto/CSV.
     Trace {
@@ -269,7 +270,7 @@ fn parse_experiment(
     Ok((cfg, out))
 }
 
-/// The validated policy × load grid of `sweep` and `sla`, loads outer.
+/// The validated policy × load grid of `sweep`, loads outer.
 fn grid(
     app: AppKind,
     policies: &[Policy],
@@ -337,16 +338,13 @@ pub fn parse<I: IntoIterator<Item = &'static str>>(args: I) -> Result<Command, C
             let app =
                 app.ok_or_else(|| ConfigError::new("--app", format!("{cmd} requires --app")))?;
             Ok(if cmd == "sla" {
-                let loads = match app {
-                    AppKind::Apache => [12e3, 24e3, 36e3, 45e3, 54e3, 60e3, 66e3, 72e3],
-                    AppKind::Memcached => [20e3, 40e3, 60e3, 90e3, 110e3, 127e3, 138e3, 150e3],
-                };
-                Command::Sla(grid(
-                    app,
-                    &[Policy::Perf],
-                    &loads,
-                    SimDuration::from_ms(300),
-                )?)
+                let configs: Vec<ExperimentConfig> = app
+                    .sla_loads()
+                    .iter()
+                    .map(|&l| ExperimentConfig::new(app, Policy::Perf, l))
+                    .collect();
+                configs.iter().try_for_each(ExperimentConfig::validate)?;
+                Command::Sla(configs)
             } else {
                 if policies.is_empty() {
                     policies = Policy::ALL.to_vec();
@@ -449,6 +447,9 @@ USAGE:
   ncap sweep --app apache|memcached [--policies a,b,c] [--loads x,y,z]
              [--measure-ms N]
   ncap sla   --app apache|memcached
+             sweeps perf over the app's SLA loads (100 ms warmup, 400 ms
+             measured) and prints the latency-load curve and its knee,
+             the SLA Figures 7-9 use
   ncap trace --out <dir> [run flags] [--window-us N]
              runs one experiment with structured event tracing and writes
              <dir>/trace.json (Perfetto/chrome://tracing) and
@@ -866,26 +867,16 @@ pub fn execute(cmd: Command) -> i32 {
         }
         Command::Sla(configs) => {
             let results = run_experiments_parallel(&configs);
-            let base = results[0].latency.p95.max(1);
-            let mut t = Table::new(vec!["load (rps)", "p95", "note"]);
-            let mut knee = (results[0].load_rps, results[0].latency.p95);
-            for r in &results {
-                let within = r.latency.p95 as f64 <= base as f64 * 2.5;
-                if within && r.load_rps >= knee.0 {
-                    knee = (r.load_rps, r.latency.p95);
-                }
-                t.row(vec![
-                    format!("{:.0}", r.load_rps),
-                    fmt_ns(r.latency.p95),
-                    if within { "" } else { "past the knee" }.to_owned(),
-                ]);
-            }
-            println!("{t}");
+            let curve: Vec<(f64, u64)> = results
+                .iter()
+                .map(|r| (r.load_rps, r.latency.p95))
+                .collect();
+            let (knee_rps, sla_ns) = sla_knee(&curve).expect("sla_loads is not empty");
+            println!("{}", sla_curve_table(&curve, knee_rps));
             println!(
-                "SLA for {}: {} (p95 at the {:.0} rps inflection)",
+                "SLA for {}: {} (p95 at the {knee_rps:.0} rps inflection)",
                 configs[0].app,
-                fmt_ns(knee.1),
-                knee.0
+                fmt_ns(sla_ns)
             );
             0
         }
@@ -1252,6 +1243,25 @@ mod tests {
         let loads: Vec<f64> = a.iter().step_by(7).map(|c| c.load_rps).collect();
         assert_eq!(loads, AppKind::Apache.paper_loads().to_vec());
         assert_eq!(a.len(), 21);
+    }
+
+    #[test]
+    fn sla_sweeps_perf_over_the_shared_sla_loads() {
+        for (text, app) in [
+            ("sla --app apache", AppKind::Apache),
+            ("sla --app memcached", AppKind::Memcached),
+        ] {
+            let Ok(Command::Sla(cs)) = line(text) else {
+                panic!("expected sla");
+            };
+            let loads: Vec<f64> = cs.iter().map(|c| c.load_rps).collect();
+            assert_eq!(loads, app.sla_loads().to_vec(), "{text}");
+            let default = ExperimentConfig::new(app, Policy::Perf, 1.0);
+            for c in &cs {
+                assert_eq!((c.app, c.policy), (app, Policy::Perf), "{text}");
+                assert_eq!((c.warmup, c.measure), (default.warmup, default.measure));
+            }
+        }
     }
 
     #[test]

@@ -55,6 +55,23 @@ impl AppKind {
             AppKind::Memcached => [35_000.0, 127_000.0, 138_000.0],
         }
     }
+
+    /// The load points (requests/second) of the `perf` latency–load
+    /// sweep that places the SLA at the curve's knee (§6). They include
+    /// the three [`paper_loads`](Self::paper_loads).
+    #[must_use]
+    pub fn sla_loads(self) -> [f64; 9] {
+        match self {
+            AppKind::Apache => [
+                12_000.0, 24_000.0, 36_000.0, 45_000.0, 54_000.0, 60_000.0, 66_000.0, 72_000.0,
+                78_000.0,
+            ],
+            AppKind::Memcached => [
+                20_000.0, 35_000.0, 60_000.0, 90_000.0, 110_000.0, 127_000.0, 138_000.0, 150_000.0,
+                165_000.0,
+            ],
+        }
+    }
 }
 
 impl core::fmt::Display for AppKind {
@@ -555,6 +572,9 @@ impl ExperimentConfig {
                 ));
             }
         }
+        if let Some(ncap) = &self.ncap_override {
+            ncap.validate()?;
+        }
         self.faults.validate()?;
         self.overload.validate()?;
         if let Some(fleet) = &self.fleet {
@@ -628,6 +648,15 @@ mod tests {
     }
 
     #[test]
+    fn sla_loads_cover_paper_points() {
+        for app in [AppKind::Apache, AppKind::Memcached] {
+            for p in app.paper_loads() {
+                assert!(app.sla_loads().contains(&p), "missing {app} paper load {p}");
+            }
+        }
+    }
+
+    #[test]
     fn app_names_parse_back() {
         for app in [AppKind::Apache, AppKind::Memcached] {
             assert_eq!(AppKind::parse(app.name()), Ok(app));
@@ -696,6 +725,13 @@ mod tests {
             window: SimDuration::ZERO,
         });
         assert_eq!(c.validate().unwrap_err().field, "trace");
+        let c = base
+            .clone()
+            .with_ncap_override(ncap::NcapConfig::paper_defaults().with_fcons(0));
+        assert_eq!(c.validate().unwrap_err().field, "fcons");
+        let inverted = ncap::NcapConfig::paper_defaults().with_thresholds(5e3, 35e3, 5e6);
+        let c = base.clone().with_ncap_override(inverted);
+        assert_eq!(c.validate().unwrap_err().field, "rlt_rps");
         let mut bad_faults = FaultConfig::lossy(0.01, 1);
         bad_faults.loss = 1.5;
         let c = base.with_faults(bad_faults);

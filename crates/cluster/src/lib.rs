@@ -60,8 +60,8 @@ pub use netsim::{DomainImpairment, FaultConfig, RetxConfig, DEFAULT_FAULT_SEED};
 pub use oskernel::{BypassConfig, Datapath, OverloadConfig, ShedPolicy};
 pub use policy::Policy;
 pub use runner::{
-    build_cluster, run_experiment, run_experiments_on, run_experiments_parallel, run_imbalanced,
-    try_run_experiment, try_run_imbalanced, ExperimentResult, MultiServerResult,
+    build_cluster, run_experiment, run_experiments_on, run_experiments_parallel,
+    try_run_experiment, ExperimentResult,
 };
 pub use sim::{ClusterEvent, ClusterSim, FaultSummary};
 pub use trace::{TraceConfig, Traces};

@@ -298,7 +298,7 @@ pub fn try_run_experiment(cfg: &ExperimentConfig) -> Result<ExperimentResult, Co
         );
     }
     // Per-backend energy: whole-run meters scaled by the measured-window
-    // share (warmup is uniform across backends, as in `run_imbalanced`).
+    // share (the warmup is uniform across backends).
     let measure_frac = cfg.measure.as_secs_f64() / cfg.horizon().as_secs_f64();
     // Busy-poll core energy (bypass datapath): the price of spinning in
     // C0 at max P-state regardless of load, attributed like the fleet
@@ -415,7 +415,8 @@ fn assemble(cfg: &ExperimentConfig) -> (ClusterSim, Vec<(SimTime, ClusterEvent)>
         .map(|i| build_server(cfg, NodeId(i as u16)))
         .collect();
     let (clients, background) = build_clients(cfg, target, client_base);
-    let mut cluster = ClusterSim::with_servers(servers, clients, background, cfg.trace)
+    let mut cluster = ClusterSim::new(servers, clients, background, cfg.trace)
+        .expect("a validated config assembles")
         .with_fault_injection(cfg.faults)
         .with_watchdog(Watchdog::new(cfg.watchdog))
         .with_breakdown(cfg.breakdown);
@@ -556,136 +557,4 @@ mod tests {
         let serial = run_experiment(&cfgs[0]);
         assert_eq!(serial.latency.p95, rs[0].latency.p95);
     }
-}
-
-/// Results of a multi-server (imbalanced datacenter) run — §7's
-/// discussion scenario.
-#[derive(Debug)]
-pub struct MultiServerResult {
-    /// The policy every server ran.
-    pub policy: Policy,
-    /// Cluster-wide response-time summary.
-    pub latency: LatencySummary,
-    /// Per-server measured energy (joules), index-aligned with the loads.
-    pub per_server_energy_j: Vec<f64>,
-    /// Cluster-wide measured energy (joules).
-    pub total_energy_j: f64,
-    /// Requests offered / completed in the measured window.
-    pub offered: u64,
-    /// Requests completed in the measured window.
-    pub completed: u64,
-}
-
-/// Runs a cluster of `per_server_loads.len()` servers, each fed by its
-/// own open-loop client at the given load — the paper's §7 scenario of a
-/// datacenter with load imbalance across nodes.
-///
-/// # Panics
-///
-/// Panics if `per_server_loads` is empty.
-/// [`try_run_imbalanced`] reports the same condition as a typed
-/// [`ConfigError`] instead.
-#[must_use]
-pub fn run_imbalanced(
-    app: AppKind,
-    policy: Policy,
-    per_server_loads: &[f64],
-    warmup: desim::SimDuration,
-    measure: desim::SimDuration,
-    seed: u64,
-) -> MultiServerResult {
-    match try_run_imbalanced(app, policy, per_server_loads, warmup, measure, seed) {
-        Ok(result) => result,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`run_imbalanced`] with typed validation instead of panics.
-///
-/// # Errors
-///
-/// Returns a [`ConfigError`] when `per_server_loads` is empty.
-pub fn try_run_imbalanced(
-    app: AppKind,
-    policy: Policy,
-    per_server_loads: &[f64],
-    warmup: desim::SimDuration,
-    measure: desim::SimDuration,
-    seed: u64,
-) -> Result<MultiServerResult, ConfigError> {
-    if per_server_loads.is_empty() {
-        return Err(ConfigError::new(
-            "per_server_loads",
-            "need at least one server",
-        ));
-    }
-    let n = per_server_loads.len();
-    let template = ExperimentConfig::new(app, policy, per_server_loads[0])
-        .with_durations(warmup, measure)
-        .with_seed(seed);
-    let servers: Vec<Kernel> = (0..n)
-        .map(|i| build_server(&template, NodeId(i as u16)))
-        .collect();
-    let mut clients = Vec::new();
-    let mut background = Vec::new();
-    for (i, &load) in per_server_loads.iter().enumerate() {
-        let me = NodeId((n + i) as u16);
-        let burst = template.burst_size;
-        let period = desim::SimDuration::from_secs_f64(f64::from(burst) / load.max(1.0));
-        let cc = match app {
-            AppKind::Apache => {
-                ClientConfig::apache(me, NodeId(i as u16), burst, period, seed + i as u64)
-            }
-            AppKind::Memcached => {
-                ClientConfig::memcached(me, NodeId(i as u16), burst, period, seed + i as u64)
-            }
-        };
-        clients.push(OpenLoopClient::new(cc));
-        background.push(false);
-    }
-    let mut cluster = ClusterSim::with_servers(servers, clients, background, None)
-        .with_watchdog(Watchdog::new(template.watchdog));
-    let horizon = SimTime::ZERO + warmup + measure;
-    let initial = cluster.initial_events(warmup, horizon);
-    let mut sim = Simulation::new(cluster);
-    for (t, e) in initial {
-        sim.queue_mut().push(t, e);
-    }
-    sim.run_until(horizon);
-    let now = sim.now();
-    let cluster = sim.handler_mut();
-    cluster.finalize(now);
-    if let Some(wd) = cluster.watchdog() {
-        assert!(
-            wd.violations().is_empty(),
-            "watchdog recorded invariant violations: {:?}",
-            wd.violations()
-        );
-    }
-    let total = cluster.measured_energy();
-    // Per-server split: recompute from each kernel's meters (whole-run,
-    // not warmup-adjusted — adequate for the imbalance comparison since
-    // the warmup is uniform across servers).
-    let horizon_secs = (warmup + measure).as_secs_f64();
-    let measure_frac = measure.as_secs_f64() / horizon_secs;
-    let per_server_energy_j = cluster
-        .servers()
-        .iter()
-        .map(|s| {
-            let mut m = EnergyMeter::new();
-            for c in s.cores() {
-                m.merge(c.energy());
-            }
-            m.merge(s.uncore_energy());
-            m.total_joules() * measure_frac
-        })
-        .collect();
-    Ok(MultiServerResult {
-        policy,
-        latency: LatencySummary::from_histogram(cluster.tracker().latencies()),
-        per_server_energy_j,
-        total_energy_j: total.total_joules(),
-        offered: cluster.offered_measured(),
-        completed: cluster.tracker().completed(),
-    })
 }

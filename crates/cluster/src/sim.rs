@@ -263,70 +263,15 @@ impl std::fmt::Debug for ClusterSim {
 }
 
 impl ClusterSim {
-    /// Assembles the cluster. `background[i]` marks client `i` as
+    /// Assembles a cluster of one or more server nodes (a fleet's
+    /// backends) and their clients. `background[i]` marks client `i` as
     /// non-latency-critical side traffic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `background` and `clients` lengths differ, or if no
-    /// server is supplied. [`try_new`](Self::try_new) reports the same
-    /// conditions as a typed [`ConfigError`] instead.
-    #[must_use]
-    pub fn new(
-        server: Kernel,
-        clients: Vec<OpenLoopClient>,
-        background: Vec<bool>,
-        trace: Option<TraceConfig>,
-    ) -> Self {
-        Self::with_servers(vec![server], clients, background, trace)
-    }
-
-    /// [`new`](Self::new) with typed validation instead of panics.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] when `background` and `clients` lengths
-    /// differ.
-    pub fn try_new(
-        server: Kernel,
-        clients: Vec<OpenLoopClient>,
-        background: Vec<bool>,
-        trace: Option<TraceConfig>,
-    ) -> Result<Self, ConfigError> {
-        Self::try_with_servers(vec![server], clients, background, trace)
-    }
-
-    /// Assembles a cluster with several server nodes (§7's datacenter
-    /// discussion: clients are distributed across servers and overall
-    /// load is imbalanced).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `background` and `clients` lengths differ, or if no
-    /// server is supplied. [`try_with_servers`](Self::try_with_servers)
-    /// reports the same conditions as a typed [`ConfigError`] instead.
-    #[must_use]
-    pub fn with_servers(
-        servers: Vec<Kernel>,
-        clients: Vec<OpenLoopClient>,
-        background: Vec<bool>,
-        trace: Option<TraceConfig>,
-    ) -> Self {
-        match Self::try_with_servers(servers, clients, background, trace) {
-            Ok(sim) => sim,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`with_servers`](Self::with_servers) with typed validation: the
-    /// structural constraints are reported as a [`ConfigError`] naming
-    /// the offending argument instead of panicking in library code.
     ///
     /// # Errors
     ///
     /// Returns a [`ConfigError`] when `background` and `clients` lengths
     /// differ, or when `servers` is empty.
-    pub fn try_with_servers(
+    pub fn new(
         servers: Vec<Kernel>,
         clients: Vec<OpenLoopClient>,
         background: Vec<bool>,
@@ -1746,8 +1691,9 @@ mod tests {
             SimDuration::from_ms(2),
             3,
         ));
-        let mut sim =
-            ClusterSim::new(server, vec![client], vec![false], None).with_fault_injection(faults);
+        let mut sim = ClusterSim::new(vec![server], vec![client], vec![false], None)
+            .expect("one flag per client")
+            .with_fault_injection(faults);
         let initial = sim.initial_events(cfg.warmup, SimTime::from_ms(25));
         (sim, initial)
     }
@@ -1912,11 +1858,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "flag per client required")]
     fn mismatched_background_flags_rejected() {
         let cfg = ExperimentConfig::new(AppKind::Memcached, Policy::Perf, 10_000.0);
         let server = build_server(&cfg, NodeId(0));
-        let _ = ClusterSim::new(server, Vec::new(), vec![false], None);
+        let err = ClusterSim::new(vec![server], Vec::new(), vec![false], None).unwrap_err();
+        assert_eq!(err.field, "background");
+        assert!(err.reason.contains("flag per client required"), "{err}");
     }
 
     #[test]

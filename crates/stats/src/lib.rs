@@ -40,6 +40,6 @@ pub use breakdown::{
 };
 pub use fleet::{jain_fairness, FleetAggregate};
 pub use histogram::LogHistogram;
-pub use summary::LatencySummary;
+pub use summary::{sla_curve_table, sla_knee, LatencySummary};
 pub use table::{fmt_ns, pct, Table};
 pub use timeseries::{BinningError, RateTrace, TimeSeries};

@@ -1,6 +1,7 @@
 //! Compact latency summaries extracted from histograms.
 
 use crate::histogram::LogHistogram;
+use crate::table::{fmt_ns, Table};
 use core::fmt;
 
 /// The percentile set the paper reports (Figures 8 and 9 left panels),
@@ -67,6 +68,51 @@ impl LatencySummary {
     }
 }
 
+/// How far above the lowest load's p95 a point may sit and still be
+/// before the knee: past it, queueing makes p95 grow by integer factors
+/// per load step.
+const KNEE_FACTOR: f64 = 2.5;
+
+/// The knee of a `(load_rps, p95_ns)` latency–load curve, ordered by
+/// load: the last point before the first whose p95 exceeds 2.5× the
+/// first point's. The paper sets the SLA at the
+/// p95 there (§6: "the SLA is typically set near the inflexion point of
+/// the latency-load curve"). `None` for an empty curve.
+///
+/// # Example
+///
+/// ```
+/// let curve = [(10e3, 100), (20e3, 120), (30e3, 900), (40e3, 200)];
+/// assert_eq!(simstats::sla_knee(&curve), Some((20e3, 120)));
+/// ```
+#[must_use]
+pub fn sla_knee(curve: &[(f64, u64)]) -> Option<(f64, u64)> {
+    let limit = curve.first()?.1.max(1) as f64 * KNEE_FACTOR;
+    curve
+        .iter()
+        .take_while(|&&(_, p95)| p95 as f64 <= limit)
+        .last()
+        .copied()
+}
+
+/// Renders a latency–load curve as a `load (rps) | p95 | note` table,
+/// marking the knee at `knee_rps` and every load past it.
+#[must_use]
+pub fn sla_curve_table(curve: &[(f64, u64)], knee_rps: f64) -> Table {
+    let mut t = Table::new(vec!["load (rps)", "p95", "note"]);
+    for &(load, p95) in curve {
+        let note = if (load - knee_rps).abs() < 1.0 {
+            "<-- inflection (SLA set here)"
+        } else if load > knee_rps {
+            "past the knee"
+        } else {
+            ""
+        };
+        t.row(vec![format!("{load:.0}"), fmt_ns(p95), note.to_owned()]);
+    }
+    t
+}
+
 impl fmt::Display for LatencySummary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -111,6 +157,35 @@ mod tests {
         assert!((p95n - 1.0).abs() < 1e-9);
         assert!(s.meets_sla(s.p95));
         assert!(!s.meets_sla(s.p95 - 1_000));
+    }
+
+    #[test]
+    fn flat_curve_knees_at_the_last_load() {
+        let curve = [(1e3, 1_000), (2e3, 1_100), (3e3, 2_500), (4e3, 1_900)];
+        assert_eq!(sla_knee(&curve), Some((4e3, 1_900)));
+    }
+
+    #[test]
+    fn early_exceedance_knees_at_the_first_load() {
+        let curve = [(1e3, 1_000), (2e3, 2_501), (3e3, 1_200)];
+        assert_eq!(sla_knee(&curve), Some((1e3, 1_000)));
+    }
+
+    #[test]
+    fn knee_stops_at_the_first_exceedance_even_if_the_curve_dips_back() {
+        let curve = [
+            (1e3, 1_000),
+            (2e3, 2_000),
+            (3e3, 9_000),
+            (4e3, 2_400),
+            (5e3, 2_450),
+        ];
+        assert_eq!(sla_knee(&curve), Some((2e3, 2_000)));
+    }
+
+    #[test]
+    fn knee_of_an_empty_curve_is_none() {
+        assert_eq!(sla_knee(&[]), None);
     }
 
     #[test]

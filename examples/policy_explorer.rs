@@ -4,27 +4,31 @@
 //!   cargo run --release --example policy_explorer -- [app] [load_rps] [fcons] [cit_us]
 //!
 //! Defaults: memcached 35000 5 500. Runs the chosen NCAP configuration
-//! next to `perf` and `ond.idle` anchors and prints the trade-off.
+//! next to `perf` and `ond.idle` anchors and prints the trade-off. A
+//! malformed, invalid or extra argument prints the error and exits with
+//! status 2.
 
+use cluster::config::{token, value};
 use cluster::{run_experiments_parallel, AppKind, ExperimentConfig, Policy};
-use desim::SimDuration;
+use desim::{ConfigError, SimDuration};
 use ncap::NcapConfig;
 
-fn parse_args() -> (AppKind, f64, u8, u64) {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let app = match args.first().map(String::as_str) {
-        Some("apache") => AppKind::Apache,
-        _ => AppKind::Memcached,
-    };
-    let load = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(35_000.0);
-    let fcons = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(5);
-    let cit_us = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(500);
-    (app, load, fcons, cit_us)
-}
-
-fn main() {
-    let (app, load, fcons, cit_us) = parse_args();
-    println!("exploring: {app} @ {load:.0} rps, FCONS={fcons}, CIT={cit_us}us\n");
+/// Parses the positionals, validates the three experiments and runs
+/// them.
+fn explore(args: &[String]) -> Result<(), ConfigError> {
+    // Missing trailing positionals take their defaults.
+    let defaults = ["memcached", "35000", "5", "500"];
+    let it = &mut args
+        .iter()
+        .map(String::as_str)
+        .chain(defaults.into_iter().skip(args.len()));
+    let app = AppKind::parse(token("app", it)?)?;
+    let load: f64 = value("load_rps", it)?;
+    let fcons: u8 = value("fcons", it)?;
+    let cit_us: u64 = value("cit_us", it)?;
+    if let Some(extra) = it.next() {
+        return Err(ConfigError::new("args", format!("unexpected {extra:?}")));
+    }
 
     let custom = NcapConfig::paper_defaults()
         .with_fcons(fcons)
@@ -38,6 +42,8 @@ fn main() {
         mk(Policy::OndIdle),
         mk(Policy::NcapCons).with_ncap_override(custom),
     ];
+    configs.iter().try_for_each(ExperimentConfig::validate)?;
+    println!("exploring: {app} @ {load:.0} rps, FCONS={fcons}, CIT={cit_us}us\n");
     let results = run_experiments_parallel(&configs);
     let perf = &results[0];
 
@@ -63,4 +69,13 @@ fn main() {
         ),
         format_args!("{:.0}%", yours.energy_j / perf.energy_j * 100.0),
     );
+    Ok(())
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = explore(&args) {
+        eprintln!("invalid configuration: {e}");
+        std::process::exit(2);
+    }
 }

@@ -53,11 +53,16 @@ echo "==> trace smoke ok ($trace_dir)"
 # Config-rejection smoke: a flag combination that fails
 # ExperimentConfig::validate() must exit 2 with a typed error at parse
 # time, never reach the simulator and panic (exit 101).
-status=0
-cargo run --release -q -p ncap-cli -- trace --out target/config-smoke \
-    --servers 2 --health-eject 0 2>/dev/null || status=$?
-[ "$status" = 2 ] ||
-    { echo "verify: invalid config exited $status, not 2" >&2; exit 1; }
+expect_exit_2() {
+    local status=0
+    "$@" >/dev/null 2>&1 || status=$?
+    [ "$status" = 2 ] ||
+        { echo "verify: '$*' exited $status, not 2" >&2; exit 1; }
+}
+expect_exit_2 cargo run --release -q -p ncap-cli -- trace --out target/config-smoke \
+    --servers 2 --health-eject 0
+expect_exit_2 cargo run --release -q -p ncap-cli -- sla
+expect_exit_2 cargo run --release -q --example policy_explorer -- memcached 0
 echo "==> config-rejection smoke ok"
 
 # Attribution smoke: `ncap report` must render the per-stage table,

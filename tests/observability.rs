@@ -170,12 +170,9 @@ fn spans_cover_the_major_components() {
 // client-observed latency for *every* completed request.
 
 use check::{ensure, ensure_eq, Check};
-use cluster::runner::build_server;
 use cluster::sim::ClusterSim;
 use cluster::{Datapath, DispatchPolicy, FaultConfig, FleetConfig};
 use desim::{SimTime, Simulation};
-use netsim::NodeId;
-use oldi_apps::{ClientConfig, OpenLoopClient};
 
 fn with_fleet(cfg: ExperimentConfig) -> ExperimentConfig {
     cfg.with_fleet(FleetConfig::new(2, DispatchPolicy::LeastOutstanding))
@@ -220,9 +217,10 @@ fn breakdown_toggle_is_observer_free() {
     }
 }
 
-/// Drives a [`ClusterSim`] directly so the raw per-request attribution
-/// rows stay accessible after the run. The policy rides with the
-/// datapath: bypass forbids NCAP, offload demands NCAP hardware.
+/// Drives the cluster [`cluster::build_cluster`] assembles, so the
+/// breakdown collector and the response tracker stay reachable after the
+/// run. The policy rides with the datapath: bypass forbids NCAP, offload
+/// demands NCAP hardware.
 fn drive_cluster(seed: u64, fleet: bool, lossy: bool, datapath: Datapath) -> ClusterSim {
     let policy = if datapath == Datapath::Bypass {
         Policy::OndIdle
@@ -240,35 +238,8 @@ fn drive_cluster(seed: u64, fleet: bool, lossy: bool, datapath: Datapath) -> Clu
     if lossy {
         cfg = cfg.with_faults(FaultConfig::lossy(0.02, seed ^ 0xFA));
     }
-    let n_servers = cfg.fleet.as_ref().map_or(1, |f| f.backends);
-    let (target, base) = if cfg.fleet.is_some() {
-        (NodeId(n_servers as u16), (n_servers + 1) as u16)
-    } else {
-        (NodeId(0), 1)
-    };
-    let servers = (0..n_servers)
-        .map(|i| build_server(&cfg, NodeId(i as u16)))
-        .collect();
-    let mut clients = Vec::new();
-    let mut background = Vec::new();
-    for i in 0..cfg.clients {
-        let me = NodeId(base + i as u16);
-        clients.push(OpenLoopClient::new(ClientConfig::memcached(
-            me,
-            target,
-            cfg.burst_size,
-            cfg.burst_period(),
-            seed.wrapping_add(i as u64),
-        )));
-        background.push(false);
-    }
-    let mut cluster = ClusterSim::with_servers(servers, clients, background, None)
-        .with_fault_injection(cfg.faults);
-    if let Some(f) = &cfg.fleet {
-        cluster = cluster.with_fleet(target, f);
-    }
+    let (cluster, initial) = cluster::build_cluster(&cfg).expect("valid config");
     let horizon = SimTime::ZERO + cfg.horizon();
-    let initial = cluster.initial_events(cfg.warmup, horizon);
     let mut sim = Simulation::new(cluster);
     for (t, e) in initial {
         sim.queue_mut().push(t, e);
