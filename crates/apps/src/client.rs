@@ -1,4 +1,4 @@
-//! Open-loop bursty clients and the response tracker.
+//! Open-loop bursty clients.
 //!
 //! Paper §5: clients are **open-loop** — they emit requests on their own
 //! schedule regardless of outstanding responses — to avoid client-side
@@ -9,8 +9,6 @@
 use desim::{SimDuration, SimTime, SplitMix64};
 use netsim::http::{HttpRequest, MemcachedRequest};
 use netsim::{Bytes, NodeId, Packet};
-use simstats::LogHistogram;
-use std::collections::HashMap;
 
 /// The arrival process a client uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,9 +28,6 @@ pub enum Workload {
     ApacheGet,
     /// Memcached `get`s.
     MemcachedGet,
-    /// HTTP `PUT`s — update traffic that is *not* latency-critical
-    /// (used by the context-awareness ablation).
-    ApachePut,
     /// Raw bulk frames with no recognizable request token (off-line
     /// analytics style background traffic).
     Bulk,
@@ -149,7 +144,6 @@ pub struct OpenLoopClient {
     config: ClientConfig,
     rng: SplitMix64,
     next_id: u64,
-    bursts_sent: u64,
 }
 
 impl OpenLoopClient {
@@ -162,7 +156,6 @@ impl OpenLoopClient {
             config,
             rng,
             next_id,
-            bursts_sent: 0,
         }
     }
 
@@ -172,7 +165,7 @@ impl OpenLoopClient {
         &self.config
     }
 
-    fn payload(&mut self, seq: u64) -> Bytes {
+    fn payload(&mut self) -> Bytes {
         match self.config.workload {
             Workload::ApacheGet => {
                 let doc = self.rng.next_below(10_000);
@@ -181,9 +174,6 @@ impl OpenLoopClient {
             Workload::MemcachedGet => {
                 let key = self.rng.next_below(1_000_000);
                 MemcachedRequest::get(format!("user:{key}")).to_payload()
-            }
-            Workload::ApachePut => {
-                HttpRequest::put(format!("/doc/{}.html", seq % 10_000)).to_payload()
             }
             Workload::Bulk => Bytes::from(vec![0xA5u8; netsim::packet::MSS]),
         }
@@ -201,7 +191,7 @@ impl OpenLoopClient {
         for _ in 0..count {
             let id = self.next_id;
             self.next_id += 1;
-            let payload = self.payload(id);
+            let payload = self.payload();
             let frame = match self.config.workload {
                 Workload::Bulk => Packet::new(
                     self.config.me,
@@ -221,7 +211,6 @@ impl OpenLoopClient {
             };
             frames.push(frame);
         }
-        self.bursts_sent += 1;
         let period = match self.config.step {
             Some((at, stepped)) if now >= at => stepped,
             _ => self.config.period,
@@ -241,108 +230,11 @@ impl OpenLoopClient {
         };
         (frames, now + gap)
     }
-
-    /// Bursts emitted so far.
-    #[must_use]
-    pub fn bursts_sent(&self) -> u64 {
-        self.bursts_sent
-    }
-}
-
-/// Collects end-to-end response times at the client side.
-///
-/// A request is complete when the `is_final` frame of its response
-/// arrives; latency is measured from the client's send instant, exactly
-/// like the paper's annotated round-trip measurement.
-#[derive(Debug, Default)]
-pub struct ResponseTracker {
-    latencies: LogHistogram,
-    outstanding: HashMap<u64, ()>,
-    completed: u64,
-    rejected: u64,
-}
-
-impl ResponseTracker {
-    /// Creates an empty tracker.
-    #[must_use]
-    pub fn new() -> Self {
-        ResponseTracker::default()
-    }
-
-    /// Notes a request emitted (for loss accounting).
-    pub fn note_sent(&mut self, request_id: u64) {
-        self.outstanding.insert(request_id, ());
-    }
-
-    /// Processes one response frame arriving at the client at `now`.
-    /// Returns the completed request's latency when the frame is final.
-    pub fn on_response_frame(&mut self, now: SimTime, frame: &Packet) -> Option<SimDuration> {
-        let meta = frame.meta();
-        let rid = meta.request_id?;
-        if meta.rejected {
-            self.reject(rid);
-            return None;
-        }
-        if !meta.is_final {
-            return None;
-        }
-        self.outstanding.remove(&rid);
-        let latency = now.saturating_since(meta.sent_at);
-        self.latencies.record(latency.as_nanos().max(1));
-        self.completed += 1;
-        Some(latency)
-    }
-
-    /// Records an explicitly-detected completion (used by the reliability
-    /// layer, which declares a request done only once its reassembler has
-    /// every response segment — possibly after retransmissions). Latency
-    /// runs from the *original* send instant, so it includes every
-    /// retransmission round-trip.
-    pub fn complete(&mut self, now: SimTime, request_id: u64, sent_at: SimTime) -> SimDuration {
-        self.outstanding.remove(&request_id);
-        let latency = now.saturating_since(sent_at);
-        self.latencies.record(latency.as_nanos().max(1));
-        self.completed += 1;
-        latency
-    }
-
-    /// Records a server rejection (a 503-style response): the request is
-    /// resolved — the client will not retransmit it — but its latency is
-    /// *not* recorded, so the histogram reflects served requests only.
-    pub fn reject(&mut self, request_id: u64) {
-        self.outstanding.remove(&request_id);
-        self.rejected += 1;
-    }
-
-    /// The latency histogram (nanoseconds).
-    #[must_use]
-    pub fn latencies(&self) -> &LogHistogram {
-        &self.latencies
-    }
-
-    /// Requests the server rejected under overload.
-    #[must_use]
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-
-    /// Requests completed.
-    #[must_use]
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Requests sent but not yet answered.
-    #[must_use]
-    pub fn outstanding(&self) -> usize {
-        self.outstanding.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::tcp::segment_response;
 
     fn apache_client() -> OpenLoopClient {
         OpenLoopClient::new(ClientConfig::apache(
@@ -432,39 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn tracker_measures_final_frame_only() {
-        let mut t = ResponseTracker::new();
-        t.note_sent(7);
-        let frames = segment_response(
-            NodeId(0),
-            NodeId(1),
-            7,
-            Bytes::from(vec![0u8; 3000]),
-            SimTime::from_us(100),
-        );
-        assert!(t
-            .on_response_frame(SimTime::from_us(500), &frames[0])
-            .is_none());
-        let lat = t
-            .on_response_frame(SimTime::from_us(600), &frames.last().unwrap().clone())
-            .unwrap();
-        assert_eq!(lat, SimDuration::from_us(500));
-        assert_eq!(t.completed(), 1);
-        assert_eq!(t.outstanding(), 0);
-        assert_eq!(t.latencies().count(), 1);
-    }
-
-    #[test]
-    fn explicit_completion_matches_frame_completion() {
-        let mut t = ResponseTracker::new();
-        t.note_sent(9);
-        let lat = t.complete(SimTime::from_us(700), 9, SimTime::from_us(100));
-        assert_eq!(lat, SimDuration::from_us(600));
-        assert_eq!(t.completed(), 1);
-        assert_eq!(t.outstanding(), 0);
-    }
-
-    #[test]
     fn poisson_emits_singles_at_matching_rate() {
         let mut c = OpenLoopClient::new(
             ClientConfig::memcached(NodeId(1), NodeId(0), 100, SimDuration::from_ms(10), 5)
@@ -510,18 +369,6 @@ mod tests {
         for f in &frames {
             assert_eq!(f.meta().deadline, Some(SimDuration::from_us(500)));
         }
-    }
-
-    #[test]
-    fn tracker_resolves_rejections_without_recording_latency() {
-        let mut t = ResponseTracker::new();
-        t.note_sent(7);
-        let frame = Packet::reject_response(NodeId(0), NodeId(1), 7, SimTime::from_us(100));
-        assert!(t.on_response_frame(SimTime::from_us(300), &frame).is_none());
-        assert_eq!(t.rejected(), 1);
-        assert_eq!(t.completed(), 0);
-        assert_eq!(t.outstanding(), 0);
-        assert_eq!(t.latencies().count(), 0);
     }
 
     #[test]

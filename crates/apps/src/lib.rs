@@ -34,5 +34,5 @@ pub mod client;
 pub mod memcached;
 
 pub use apache::ApacheApp;
-pub use client::{ClientConfig, OpenLoopClient, ResponseTracker, Workload};
+pub use client::{ClientConfig, OpenLoopClient, Workload};
 pub use memcached::MemcachedApp;

@@ -16,7 +16,6 @@ fn main() {
     header("ablation_context", "context-aware vs naive trigger (§4.1)");
     let load = AppKind::Apache.paper_loads()[0];
     let bg = BackgroundTraffic {
-        bulk: true,
         rate: 100_000.0, // 100 K bulk frames/s ≈ 1.2 Gbps of analytics traffic
         burst_size: 500,
     };

@@ -597,8 +597,16 @@ pub fn execute(cmd: Command) -> i32 {
                 r.wake_markers,
                 r.rx_drops
             );
-            if r.faults.issued_total > 0 {
-                let f = &r.faults;
+            let f = &r.faults;
+            if f.injected_losses
+                + f.injected_corruptions
+                + f.injected_reorders
+                + f.retransmits
+                + f.lost_requests
+                + f.dup_suppressed
+                + f.resp_replays
+                > 0
+            {
                 println!(
                     "  faults   {} frames dropped in fabric ({} loss, {} corrupt), \
                      {} retransmits, {} requests lost, {} dups suppressed, {} replays",

@@ -81,14 +81,11 @@ impl core::fmt::Display for AppKind {
 }
 
 /// Non-latency-critical side traffic for the context-awareness ablation
-/// (paper §4.1's motivation: update requests and off-line analytics
-/// streams must not trigger performance boosts).
+/// (paper §4.1's motivation: off-line analytics streams must not trigger
+/// performance boosts): bulk data frames with no request token.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackgroundTraffic {
-    /// `true` for bulk data frames (no request token); `false` for HTTP
-    /// `PUT` update requests.
-    pub bulk: bool,
-    /// Frames (or updates) per second.
+    /// Frames per second.
     pub rate: f64,
     /// Frames per burst.
     pub burst_size: u32,

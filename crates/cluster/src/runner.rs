@@ -54,7 +54,8 @@ pub struct ExperimentResult {
     pub server_request_traces: Option<Vec<oskernel::RequestTrace>>,
     /// Server kernel operational counters (whole run).
     pub kernel_stats: oskernel::KernelStats,
-    /// Fault-injection and recovery accounting (all zeros when the fault
+    /// Fault-injection and recovery accounting, plus the request
+    /// ledger's counters (only those are non-zero when the fault
     /// subsystem is off).
     pub faults: FaultSummary,
     /// Requests the server rejected with a 503 (whole run, all servers).
@@ -218,13 +219,8 @@ fn build_clients(
         let me = NodeId(base + cfg.clients as u16);
         let bg_period =
             desim::SimDuration::from_secs_f64(f64::from(bg.burst_size) / bg.rate.max(1.0));
-        let workload = if bg.bulk {
-            Workload::Bulk
-        } else {
-            Workload::ApachePut
-        };
         let cc = ClientConfig::apache(me, target, bg.burst_size, bg_period, cfg.seed ^ 0xB6)
-            .with_workload(workload);
+            .with_workload(Workload::Bulk);
         clients.push(OpenLoopClient::new(cc));
         background.push(true);
     }
@@ -282,7 +278,7 @@ pub fn try_run_experiment(cfg: &ExperimentConfig) -> Result<ExperimentResult, Co
     let cluster = sim.handler_mut();
     cluster.finalize(now);
     let energy = cluster.measured_energy();
-    let latency = LatencySummary::from_histogram(cluster.tracker().latencies());
+    let latency = LatencySummary::from_histogram(cluster.measured_latencies());
     let (watchdog_checks, invariant_violations) = cluster
         .watchdog()
         .map_or((0, Vec::new()), |w| (w.checks(), w.violations().to_vec()));
@@ -331,7 +327,7 @@ pub fn try_run_experiment(cfg: &ExperimentConfig) -> Result<ExperimentResult, Co
         poll_energy_j,
         energy,
         offered: cluster.offered_measured(),
-        completed: cluster.tracker().completed(),
+        completed: cluster.completed_measured(),
         wake_markers: cluster.server().wake_marker_times().len(),
         rx_drops: cluster.server().nic().rx_drops(),
         measure: cfg.measure,

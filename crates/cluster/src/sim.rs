@@ -3,9 +3,9 @@
 //! [`ClusterSim`] implements [`desim::EventHandler`]; the experiment
 //! runner seeds it with initial events and drives it to the horizon.
 //! Frames travel client → switch → server and back; the server node is a
-//! full [`oskernel::Kernel`], clients are open-loop generators plus a
-//! response tracker (per the paper's methodology, client-side processing
-//! is not modelled — latency is measured at the final response frame).
+//! full [`oskernel::Kernel`], clients are open-loop generators plus one
+//! request ledger (per the paper's methodology, client-side processing is
+//! not modelled — latency is measured when the full response arrives).
 
 use crate::trace::{TraceConfig, Traces};
 use crate::watchdog::{AccountingView, Watchdog};
@@ -15,12 +15,11 @@ use fleetsim::{
     DomainSchedule, FailureMode, FailureSchedule, FleetAction, FleetConfig, FleetCoordinator,
     FleetSummary, HealthConfig, LoadBalancer,
 };
-use netsim::{
-    Delivery, FaultConfig, NodeId, Packet, PacketMeta, Reassembly, SegmentStatus, Switch,
-};
-use oldi_apps::{OpenLoopClient, ResponseTracker};
+use netsim::{Delivery, FaultConfig, NodeId, Packet, Reassembly, SegmentStatus, Switch};
+use oldi_apps::OpenLoopClient;
 use oskernel::{Effects, Kernel, NodeEvent};
 use simstats::breakdown::{stage, BreakdownCollector, LatencyBreakdown, STAGE_COUNT, STAGE_NAMES};
+use simstats::LogHistogram;
 use std::collections::HashMap;
 
 /// Clamps a nanosecond duration into the `u32` stage fields (4.29 s cap,
@@ -144,21 +143,24 @@ struct FleetState {
     last_failovers: u64,
 }
 
-/// Client-side reliability state for one in-flight request. The entry
-/// lives from issue until the request resolves (completed, rejected or
-/// lost); a later response frame for it finds no entry and is absorbed.
+/// Client-side state for one in-flight latency-critical request: the
+/// request ledger's row. The entry lives from issue until the request
+/// resolves (completed, rejected or lost); a later response frame for it
+/// finds no entry and is absorbed.
 #[derive(Debug)]
 struct InFlight {
-    /// The original request frame; retransmissions resend a clone, with
-    /// `sent_at` untouched so latency spans every retransmission.
-    frame: Packet,
+    /// The original request frame, kept (boxed) only while retransmission
+    /// is armed; a resend clones it with `sent_at` untouched, so latency
+    /// spans every retransmission.
+    frame: Option<Box<Packet>>,
     /// Retransmissions performed so far (also the live timer generation).
     attempt: u32,
     /// Response reassembly.
     reasm: Reassembly,
-    /// Attribution record of the latest final response frame: reordering
-    /// can complete the request on a *non-final* segment.
-    stages: Option<netsim::StageRecord>,
+    /// Attribution record of the latest final response frame that did not
+    /// complete the request: reordering can complete it on a *non-final*
+    /// segment. Boxed, as in-order responses never store one.
+    stages: Option<Box<netsim::StageRecord>>,
 }
 
 /// What a node id is in this cluster.
@@ -175,9 +177,10 @@ enum Role {
 /// Whole-run fault-injection and recovery accounting.
 ///
 /// The identity `issued == completed + lost + rejected + in_flight`
-/// holds at any instant (and at the horizon): no request vanishes
-/// silently — every issued request is served, reported lost, or
-/// explicitly rejected by admission control.
+/// holds at any instant (and at the horizon) on every run: no request
+/// vanishes silently — every issued request is served, reported lost,
+/// explicitly rejected by admission control, or still in flight, where
+/// a request dropped with nothing armed to resend it stays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultSummary {
     /// Frames the switch's impairment layer dropped as random loss.
@@ -195,14 +198,14 @@ pub struct FaultSummary {
     pub dup_suppressed: u64,
     /// Responses the server replayed for already-answered requests.
     pub resp_replays: u64,
-    /// Latency-critical requests issued over the whole run (only counted
-    /// while the reliability layer is armed).
+    /// Latency-critical requests issued over the whole run.
     pub issued_total: u64,
     /// Requests whose response fully reassembled at the client.
     pub completed_total: u64,
     /// Requests the server rejected with a 503 under overload.
     pub rejected_total: u64,
-    /// Requests still awaiting a response at the horizon.
+    /// Requests still awaiting a response at the horizon, including any
+    /// dropped on the way with no retransmission armed to recover them.
     pub in_flight: u64,
 }
 
@@ -214,7 +217,6 @@ pub struct ClusterSim {
     background: Vec<bool>,
     /// Each node's role, indexed by `NodeId`; built once at construction.
     roles: Vec<Role>,
-    tracker: ResponseTracker,
     switch: Switch,
     traces: Option<Traces>,
     sample_period: SimDuration,
@@ -223,8 +225,13 @@ pub struct ClusterSim {
     measuring: bool,
     energy_baseline: EnergyMeter,
     offered_measured: u64,
+    /// Latencies of the requests completed in the measured window (ns).
+    latencies: LogHistogram,
+    /// Requests rejected with a 503 in the measured window.
+    rejected_measured: u64,
     faults: FaultConfig,
-    /// Armed requests not yet resolved, by request id.
+    /// The request ledger: latency-critical requests not yet resolved, by
+    /// request id.
     inflight: HashMap<u64, InFlight>,
     /// How long resolved entries of the servers' and the LB's
     /// request-keyed tables linger (set in `initial_events`).
@@ -250,6 +257,10 @@ pub struct ClusterSim {
     /// twice.
     #[cfg(test)]
     double_stamp: Option<usize>,
+    /// Planted bug: the next completion retires its ledger row without
+    /// being counted.
+    #[cfg(test)]
+    drop_completion: bool,
 }
 
 impl std::fmt::Debug for ClusterSim {
@@ -321,7 +332,6 @@ impl ClusterSim {
             clients,
             background,
             roles,
-            tracker: ResponseTracker::new(),
             switch,
             traces: trace.map(Traces::new),
             sample_period,
@@ -330,6 +340,8 @@ impl ClusterSim {
             measuring: true,
             energy_baseline: EnergyMeter::new(),
             offered_measured: 0,
+            latencies: LogHistogram::new(),
+            rejected_measured: 0,
             faults: FaultConfig::none(),
             inflight: HashMap::new(),
             linger: SimDuration::ZERO,
@@ -346,6 +358,8 @@ impl ClusterSim {
             collect_breakdown: true,
             #[cfg(test)]
             double_stamp: None,
+            #[cfg(test)]
+            drop_completion: false,
         })
     }
 
@@ -360,7 +374,7 @@ impl ClusterSim {
 
     /// Installs the fault-injection subsystem (builder style): the
     /// switch's impairment layer plus, when the retransmission policy is
-    /// enabled, the client-side reliability timers. An inert
+    /// enabled, the client-side retransmission timers. An inert
     /// [`FaultConfig::none`] leaves the simulation byte-identical.
     #[must_use]
     pub fn with_fault_injection(mut self, faults: FaultConfig) -> Self {
@@ -606,32 +620,29 @@ impl ClusterSim {
     fn on_client_burst(&mut self, now: SimTime, idx: usize, queue: &mut EventQueue<ClusterEvent>) {
         let (frames, next) = self.clients[idx].next_burst(now);
         let is_bg = self.background[idx];
+        let armed = self.faults.retx.enabled;
         for frame in frames {
-            if !is_bg {
-                if let Some(id) = frame.meta().request_id {
-                    self.tracker.note_sent(id);
-                    if self.measuring {
-                        self.offered_measured += 1;
-                    }
-                    if self.faults.retx.enabled {
-                        // Arm the reliability layer: a retransmission
-                        // timer plus a response reassembler. Background
-                        // traffic stays best-effort.
-                        self.issued_total += 1;
-                        self.inflight.insert(
-                            id,
-                            InFlight {
-                                frame: frame.clone(),
-                                attempt: 0,
-                                reasm: Reassembly::new(),
-                                stages: None,
-                            },
-                        );
-                        queue.push(
-                            now + self.faults.retx.rto_for(0),
-                            ClusterEvent::RetxCheck { id, attempt: 0 },
-                        );
-                    }
+            // Every latency-critical request enters the ledger; background
+            // traffic stays best-effort and never does.
+            if let Some(id) = frame.meta().request_id.filter(|_| !is_bg) {
+                if self.measuring {
+                    self.offered_measured += 1;
+                }
+                self.issued_total += 1;
+                self.inflight.insert(
+                    id,
+                    InFlight {
+                        frame: armed.then(|| Box::new(frame.clone())),
+                        attempt: 0,
+                        reasm: Reassembly::new(),
+                        stages: None,
+                    },
+                );
+                if armed {
+                    queue.push(
+                        now + self.faults.retx.rto_for(0),
+                        ClusterEvent::RetxCheck { id, attempt: 0 },
+                    );
                 }
             }
             self.route(now, frame, queue);
@@ -653,13 +664,6 @@ impl ClusterSim {
             Role::Server(i) => Some(i),
             _ => None,
         }
-    }
-
-    /// Whether `node` is a client whose requests the reliability layer
-    /// tracks (latency-critical, with retransmission enabled).
-    fn is_armed_client(&self, node: NodeId) -> bool {
-        self.faults.retx.enabled
-            && matches!(self.role(node), Role::Client(i) if !self.background[i])
     }
 
     fn on_deliver(&mut self, now: SimTime, frame: Packet, queue: &mut EventQueue<ClusterEvent>) {
@@ -692,19 +696,8 @@ impl ClusterSim {
             let node = self.servers[si].node();
             let fx = self.servers[si].handle(now, NodeEvent::FrameFromWire(frame));
             self.apply_effects(now, node, fx, queue);
-        } else if self.faults.retx.enabled {
-            self.on_client_response(now, &frame);
         } else {
-            // Reliability off: nothing retransmits, so every 503 is
-            // first-and-only — count it here (the tracker handles the
-            // measured-window resolution below).
-            if frame.meta().rejected && frame.meta().request_id.is_some() {
-                self.rejected_total += 1;
-            }
-            if frame.meta().sent_at >= self.measure_start && self.measuring {
-                self.tracker.on_response_frame(now, &frame);
-                self.note_final_response(now, &frame.meta());
-            }
+            self.on_client_response(now, &frame);
         }
     }
 
@@ -765,7 +758,7 @@ impl ClusterSim {
         } else {
             if let Some(id) = frame.meta().request_id {
                 if !fs.lb.tracks(id)
-                    && self.is_armed_client(frame.src())
+                    && matches!(self.role(frame.src()), Role::Client(i) if !self.background[i])
                     && !self.inflight.contains_key(&id)
                 {
                     self.late_copies += 1;
@@ -1139,62 +1132,54 @@ impl ClusterSim {
         }
     }
 
-    /// Shared tail of both client receive paths: a final, served response
-    /// frame completes its request for attribution purposes.
-    fn note_final_response(&mut self, now: SimTime, meta: &PacketMeta) {
-        if let Some(rid) = meta.request_id {
-            if meta.is_final && !meta.rejected {
-                self.record_completion(now, rid, meta.sent_at, &meta.stages);
-            }
-        }
-    }
-
-    /// Client-side receive path of the reliability layer: response
-    /// segments feed the request's reassembler; duplicates (from response
-    /// replays or reordering) are absorbed, and the request completes
-    /// exactly once, when every segment has arrived. Frames for a request
-    /// that already resolved find no in-flight entry and are absorbed too.
+    /// The client receive path: response segments feed the request's
+    /// reassembler, duplicates (from replays or reordering) are absorbed,
+    /// and the request completes exactly once, when every segment has
+    /// arrived, timed from its original send. Frames with no ledger row
+    /// (resolved, or background traffic) are absorbed too.
     fn on_client_response(&mut self, now: SimTime, frame: &Packet) {
         let meta = frame.meta();
         let Some(rid) = meta.request_id else { return };
+        let measured = meta.sent_at >= self.measure_start && self.measuring;
         if meta.rejected {
             // A 503: the server refused the request under overload. The
             // request is *resolved* (no retransmission, no latency
             // sample); a stale replay after resolution is ignored.
             if self.inflight.remove(&rid).is_some() {
                 self.rejected_total += 1;
-                if meta.sent_at >= self.measure_start && self.measuring {
-                    self.tracker.reject(rid);
+                if measured {
+                    self.rejected_measured += 1;
                 }
             }
             return;
         }
         let Some(entry) = self.inflight.get_mut(&rid) else {
-            // No entry: an armed client already resolved the request, so
-            // the frame is absorbed. Unarmed traffic (background requests)
-            // stays best-effort and keeps the legacy per-frame accounting.
-            if !self.is_armed_client(frame.dst())
-                && meta.sent_at >= self.measure_start
-                && self.measuring
-            {
-                self.tracker.on_response_frame(now, frame);
-                self.note_final_response(now, &meta);
-            }
             return;
         };
-        if meta.is_final {
-            entry.stages = Some(meta.stages);
+        if entry.reasm.on_segment(meta.seq, meta.is_final) != SegmentStatus::Completed {
+            if meta.is_final {
+                entry.stages = Some(Box::new(meta.stages));
+            }
+            return;
         }
-        if entry.reasm.on_segment(meta.seq, meta.is_final) == SegmentStatus::Completed {
-            // Cancels the pending timer: the next RetxCheck finds no
-            // state and is a no-op.
-            let stages = self.inflight.remove(&rid).and_then(|e| e.stages);
-            self.completed_total += 1;
-            if meta.sent_at >= self.measure_start && self.measuring {
-                self.tracker.complete(now, rid, meta.sent_at);
-                if let Some(st) = stages {
-                    self.record_completion(now, rid, meta.sent_at, &st);
-                }
+        // Removing the row cancels the pending timer: the next RetxCheck
+        // finds no state and is a no-op.
+        let row = self.inflight.remove(&rid);
+        let stages = if meta.is_final {
+            Some(meta.stages)
+        } else {
+            row.and_then(|e| e.stages).map(|st| *st)
+        };
+        #[cfg(test)]
+        if std::mem::take(&mut self.drop_completion) {
+            return;
+        }
+        self.completed_total += 1;
+        if measured {
+            let latency = now.saturating_since(meta.sent_at);
+            self.latencies.record(latency.as_nanos().max(1));
+            if let Some(st) = stages {
+                self.record_completion(now, rid, meta.sent_at, &st);
             }
         }
     }
@@ -1237,13 +1222,18 @@ impl ClusterSim {
         }
         state.attempt += 1;
         let next_attempt = state.attempt;
-        let mut frame = state.frame.clone();
+        let mut frame = Packet::clone(
+            state
+                .frame
+                .as_ref()
+                .expect("a RetxCheck is only armed with the frame copy"),
+        );
         // Attribution: the cumulative client-side wait up to this resend.
         // If this copy is the one the server serves, the stamp rides with
         // it; earlier copies carry their own (smaller) stamp.
         frame.meta_mut().stages.retx_ns = ns32(
             now.as_nanos()
-                .saturating_sub(state.frame.meta().sent_at.as_nanos()),
+                .saturating_sub(frame.meta().sent_at.as_nanos()),
         );
         self.retransmits += 1;
         if simtrace::is_enabled() {
@@ -1292,7 +1282,6 @@ impl ClusterSim {
 
     fn accounting_view(&self) -> AccountingView {
         AccountingView {
-            armed: self.faults.retx.enabled,
             issued: self.issued_total,
             completed: self.completed_total,
             lost: self.lost_requests,
@@ -1319,8 +1308,8 @@ impl ClusterSim {
         // Goodput (served) vs. throughput (served + rejected): under
         // overload the two series diverge — rejected requests consume
         // almost no server work but still resolve at clients.
-        let served = self.tracker.completed() as f64;
-        let rejected = self.tracker.rejected() as f64;
+        let served = self.latencies.count() as f64;
+        let rejected = self.rejected_measured as f64;
         let t = now.as_nanos();
         if let Some(tr) = self.traces.as_mut() {
             tr.sample(now, freq_ghz, total_busy, cstate, ncores);
@@ -1348,7 +1337,8 @@ impl ClusterSim {
         self.energy_baseline = self.total_energy_raw();
         self.measure_start = now;
         self.measuring = true;
-        self.tracker = ResponseTracker::new();
+        self.latencies = LogHistogram::new();
+        self.rejected_measured = 0;
         self.offered_measured = 0;
         self.breakdown.reset();
     }
@@ -1454,20 +1444,14 @@ impl ClusterSim {
         self.watchdog.as_ref()
     }
 
-    /// Reliable requests resolved by server rejection (whole run).
-    #[must_use]
-    pub fn rejected_total(&self) -> u64 {
-        self.rejected_total
-    }
-
     /// Frames dropped because the switch did not know their destination.
     #[must_use]
     pub fn misroutes(&self) -> u64 {
         self.misroutes
     }
 
-    /// Armed requests issued and not yet resolved (the client in-flight
-    /// table's size).
+    /// Latency-critical requests issued and not yet resolved (the request
+    /// ledger's size).
     #[must_use]
     pub fn inflight_requests(&self) -> usize {
         self.inflight.len()
@@ -1525,10 +1509,17 @@ impl ClusterSim {
         }
     }
 
-    /// The response tracker (latency histogram, completion counts).
+    /// Latencies of the requests completed in the measured window
+    /// (nanoseconds, from the original send to the full response).
     #[must_use]
-    pub fn tracker(&self) -> &ResponseTracker {
-        &self.tracker
+    pub fn measured_latencies(&self) -> &LogHistogram {
+        &self.latencies
+    }
+
+    /// Latency-critical requests completed in the measured window.
+    #[must_use]
+    pub fn completed_measured(&self) -> u64 {
+        self.latencies.count()
     }
 
     /// The per-stage attribution collector for the measured window
@@ -1593,7 +1584,8 @@ impl EventHandler for ClusterSim {
                 ClusterEvent::RetxCheck { id, .. } => self
                     .inflight
                     .get(id)
-                    .map_or(self.servers[0].node().0, |s| s.frame.src().0),
+                    .and_then(|s| s.frame.as_ref())
+                    .map_or(self.servers[0].node().0, |f| f.src().0),
                 ClusterEvent::Sample | ClusterEvent::StartMeasure | ClusterEvent::Watchdog => {
                     self.servers[0].node().0
                 }
@@ -1693,7 +1685,8 @@ mod tests {
         ));
         let mut sim = ClusterSim::new(vec![server], vec![client], vec![false], None)
             .expect("one flag per client")
-            .with_fault_injection(faults);
+            .with_fault_injection(faults)
+            .with_watchdog(Watchdog::new(crate::WatchdogConfig::default().collecting()));
         let initial = sim.initial_events(cfg.warmup, SimTime::from_ms(25));
         (sim, initial)
     }
@@ -1735,13 +1728,9 @@ mod tests {
         );
         let f = c.fault_summary();
         assert!(f.lost_requests > 100, "{f:?}");
-        assert_eq!(
-            f.issued_total,
-            f.completed_total + f.lost_requests + f.rejected_total + f.in_flight,
-            "{f:?}"
-        );
+        assert_balanced(&f);
         assert_eq!(f.completed_total, 0, "{f:?}");
-        assert_eq!(c.tracker().completed(), 0);
+        assert_eq!(c.completed_measured(), 0);
         assert_eq!(c.inflight_requests() as u64, f.in_flight);
     }
 
@@ -1806,7 +1795,7 @@ mod tests {
     fn a_double_stamped_stage_is_caught_as_stage_tiling() {
         let horizon = SimTime::from_ms(65);
         let control = drive(reordering_fleet(), horizon);
-        assert!(control.tracker().completed() > 0);
+        assert!(control.completed_measured() > 0);
         assert_eq!(control.breakdown.untiled(), 0);
         let wd = control.watchdog().expect("installed");
         assert!(wd.violations().is_empty(), "{:?}", wd.violations());
@@ -1814,7 +1803,7 @@ mod tests {
         let (mut planted, initial) = reordering_fleet();
         planted.double_stamp = Some(stage::CPU);
         let planted = drive((planted, initial), horizon);
-        assert!(planted.breakdown.untiled() >= planted.tracker().completed());
+        assert!(planted.breakdown.untiled() >= planted.completed_measured());
         let wd = planted.watchdog().expect("installed");
         assert!(
             wd.violations()
@@ -1825,13 +1814,75 @@ mod tests {
         );
     }
 
+    fn assert_balanced(f: &FaultSummary) {
+        assert_eq!(
+            f.issued_total,
+            f.completed_total + f.lost_requests + f.rejected_total + f.in_flight,
+            "{f:?}"
+        );
+    }
+
+    /// With retransmission armed, a request completed by the response to
+    /// its resent copy is timed from its first send; a 503 resolves its
+    /// request with no latency sample, and a stale copy changes nothing.
+    #[test]
+    fn the_ledger_times_from_the_first_send_and_samples_no_rejection() {
+        let retx = FaultConfig::none().with_retx(netsim::RetxConfig::standard());
+        let (mut c, _) = tiny_cluster_with(Policy::Perf, retx);
+        c.on_start_measure(SimTime::ZERO);
+        let sent = SimTime::from_us(100);
+        let mut queue = EventQueue::new();
+        c.on_client_burst(sent, 0, &mut queue);
+        let mut ids: Vec<u64> = c.inflight.keys().copied().collect();
+        ids.sort_unstable();
+        let (server, client) = (NodeId(0), NodeId(1));
+        c.on_retx_check(SimTime::from_ms(2), ids[0], 0, &mut queue);
+        assert_eq!(c.retransmits, 1);
+        let done = SimTime::from_ms(3);
+        let body = netsim::Bytes::from_static(b"VALUE");
+        for frame in &netsim::tcp::segment_response(server, client, ids[0], body, sent) {
+            c.on_client_response(done, frame);
+        }
+        let reject = Packet::reject_response(server, client, ids[1], sent);
+        c.on_client_response(done, &reject);
+        c.on_client_response(done, &reject);
+        let latency = c.measured_latencies();
+        let from_first_send = done.saturating_since(sent).as_nanos();
+        assert_eq!((latency.count(), latency.max()), (1, from_first_send));
+        assert_eq!((c.rejected_total, c.rejected_measured), (1, 1));
+        assert_balanced(&c.fault_summary());
+    }
+
+    /// Planted bug: an unarmed run retires one completed request's ledger
+    /// row without counting it. The conservation check runs on every run,
+    /// so the watchdog must report it; the unplanted run stays clean.
+    #[test]
+    fn a_silently_dropped_completion_is_caught_as_conservation() {
+        let control = run(Policy::Perf);
+        assert!(control.fault_summary().completed_total > 0);
+        let wd = control.watchdog().expect("installed");
+        assert!(wd.violations().is_empty(), "{:?}", wd.violations());
+
+        let (mut planted, initial) = tiny_cluster(Policy::Perf);
+        planted.drop_completion = true;
+        let planted = drive((planted, initial), SimTime::from_ms(25));
+        let wd = planted.watchdog().expect("installed");
+        assert!(
+            wd.violations()
+                .iter()
+                .any(|v| v.kind == crate::InvariantKind::Conservation),
+            "{:?}",
+            wd.violations()
+        );
+    }
+
     #[test]
     fn direct_cluster_roundtrip() {
         let c = run(Policy::Perf);
         assert!(
-            c.tracker().completed() > 100,
+            c.completed_measured() > 100,
             "completed {}",
-            c.tracker().completed()
+            c.completed_measured()
         );
         assert!(c.measured_energy_j() > 0.0);
         assert!(c.offered_measured() > 0);

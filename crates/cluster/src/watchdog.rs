@@ -126,13 +126,6 @@ impl WatchdogConfig {
         self
     }
 
-    /// Overrides the check period (builder style).
-    #[must_use]
-    pub fn with_period(mut self, period: SimDuration) -> Self {
-        self.period = period;
-        self
-    }
-
     /// Demands end-of-run quiescence (builder style). Pair with a drain
     /// window long enough for retransmissions and failovers to settle.
     #[must_use]
@@ -169,13 +162,11 @@ pub struct Watchdog {
     seen_untiled: u64,
 }
 
-/// Cluster-level accounting fed into the conservation check. All zeros
-/// when the reliability layer is off (the identity is only tracked for
-/// reliable traffic).
+/// Cluster-level accounting fed into the conservation check, which runs
+/// on every view: the request ledger counts every latency-critical
+/// request, with or without retransmission.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AccountingView {
-    /// Whether the reliability layer is armed (identity meaningful).
-    pub armed: bool,
     /// Latency-critical requests issued.
     pub issued: u64,
     /// Requests fully completed at clients.
@@ -325,28 +316,26 @@ impl Watchdog {
         if !self.config.expect_quiescence {
             return;
         }
-        if accounting.armed {
-            if accounting.in_flight > 0 {
-                self.violate(
-                    InvariantKind::Quiescence,
-                    now,
-                    format!(
-                        "{} request(s) still in flight after the drain window",
-                        accounting.in_flight
-                    ),
-                );
-            }
-            if accounting.lost > 0 {
-                self.violate(
-                    InvariantKind::Quiescence,
-                    now,
-                    format!(
-                        "{} request(s) declared lost — retransmissions did not recover \
-                         from the injected faults",
-                        accounting.lost
-                    ),
-                );
-            }
+        if accounting.in_flight > 0 {
+            self.violate(
+                InvariantKind::Quiescence,
+                now,
+                format!(
+                    "{} request(s) still in flight after the drain window",
+                    accounting.in_flight
+                ),
+            );
+        }
+        if accounting.lost > 0 {
+            self.violate(
+                InvariantKind::Quiescence,
+                now,
+                format!(
+                    "{} request(s) declared lost — retransmissions did not recover \
+                     from the injected faults",
+                    accounting.lost
+                ),
+            );
         }
         if let Some(ledger) = fleet {
             if ledger.outstanding > 0 {
@@ -536,12 +525,9 @@ impl Watchdog {
         }
     }
 
-    /// Conservation: with the reliability layer armed, every issued
-    /// request is completed, lost, rejected, or still in flight.
+    /// Conservation: every issued request is completed, lost, rejected,
+    /// or still in flight.
     fn check_conservation(&mut self, now: SimTime, acc: &AccountingView) {
-        if !acc.armed {
-            return;
-        }
         let resolved = acc.completed + acc.lost + acc.rejected + acc.in_flight;
         if acc.issued != resolved {
             self.violate(
@@ -562,28 +548,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn conservation_identity_checked_only_when_armed() {
+    fn conservation_identity_checked_on_every_view() {
         let mut w = Watchdog::new(WatchdogConfig::default().collecting());
-        let mut acc = AccountingView {
-            armed: false,
-            issued: 10,
-            completed: 3,
-            ..AccountingView::default()
-        };
-        w.check(SimTime::from_ms(1), &[], &acc, None);
-        assert!(w.violations().is_empty(), "unarmed identity is not checked");
-        acc.armed = true;
-        w.check(SimTime::from_ms(2), &[], &acc, None);
-        assert_eq!(w.violations().len(), 1);
-        assert_eq!(w.violations()[0].kind, InvariantKind::Conservation);
-        assert_eq!(w.checks(), 2);
-    }
-
-    #[test]
-    fn balanced_accounting_passes() {
-        let mut w = Watchdog::new(WatchdogConfig::default().collecting());
-        let acc = AccountingView {
-            armed: true,
+        let balanced = AccountingView {
             issued: 10,
             completed: 5,
             lost: 2,
@@ -591,8 +558,16 @@ mod tests {
             in_flight: 1,
             ..AccountingView::default()
         };
-        w.check(SimTime::from_ms(1), &[], &acc, None);
-        assert!(w.violations().is_empty());
+        w.check(SimTime::from_ms(1), &[], &balanced, None);
+        assert!(w.violations().is_empty(), "{:?}", w.violations());
+        let leaky = AccountingView {
+            in_flight: 0,
+            ..balanced
+        };
+        w.check(SimTime::from_ms(2), &[], &leaky, None);
+        assert_eq!(w.violations().len(), 1);
+        assert_eq!(w.violations()[0].kind, InvariantKind::Conservation);
+        assert_eq!(w.checks(), 2);
     }
 
     #[test]

@@ -224,16 +224,6 @@ impl NcapHardware {
         }
     }
 
-    /// Builds the block with externally prepared components (ablations).
-    #[must_use]
-    pub fn with_parts(monitor: ReqMonitor, tx: TxBytesCounter, engine: DecisionEngine) -> Self {
-        NcapHardware {
-            monitor,
-            tx,
-            engine,
-        }
-    }
-
     /// Inspects a received frame; may return an immediate wake interrupt.
     pub fn on_rx_frame(&mut self, now: SimTime, frame: &Packet) -> Option<IcrFlags> {
         if self.monitor.inspect(frame) {

@@ -123,13 +123,6 @@ impl FleetConfig {
         self
     }
 
-    /// Overrides the LB forwarding latency (builder style).
-    #[must_use]
-    pub fn with_lb_latency(mut self, latency: SimDuration) -> Self {
-        self.lb_latency = latency;
-        self
-    }
-
     /// Enables the fleet power coordinator (builder style).
     #[must_use]
     pub fn with_coordinator(mut self, coordinator: CoordinatorConfig) -> Self {
@@ -311,14 +304,6 @@ impl CoordinatorConfig {
     #[must_use]
     pub fn with_park_patience(mut self, epochs: u32) -> Self {
         self.park_patience = epochs;
-        self
-    }
-
-    /// Overrides both transition latencies (builder style).
-    #[must_use]
-    pub fn with_transition_latencies(mut self, park: SimDuration, unpark: SimDuration) -> Self {
-        self.park_latency = park;
-        self.unpark_latency = unpark;
         self
     }
 

@@ -1,7 +1,7 @@
 //! cpufreq governors: mapping utilization to P-states.
 //!
-//! Linux offers three static policies (performance, powersave, userspace)
-//! and the dynamic ondemand policy (paper §2.1, citing Pallipadi &
+//! Of Linux's policies the paper uses the static performance policy and
+//! the dynamic ondemand policy (paper §2.1, citing Pallipadi &
 //! Starikovskiy). Ondemand samples utilization every invocation period —
 //! hard-coded to a 10 ms minimum in mainline Linux; the paper recompiled
 //! the kernel to explore 1 ms periods (Figure 2), so the period here is a
@@ -45,49 +45,6 @@ impl CpufreqGovernor for Performance {
 
     fn name(&self) -> &'static str {
         "performance"
-    }
-}
-
-/// Always runs at the deepest P-state (lowest V/F).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Powersave;
-
-impl CpufreqGovernor for Powersave {
-    fn target(&mut self, _: SimTime, _: f64, _: PStateId, table: &PStateTable) -> PStateId {
-        table.deepest()
-    }
-
-    fn name(&self) -> &'static str {
-        "powersave"
-    }
-}
-
-/// Pins the frequency to a user-chosen P-state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Userspace {
-    target: PStateId,
-}
-
-impl Userspace {
-    /// Creates a governor pinned to `target`.
-    #[must_use]
-    pub fn new(target: PStateId) -> Self {
-        Userspace { target }
-    }
-
-    /// Repins the frequency (the sysfs `scaling_setspeed` write).
-    pub fn set_target(&mut self, target: PStateId) {
-        self.target = target;
-    }
-}
-
-impl CpufreqGovernor for Userspace {
-    fn target(&mut self, _: SimTime, _: f64, _: PStateId, _: &PStateTable) -> PStateId {
-        self.target
-    }
-
-    fn name(&self) -> &'static str {
-        "userspace"
     }
 }
 
@@ -197,99 +154,6 @@ impl CpufreqGovernor for Ondemand {
     }
 }
 
-/// The conservative governor: Linux's other in-tree dynamic policy.
-///
-/// Unlike ondemand's jump-to-max, conservative walks the frequency up and
-/// down in steps — gentler on power, slower to react. Provided for
-/// completeness of the Linux cpufreq suite (the paper evaluates ondemand;
-/// conservative makes the burst-reaction gap even wider, which the
-/// `ablation_burstiness` bench exploits as a worst-case anchor).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Conservative {
-    period: SimDuration,
-    up_threshold: f64,
-    down_threshold: f64,
-    /// Ladder steps taken per decision.
-    step: u8,
-    invocations: u64,
-}
-
-impl Conservative {
-    /// Linux defaults: 80 % up, 20 % down, one frequency step per tick.
-    #[must_use]
-    pub fn new() -> Self {
-        Conservative {
-            period: SimDuration::from_ms(10),
-            up_threshold: 0.80,
-            down_threshold: 0.20,
-            step: 1,
-            invocations: 0,
-        }
-    }
-
-    /// Overrides the invocation period.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    #[must_use]
-    pub fn with_period(mut self, period: SimDuration) -> Self {
-        assert!(!period.is_zero(), "invocation period must be positive");
-        self.period = period;
-        self
-    }
-
-    /// Times the governor has been invoked.
-    #[must_use]
-    pub fn invocations(&self) -> u64 {
-        self.invocations
-    }
-}
-
-impl Default for Conservative {
-    fn default() -> Self {
-        Conservative::new()
-    }
-}
-
-impl CpufreqGovernor for Conservative {
-    fn target(
-        &mut self,
-        now: SimTime,
-        utilization: f64,
-        current: PStateId,
-        table: &PStateTable,
-    ) -> PStateId {
-        self.invocations += 1;
-        let u = utilization.clamp(0.0, 1.0);
-        let target = if u > self.up_threshold {
-            table.step_up(current, self.step)
-        } else if u < self.down_threshold {
-            table.step_down(current, self.step)
-        } else {
-            current
-        };
-        if simtrace::is_enabled() {
-            simtrace::complete(
-                "governors",
-                "conservative_decision",
-                now.as_nanos(),
-                0,
-                &[simtrace::arg("util", u), simtrace::arg("pstate", target.0)],
-            );
-        }
-        target
-    }
-
-    fn period(&self) -> Option<SimDuration> {
-        Some(self.period)
-    }
-
-    fn name(&self) -> &'static str {
-        "conservative"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,24 +171,6 @@ mod tests {
         }
         assert_eq!(g.period(), None);
         assert_eq!(g.name(), "performance");
-    }
-
-    #[test]
-    fn powersave_always_deepest() {
-        let t = table();
-        let mut g = Powersave;
-        assert_eq!(g.target(SimTime::ZERO, 1.0, t.fastest(), &t), t.deepest());
-        assert_eq!(g.name(), "powersave");
-    }
-
-    #[test]
-    fn userspace_pins_and_repins() {
-        let t = table();
-        let mut g = Userspace::new(PStateId(7));
-        assert_eq!(g.target(SimTime::ZERO, 1.0, t.fastest(), &t), PStateId(7));
-        g.set_target(PStateId(2));
-        assert_eq!(g.target(SimTime::ZERO, 0.0, t.fastest(), &t), PStateId(2));
-        assert_eq!(g.name(), "userspace");
     }
 
     #[test]
@@ -381,31 +227,5 @@ mod tests {
     #[should_panic(expected = "invocation period must be positive")]
     fn zero_period_rejected() {
         let _ = Ondemand::with_period(SimDuration::ZERO);
-    }
-
-    #[test]
-    fn conservative_steps_up_and_down() {
-        let t = table();
-        let mut g = Conservative::new();
-        // High load: one step up per tick, never a jump.
-        let p1 = g.target(SimTime::ZERO, 0.95, t.deepest(), &t);
-        assert_eq!(p1, PStateId(t.deepest().0 - 1));
-        let p2 = g.target(SimTime::ZERO, 0.95, p1, &t);
-        assert_eq!(p2, PStateId(p1.0 - 1));
-        // Mid load: hold.
-        assert_eq!(g.target(SimTime::ZERO, 0.5, p2, &t), p2);
-        // Low load: step back down.
-        assert_eq!(g.target(SimTime::ZERO, 0.1, p2, &t), PStateId(p2.0 + 1));
-        assert_eq!(g.name(), "conservative");
-        assert_eq!(g.invocations(), 4);
-        assert_eq!(g.period(), Some(SimDuration::from_ms(10)));
-    }
-
-    #[test]
-    fn conservative_saturates_at_ladder_ends() {
-        let t = table();
-        let mut g = Conservative::new();
-        assert_eq!(g.target(SimTime::ZERO, 1.0, t.fastest(), &t), t.fastest());
-        assert_eq!(g.target(SimTime::ZERO, 0.0, t.deepest(), &t), t.deepest());
     }
 }

@@ -1,11 +1,10 @@
 //! # governors — Linux-like cpufreq and cpuidle policies
 //!
 //! Re-implementations of the power-management policies the paper evaluates
-//! (§2.1): the static **performance**, **powersave** and **userspace**
-//! cpufreq governors, the dynamic **ondemand** governor with its
-//! utilization sampling and configurable invocation period, and the
-//! **menu** and **ladder** cpuidle governors that pick sleep states for
-//! idle cores.
+//! (§2.1): the static **performance** cpufreq governor, the dynamic
+//! **ondemand** governor with its utilization sampling and configurable
+//! invocation period, and the **menu** and **ladder** cpuidle governors
+//! that pick sleep states for idle cores.
 //!
 //! The governors are pure decision logic: the OS layer (`oskernel`)
 //! samples utilization, invokes them on their schedule, charges their
@@ -31,5 +30,5 @@
 pub mod cpufreq;
 pub mod cpuidle;
 
-pub use cpufreq::{Conservative, CpufreqGovernor, Ondemand, Performance, Powersave, Userspace};
+pub use cpufreq::{CpufreqGovernor, Ondemand, Performance};
 pub use cpuidle::{CpuidleGovernor, Ladder, Menu, PollIdle};

@@ -18,7 +18,6 @@
 use crate::bytes::Bytes;
 use crate::packet::{NodeId, Packet, PacketMeta, MSS};
 use desim::SimTime;
-use std::collections::HashSet;
 
 /// Splits a response body into MSS-sized frames from `src` to `dst`.
 ///
@@ -140,7 +139,11 @@ pub enum SegmentStatus {
 /// message open forever.
 #[derive(Debug, Default)]
 pub struct Reassembly {
-    received: HashSet<u32>,
+    /// Every segment below this sequence number has arrived.
+    contiguous: u32,
+    /// Segments that arrived past a gap, all above `contiguous` (empty,
+    /// and never allocated, while segments arrive in order).
+    ahead: Vec<u32>,
     final_seq: Option<u32>,
     done: bool,
 }
@@ -158,7 +161,16 @@ impl Reassembly {
         if self.done {
             return SegmentStatus::Duplicate;
         }
-        let fresh = self.received.insert(seq);
+        let fresh = seq >= self.contiguous && !self.ahead.contains(&seq);
+        if seq == self.contiguous {
+            self.contiguous += 1;
+            while let Some(i) = self.ahead.iter().position(|&s| s == self.contiguous) {
+                self.ahead.swap_remove(i);
+                self.contiguous += 1;
+            }
+        } else if fresh {
+            self.ahead.push(seq);
+        }
         if is_final {
             // Even a repeated seq re-binds the message end: a replay from
             // a failed-over backend may end earlier than the original
@@ -168,7 +180,7 @@ impl Reassembly {
             return SegmentStatus::Duplicate;
         }
         match self.final_seq {
-            Some(last) if (0..=last).all(|s| self.received.contains(&s)) => {
+            Some(last) if self.contiguous > last => {
                 self.done = true;
                 SegmentStatus::Completed
             }
@@ -181,12 +193,6 @@ impl Reassembly {
     #[must_use]
     pub fn is_complete(&self) -> bool {
         self.done
-    }
-
-    /// Segments received so far (duplicates not counted).
-    #[must_use]
-    pub fn segments_received(&self) -> usize {
-        self.received.len()
     }
 }
 
@@ -275,7 +281,6 @@ mod tests {
         assert_eq!(r.on_segment(1, false), SegmentStatus::Fresh);
         assert_eq!(r.on_segment(2, true), SegmentStatus::Completed);
         assert!(r.is_complete());
-        assert_eq!(r.segments_received(), 3);
     }
 
     #[test]

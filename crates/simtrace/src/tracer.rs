@@ -33,18 +33,6 @@ impl TracerConfig {
         self.capacity = capacity;
         self
     }
-
-    /// Overrides the counter window (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window_ns` is zero.
-    #[must_use]
-    pub fn with_window_ns(mut self, window_ns: u64) -> Self {
-        assert!(window_ns > 0, "metric window must be positive");
-        self.window_ns = window_ns;
-        self
-    }
 }
 
 impl Default for TracerConfig {

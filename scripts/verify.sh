@@ -95,6 +95,21 @@ done
     { echo "verify: request_waterfall printed no population means" >&2; exit 1; }
 echo "==> waterfall smoke ok"
 
+# Faultless smoke: a clean run's request ledger is audited by the
+# watchdog like any other run's, and with no fault or recovery activity
+# the run prints no fault line.
+clean_out=$(run cargo run --release -p ncap-cli -- run \
+    --app memcached --policy ncap.cons --load 30000 \
+    --warmup-ms 5 --measure-ms 15)
+echo "$clean_out"
+echo "$clean_out" | grep -q 'watchdog [1-9][0-9]* checks, 0 violations' ||
+    { echo "verify: faultless watchdog missing or reported violations" >&2; exit 1; }
+if echo "$clean_out" | grep -q '^  faults '; then
+    echo "verify: faultless run printed a fault line" >&2
+    exit 1
+fi
+echo "==> faultless smoke ok"
+
 # Fault-scenario smoke: a short lossy run with tracing enabled must
 # complete, recover every request, and report its fault counters.
 fault_out=$(NCAP_TRACE=1 run cargo run --release -p ncap-cli -- run \

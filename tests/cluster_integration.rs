@@ -124,7 +124,6 @@ fn energy_converges_to_perf_at_saturation() {
 #[test]
 fn context_awareness_ignores_background_traffic() {
     let bg = BackgroundTraffic {
-        bulk: true,
         rate: 80_000.0,
         burst_size: 400,
     };
@@ -237,7 +236,18 @@ fn fnv1a(s: &str) -> u64 {
 /// Only the four tail fields moved. The in-test splice proof puts back
 /// their prior values ([`PRE_BUCKET_TAIL`]) and checks the result against
 /// the prior pin `0x42B9_6683_DD82_1064`.
-const SCALE_64_GOLDEN_DIGEST: u64 = 0x2B26_71C3_B142_E5B1;
+///
+/// Re-pinned when the client's request ledger began counting every
+/// latency-critical request, with or without retransmission. This run
+/// has none armed, so at the prior pin its four ledger counters in
+/// `FaultSummary` (`issued_total`, `completed_total`, `rejected_total`,
+/// `in_flight`) were all zero. The in-test splice proof puts those zeros
+/// back and checks the result against the prior pin
+/// [`SCALE_64_PRE_LEDGER_DIGEST`]: no other byte of the result moved.
+const SCALE_64_GOLDEN_DIGEST: u64 = 0x7F8D_64C1_85F3_2B93;
+
+/// The pin before every run counted its requests in the ledger.
+const SCALE_64_PRE_LEDGER_DIGEST: u64 = 0x2B26_71C3_B142_E5B1;
 
 /// The pin before the tail view was bucketed.
 const SCALE_64_PRE_BUCKET_DIGEST: u64 = 0x42B9_6683_DD82_1064;
@@ -330,6 +340,29 @@ fn fleet_scale_64_backends_is_deterministic_and_pinned() {
     traced.sim_trace = None;
     assert_eq!(render(&traced), serial, "tracing perturbed the run");
 
+    // Splice proof for the request ledger: the render holds exactly one
+    // `FaultSummary`, and putting back the zeros its four ledger counters
+    // read before every run was counted reproduces the prior pin.
+    let ledger_fields = [
+        ("issued_total", "0"),
+        ("completed_total", "0"),
+        ("rejected_total", "0"),
+        ("in_flight", "0"),
+    ];
+    for (field, _) in ledger_fields {
+        assert_eq!(
+            serial.matches(&format!("{field}: ")).count(),
+            1,
+            "unexpected number of {field} fields in the render"
+        );
+    }
+    let pre_ledger = splice_fields(&serial, &ledger_fields);
+    assert_eq!(
+        fnv1a(&pre_ledger),
+        SCALE_64_PRE_LEDGER_DIGEST,
+        "the request ledger changed more than its four counters"
+    );
+
     // Splice proof for the bucketed tail: the render holds exactly one
     // breakdown, and putting back its prior tail values reproduces the
     // prior pin, so no other byte of the result moved.
@@ -345,7 +378,7 @@ fn fleet_scale_64_backends_is_deterministic_and_pinned() {
             "unexpected number of {field} fields in the render"
         );
     }
-    let pre_bucket = splice_fields(&serial, &tail_fields);
+    let pre_bucket = splice_fields(&pre_ledger, &tail_fields);
     assert_eq!(
         fnv1a(&pre_bucket),
         SCALE_64_PRE_BUCKET_DIGEST,

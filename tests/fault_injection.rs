@@ -38,7 +38,20 @@ fn assert_conservation(f: &FaultSummary) {
 #[test]
 fn faultless_runs_report_zero_fault_activity() {
     let r = run_experiment(&quick(Policy::Perf, 30_000.0));
-    assert_eq!(r.faults, FaultSummary::default());
+    let f = &r.faults;
+    // No injected faults, retransmits, losses, suppressions, replays or
+    // rejections: only the request ledger's counters move.
+    assert_eq!(
+        *f,
+        FaultSummary {
+            issued_total: f.issued_total,
+            completed_total: f.completed_total,
+            in_flight: f.in_flight,
+            ..FaultSummary::default()
+        }
+    );
+    assert!(f.issued_total > 0, "{f:?}");
+    assert_conservation(f);
     assert_eq!(r.rx_drops, 0);
 }
 
@@ -130,6 +143,21 @@ fn rx_ring_overflow_recovers_via_retransmission() {
     assert!(
         f.completed_total >= f.issued_total - f.in_flight,
         "recovered goodput: {f:?}"
+    );
+}
+
+#[test]
+fn rx_ring_overflow_without_retransmission_stays_in_flight() {
+    // The same shallow ring with nothing armed to repair the drops: every
+    // dropped request stays in the ledger as in flight, never vanishing.
+    let r = run_experiment(&quick(Policy::Perf, 30_000.0).with_rx_ring(48));
+    let f = &r.faults;
+    assert!(r.rx_drops > 0, "the shallow ring must overflow: {f:?}");
+    assert_eq!(f.retransmits + f.lost_requests, 0, "{f:?}");
+    assert_conservation(f);
+    assert!(
+        f.in_flight >= r.rx_drops,
+        "every dropped request stays in flight: {f:?}"
     );
 }
 

@@ -332,7 +332,7 @@ fn stage_sums_equal_client_latency() {
                 !collector.is_empty(),
                 "no completions collected ({context})"
             );
-            ensure_eq!(collector.len() as u64, c.tracker().completed());
+            ensure_eq!(collector.len() as u64, c.completed_measured());
             // Every recorded request's stages summed exactly to its
             // client-observed latency.
             ensure!(

@@ -149,6 +149,7 @@ fn rejection_resolves_clients_even_with_reliability_off() {
         r.rejected, r.faults.rejected_total,
         "client-side and server-side rejection counts must agree"
     );
+    assert_conservation(&r);
     assert!(r.invariant_violations.is_empty());
 }
 

@@ -137,29 +137,52 @@ fn icr_accumulation_across_subsystems() {
     assert!(nic.read_icr(0).is_empty(), "read clears");
 }
 
-/// Response segmentation meshes with the client tracker across the
-/// netsim/apps seam: only the final frame completes the measurement.
+/// Response segmentation meshes with the client's request ledger across
+/// the netsim/cluster seam: a segmented response completes its request
+/// only when its final frame arrives, and the latency runs from the
+/// request's send instant. (`netsim::tcp`'s reassembly tests cover
+/// reordered and duplicated segments.)
 #[test]
 fn segmentation_and_tracking_agree() {
+    use cluster::{build_cluster, ClusterEvent};
+    use desim::{EventHandler, EventQueue};
     use netsim::tcp::segment_response;
-    use oldi_apps::ResponseTracker;
-    let mut tracker = ResponseTracker::new();
-    tracker.note_sent(77);
+
+    let cfg = ExperimentConfig::new(AppKind::Apache, Policy::Perf, 10_000.0)
+        .with_durations(SimDuration::ZERO, SimDuration::from_ms(10));
+    let (mut sim, _) = build_cluster(&cfg).expect("valid config");
+    let mut queue = EventQueue::new();
+    let sent_at = SimTime::from_us(50);
+    sim.handle(sent_at, ClusterEvent::ClientBurst { idx: 0 }, &mut queue);
+    let request = std::iter::from_fn(|| queue.pop())
+        .find_map(|(_, e)| match e {
+            ClusterEvent::Deliver { frame } => Some(frame),
+            _ => None,
+        })
+        .expect("the burst sends a request");
+    let id = request.meta().request_id.expect("latency-critical");
+    let issued = sim.fault_summary().issued_total;
+    assert!(issued > 0);
     let frames = segment_response(
-        NodeId(0),
-        NodeId(1),
-        77,
+        request.dst(),
+        request.src(),
+        id,
         Bytes::from(vec![0u8; 10_000]),
-        SimTime::from_us(50),
+        sent_at,
     );
     assert!(frames.len() > 2);
     let mut t = SimTime::from_us(500);
-    let mut completed = None;
-    for f in &frames {
-        completed = tracker.on_response_frame(t, f);
+    for (i, frame) in frames.into_iter().enumerate() {
+        assert_eq!(sim.completed_measured(), 0, "segment {i} completed early");
         t += SimDuration::from_us(2);
+        sim.handle(t, ClusterEvent::Deliver { frame }, &mut queue);
     }
-    let latency = completed.expect("final frame completes the request");
-    assert!(latency > SimDuration::from_us(400));
-    assert_eq!(tracker.completed(), 1);
+    assert_eq!(sim.completed_measured(), 1);
+    let latency = sim.measured_latencies();
+    assert_eq!(
+        (latency.count(), latency.max()),
+        (1, t.saturating_since(sent_at).as_nanos())
+    );
+    let f = sim.fault_summary();
+    assert_eq!((f.completed_total, f.in_flight), (1, issued - 1), "{f:?}");
 }
