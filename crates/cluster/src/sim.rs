@@ -134,10 +134,6 @@ struct FleetState {
     down: Vec<Option<FailureMode>>,
     /// Fault windows currently open (metrics only).
     open_windows: u32,
-    /// Frames dropped at dead machines (either direction). With the
-    /// reliability layer armed these all resolve via retransmission
-    /// failover or an explicit loss — never silently.
-    dead_frames: u64,
     /// Metric-emission cursor for the failover counter (only touched
     /// inside `simtrace::is_enabled()` blocks).
     last_failovers: u64,
@@ -261,6 +257,10 @@ pub struct ClusterSim {
     /// being counted.
     #[cfg(test)]
     drop_completion: bool,
+    /// Planted bug: each replay record is released as its response is
+    /// sent instead of when the client resolves the request.
+    #[cfg(test)]
+    release_at_send: bool,
 }
 
 impl std::fmt::Debug for ClusterSim {
@@ -360,6 +360,8 @@ impl ClusterSim {
             double_stamp: None,
             #[cfg(test)]
             drop_completion: false,
+            #[cfg(test)]
+            release_at_send: false,
         })
     }
 
@@ -405,7 +407,6 @@ impl ClusterSim {
             partitioned,
             open_windows: 0,
             down,
-            dead_frames: 0,
             last_failovers: 0,
         });
         self
@@ -608,6 +609,12 @@ impl ClusterSim {
             queue.push(t, ClusterEvent::Server(node, e));
         }
         for frame in fx.transmit {
+            #[cfg(test)]
+            if self.release_at_send && frame.meta().is_final {
+                if let (Some(si), Some(rid)) = (self.server_index(node), frame.meta().request_id) {
+                    self.servers[si].release_replay(rid);
+                }
+            }
             let bytes = frame.wire_len() as f64;
             if let Some(tr) = self.traces.as_mut() {
                 tr.tx.add(now.as_nanos(), bytes);
@@ -685,7 +692,7 @@ impl ClusterSim {
                 .as_ref()
                 .is_some_and(|f| f.down.get(si).copied().flatten() == Some(FailureMode::Stop))
             {
-                self.note_dead_frame(now);
+                Self::note_dead_frame(now);
                 return;
             }
             let bytes = frame.wire_len() as f64;
@@ -701,13 +708,12 @@ impl ClusterSim {
         }
     }
 
-    /// Accounts a frame that died at (or from) a failed machine.
-    fn note_dead_frame(&mut self, now: SimTime) {
-        if let Some(fs) = self.fleet.as_mut() {
-            fs.dead_frames += 1;
-            if simtrace::is_enabled() {
-                simtrace::metric_add("fleet", "dead_frames", now.as_nanos(), 1.0);
-            }
+    /// Traces a frame that died at (or from) a failed machine. With the
+    /// reliability layer armed each resolves via retransmission failover
+    /// or an explicit loss, never silently.
+    fn note_dead_frame(now: SimTime) {
+        if simtrace::is_enabled() {
+            simtrace::metric_add("fleet", "dead_frames", now.as_nanos(), 1.0);
         }
     }
 
@@ -729,10 +735,7 @@ impl ClusterSim {
             // never reaches the client — the conntrack entry stays open
             // until retransmission failover or loss resolves it.
             if matches!(fs.down[idx], Some(FailureMode::Stop | FailureMode::Hang)) {
-                fs.dead_frames += 1;
-                if simtrace::is_enabled() {
-                    simtrace::metric_add("fleet", "dead_frames", now.as_nanos(), 1.0);
-                }
+                Self::note_dead_frame(now);
                 self.fleet = Some(fs);
                 return;
             }
@@ -1165,6 +1168,9 @@ impl ClusterSim {
         // Removing the row cancels the pending timer: the next RetxCheck
         // finds no state and is a no-op.
         let row = self.inflight.remove(&rid);
+        if self.faults.retx.enabled {
+            self.release_replay(rid, frame.src());
+        }
         let stages = if meta.is_final {
             Some(meta.stages)
         } else {
@@ -1181,6 +1187,21 @@ impl ClusterSim {
             if let Some(st) = stages {
                 self.record_completion(now, rid, meta.sent_at, &st);
             }
+        }
+    }
+
+    /// Frees the replay record of `rid`, which its client just resolved,
+    /// on the server that served it: the response's source, or in a fleet
+    /// the backend the LB's lingering conntrack entry pins. A record held
+    /// elsewhere (a failed-over request's first server) retires with its
+    /// duplicate-table entry.
+    fn release_replay(&mut self, rid: u64, src: NodeId) {
+        let served = match &self.fleet {
+            Some(fs) => fs.lb.pin_of(rid),
+            None => self.server_index(src),
+        };
+        if let Some(si) = served {
+            self.servers[si].release_replay(rid);
         }
     }
 
@@ -1444,12 +1465,6 @@ impl ClusterSim {
         self.watchdog.as_ref()
     }
 
-    /// Frames dropped because the switch did not know their destination.
-    #[must_use]
-    pub fn misroutes(&self) -> u64 {
-        self.misroutes
-    }
-
     /// Latency-critical requests issued and not yet resolved (the request
     /// ledger's size).
     #[must_use]
@@ -1470,20 +1485,18 @@ impl ClusterSim {
         self.servers.iter().map(Kernel::dedup_entries).sum()
     }
 
+    /// Replay attribution records summed over the servers.
+    #[must_use]
+    pub fn replay_records(&self) -> usize {
+        self.servers.iter().map(Kernel::replay_records).sum()
+    }
+
     /// How long resolved request-keyed entries linger before they retire
     /// ([`FaultConfig::linger`], fixed by
     /// [`initial_events`](Self::initial_events)).
     #[must_use]
     pub fn linger(&self) -> SimDuration {
         self.linger
-    }
-
-    /// Frames that died at a failed machine (requests into a crashed
-    /// backend, responses a crash or hang swallowed). Zero whenever the
-    /// failure schedule is empty.
-    #[must_use]
-    pub fn fleet_dead_frames(&self) -> u64 {
-        self.fleet.as_ref().map_or(0, |f| f.dead_frames)
     }
 
     /// Energy consumed since the warmup boundary, per mode.
@@ -1871,6 +1884,49 @@ mod tests {
             wd.violations()
                 .iter()
                 .any(|v| v.kind == crate::InvariantKind::Conservation),
+            "{:?}",
+            wd.violations()
+        );
+    }
+
+    /// A lossy single-server run that loses response segments, so the
+    /// server replays responses and the client completes requests from
+    /// the replays.
+    fn replaying_server() -> (ClusterSim, Vec<(SimTime, ClusterEvent)>) {
+        let mut faults = FaultConfig::none().with_retx(netsim::RetxConfig::standard());
+        faults.loss = 0.02;
+        let cfg = ExperimentConfig::new(AppKind::Apache, Policy::NcapCons, 24_000.0)
+            .with_durations(SimDuration::from_ms(5), SimDuration::from_ms(40))
+            .with_faults(faults)
+            .with_watchdog(crate::WatchdogConfig::default().collecting());
+        crate::runner::build_cluster(&cfg).expect("valid config")
+    }
+
+    /// Planted bug: releasing each replay record when its response is
+    /// sent, not when the client resolves the request, sends the
+    /// replays a client completes from with an empty record. Their stages
+    /// no longer tile the client-observed latency, and the watchdog's
+    /// `stage_tiling` check must catch it; the unplanted run stays clean
+    /// and keeps no record past its request.
+    #[test]
+    fn a_replay_record_released_at_send_is_caught_as_stage_tiling() {
+        let horizon = SimTime::from_ms(65);
+        let control = drive(replaying_server(), horizon);
+        assert!(control.servers[0].stats().resp_replays > 0);
+        assert_eq!(control.breakdown.untiled(), 0);
+        assert!(control.replay_records() <= control.inflight_requests());
+        let wd = control.watchdog().expect("installed");
+        assert!(wd.violations().is_empty(), "{:?}", wd.violations());
+
+        let (mut planted, initial) = replaying_server();
+        planted.release_at_send = true;
+        let planted = drive((planted, initial), horizon);
+        assert!(planted.breakdown.untiled() > 0);
+        let wd = planted.watchdog().expect("installed");
+        assert!(
+            wd.violations()
+                .iter()
+                .any(|v| v.kind == crate::InvariantKind::StageTiling),
             "{:?}",
             wd.violations()
         );

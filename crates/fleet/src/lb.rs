@@ -186,12 +186,24 @@ impl Backend {
 /// the client's retransmission to re-pin them somewhere healthy.
 #[derive(Debug, Clone, Copy)]
 struct Conn {
-    backend: usize,
+    /// Index of the pinned backend, as `u32` so the entry packs into 16
+    /// bytes (backends have 16-bit node ids, so any index fits).
+    backend: u32,
     client: NodeId,
     open: bool,
     limbo: bool,
     /// When the LB opened the entry (its linger starts here).
     since: SimTime,
+}
+
+impl Conn {
+    fn pin(idx: usize) -> u32 {
+        u32::try_from(idx).expect("backend indices fit in u32")
+    }
+
+    fn backend(&self) -> usize {
+        self.backend as usize
+    }
 }
 
 /// What [`LoadBalancer::on_response`] produced.
@@ -538,7 +550,14 @@ impl LoadBalancer {
         self.conntrack
             .get(&id)
             .filter(|c| c.open)
-            .map(|c| c.backend)
+            .map(Conn::backend)
+    }
+
+    /// The backend `id` is pinned to, open or lingering: after the
+    /// request resolved, the backend whose final response closed it.
+    #[must_use]
+    pub fn pin_of(&self, id: u64) -> Option<usize> {
+        self.conntrack.get(&id).map(Conn::backend)
     }
 
     /// The dispatch pool in preference order: active backends, then
@@ -639,7 +658,7 @@ impl LoadBalancer {
         if let Some(conn) = self.conntrack.get(&id) {
             // A retransmission (or a duplicate of a resolved request):
             // follow the pin so backend dup-suppression keeps working.
-            let (pin, open, limbo) = (conn.backend, conn.open, conn.limbo);
+            let (pin, open, limbo) = (conn.backend(), conn.open, conn.limbo);
             let idx = if open && !self.healthy(pin) {
                 match self.pick_healthy() {
                     Some(new) => {
@@ -662,7 +681,7 @@ impl LoadBalancer {
                             self.failed_over += 1;
                         }
                         if let Some(c) = self.conntrack.get_mut(&id) {
-                            c.backend = new;
+                            c.backend = Conn::pin(new);
                             c.limbo = false;
                         }
                         new
@@ -696,7 +715,7 @@ impl LoadBalancer {
         self.conntrack.insert(
             id,
             Conn {
-                backend: idx,
+                backend: Conn::pin(idx),
                 client: frame.src(),
                 open: true,
                 limbo: false,
@@ -733,7 +752,7 @@ impl LoadBalancer {
         // A response from a backend this request was already failed over
         // away from (the old machine restarted, or was merely slow): the
         // re-pinned backend owns the request now — drop it.
-        if self.backends[conn.backend].node != frame.src() {
+        if self.backends[conn.backend()].node != frame.src() {
             self.stale_responses += 1;
             return LbResponse {
                 forward: None,
@@ -741,7 +760,7 @@ impl LoadBalancer {
             };
         }
         let client = conn.client;
-        let idx = conn.backend;
+        let idx = conn.backend();
         let mut drained = None;
         if (is_final || rejected) && conn.open {
             if let Some(c) = self.conntrack.get_mut(&id) {
@@ -907,7 +926,7 @@ impl LoadBalancer {
         b.outstanding = 0;
         let mut orphaned = 0u64;
         for c in self.conntrack.values_mut() {
-            if c.backend == idx && c.open && !c.limbo {
+            if c.backend() == idx && c.open && !c.limbo {
                 c.limbo = true;
                 orphaned += 1;
             }
@@ -1193,6 +1212,16 @@ mod tests {
         assert_eq!(replay.forward.expect("routed").dst(), NodeId(10));
         assert_eq!(l.ledger().completed, 1);
         assert_eq!(l.outstanding(), 0);
+        // The lingering entry still names the backend that served it.
+        assert_eq!(l.pinned_backend(1), None, "closed");
+        assert_eq!(l.pin_of(1), Some(first));
+    }
+
+    /// One `(id, Conn)` per request of the last linger sits in conntrack;
+    /// a field that regrows it regrows the whole table.
+    #[test]
+    fn conntrack_entries_stay_small() {
+        assert!(std::mem::size_of::<(u64, Conn)>() <= 24);
     }
 
     #[test]

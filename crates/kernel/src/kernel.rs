@@ -128,6 +128,8 @@ struct Response {
     bytes: usize,
     sent_at: SimTime,
     stages: netsim::StageRecord,
+    /// A reliability-layer replay of a response already sent.
+    replay: bool,
 }
 
 /// Receiver-side duplicate-suppression state for one request id (only
@@ -142,14 +144,12 @@ enum DupState {
         since: SimTime,
     },
     /// The response (of this size) was already generated; a duplicate
-    /// means the client did not receive it all — replay it.
+    /// means the client did not receive it all — replay it. Its
+    /// attribution record lives in `Kernel::replay_stages`, and only
+    /// until the client resolves the request.
     Done {
         /// Size of the generated response body.
         response_bytes: usize,
-        /// The original attribution record, so a replayed response still
-        /// tiles the client-observed latency (the original-to-replay gap
-        /// is charged to `replay_ns`).
-        stages: netsim::StageRecord,
     },
     /// Admission control rejected the request with a 503. A duplicate
     /// retransmission replays the rejection — the request is never
@@ -337,6 +337,12 @@ pub struct Kernel {
     seen: HashMap<u64, DupState>,
     /// Resolved `seen` entries waiting out their linger.
     seen_wait: netsim::TimeWait,
+    /// Attribution records of `Done` requests, so a replayed response
+    /// still tiles the client-observed latency (the original-to-replay
+    /// gap is charged to `replay_ns`). Measurement sideband: a record is
+    /// released when the client resolves its request
+    /// ([`Kernel::release_replay`]) or when its `Done` entry retires.
+    replay_stages: HashMap<u64, netsim::StageRecord>,
     finished_traces: Vec<RequestTrace>,
     next_token: u64,
     tx_backlog: VecDeque<Packet>,
@@ -441,6 +447,7 @@ impl Kernel {
             requests: HashMap::new(),
             seen: HashMap::new(),
             seen_wait: netsim::TimeWait::default(),
+            replay_stages: HashMap::new(),
             finished_traces: Vec::new(),
             next_token: 0,
             tx_backlog: VecDeque::new(),
@@ -478,6 +485,19 @@ impl Kernel {
     #[must_use]
     pub fn dedup_entries(&self) -> usize {
         self.seen.len()
+    }
+
+    /// Replay attribution records still held.
+    #[must_use]
+    pub fn replay_records(&self) -> usize {
+        self.replay_stages.len()
+    }
+
+    /// Drops the replay attribution record of `rid`: its client resolved
+    /// the request, so no replay of it can be consumed any more. A later
+    /// replay still goes out, with an empty record.
+    pub fn release_replay(&mut self, rid: u64) {
+        self.replay_stages.remove(&rid);
     }
 
     /// Records that `rid` resolved as `state`: its entry now waits out
@@ -1215,10 +1235,7 @@ impl Kernel {
                 }
                 // Already answered: the response (or its tail) was lost —
                 // replay it without re-running the application.
-                Some(&DupState::Done {
-                    response_bytes,
-                    stages,
-                }) => {
+                Some(&DupState::Done { response_bytes }) => {
                     self.stats.resp_replays += 1;
                     if simtrace::is_enabled() {
                         let t = now.as_nanos();
@@ -1232,20 +1249,23 @@ impl Kernel {
                     }
                     // Charge the gap since the original (or previous replay)
                     // response to `replay_ns` so the record still tiles the
-                    // latency the client finally observes.
-                    let mut st = stages;
-                    st.replay_ns = ns32(
-                        u64::from(st.replay_ns)
-                            + now.as_nanos().saturating_sub(st.app_done.as_nanos()),
-                    );
-                    st.app_done = now;
-                    self.seen.insert(
-                        rid,
-                        DupState::Done {
-                            response_bytes,
-                            stages: st,
+                    // latency the client finally observes. A released
+                    // record means the client already resolved the request
+                    // and will absorb this replay unread.
+                    let stages = match self.replay_stages.get_mut(&rid) {
+                        Some(st) => {
+                            st.replay_ns = ns32(
+                                u64::from(st.replay_ns)
+                                    + now.as_nanos().saturating_sub(st.app_done.as_nanos()),
+                            );
+                            st.app_done = now;
+                            *st
+                        }
+                        None => netsim::StageRecord {
+                            app_done: now,
+                            ..netsim::StageRecord::default()
                         },
-                    );
+                    };
                     self.emit_response(
                         now,
                         Response {
@@ -1253,7 +1273,8 @@ impl Kernel {
                             request_id: rid,
                             bytes: response_bytes,
                             sent_at: frame.meta().sent_at,
-                            stages: st,
+                            stages,
+                            replay: true,
                         },
                         fx,
                     );
@@ -1282,10 +1303,11 @@ impl Kernel {
                 // A fresh request: retire what has waited out its linger
                 // as the table grows.
                 None => {
-                    let seen = &mut self.seen;
+                    let (seen, records) = (&mut self.seen, &mut self.replay_stages);
                     self.seen_wait.retire(now, |id| {
                         if !matches!(seen.get(&id), Some(DupState::InFlight { .. })) {
                             seen.remove(&id);
+                            records.remove(&id);
                         }
                     });
                 }
@@ -1381,9 +1403,9 @@ impl Kernel {
                         state.info.id,
                         DupState::Done {
                             response_bytes: state.response_bytes,
-                            stages,
                         },
                     );
+                    self.replay_stages.insert(state.info.id, stages);
                 }
                 self.emit_response(
                     now,
@@ -1393,6 +1415,7 @@ impl Kernel {
                         bytes: state.response_bytes,
                         sent_at: state.info.sent_at,
                         stages,
+                        replay: false,
                     },
                     fx,
                 );
@@ -1409,13 +1432,16 @@ impl Kernel {
             bytes,
             sent_at,
             stages,
+            replay,
         } = response;
         let body = Bytes::from(vec![0u8; bytes]);
         let mut frames = segment_response(self.node, dst, request_id, body, sent_at);
         // The attribution record rides the final frame — the one whose
         // arrival completes the request at the client.
         if let Some(last) = frames.last_mut() {
-            last.meta_mut().stages = stages;
+            let meta = last.meta_mut();
+            meta.stages = stages;
+            meta.replay = replay;
         }
         let sw_cost = self.ncap_sw.as_ref().map_or(0, |_| ncap::SW_PER_TX_CYCLES);
         let stack = (self.cfg.tx_stack_cycles as f64 * self.nic.stack_cycle_factor()) as u64;
@@ -1487,12 +1513,13 @@ impl Kernel {
             if let Some(id) = frame.meta().request_id {
                 // Attribution: TX stack + NIC serialization, app-done
                 // to wire departure of the completing frame.
-                let st = &mut frame.meta_mut().stages;
+                let meta = frame.meta_mut();
+                let st = &mut meta.stages;
                 st.tx_ns = ns32(now.as_nanos().saturating_sub(st.app_done.as_nanos()));
                 st.last_tx = now;
                 // A sampled request's waterfall is read off its original
                 // response's record; a replay repeats a response already sent.
-                if st.replay_ns == 0 && self.sampled(id) {
+                if !meta.replay && self.sampled(id) {
                     let ns = |d: u32| desim::SimDuration::from_nanos(u64::from(d));
                     self.finished_traces.push(RequestTrace {
                         id,
@@ -1866,20 +1893,28 @@ mod tests {
     }
 
     /// Drives a kernel to quiescence, collecting transmitted frames.
-    pub(super) fn drain(kernel: &mut Kernel, mut fx: Effects, horizon: SimTime) -> Vec<Packet> {
-        let mut queue: desim::EventQueue<NodeEvent> = desim::EventQueue::new();
-        let mut out = Vec::new();
-        for (t, e) in fx.schedule.drain(..) {
+    pub(super) fn drain(kernel: &mut Kernel, fx: Effects, horizon: SimTime) -> Vec<Packet> {
+        let mut queue = desim::EventQueue::new();
+        for (t, e) in fx.schedule {
             queue.push(t, e);
         }
-        out.extend(fx.transmit);
-        while let Some(t) = queue.peek_time() {
-            if t > horizon {
-                break;
-            }
+        let mut out = fx.transmit;
+        out.extend(run_until(kernel, &mut queue, horizon));
+        out
+    }
+
+    /// Handles `queue`'s events up to `horizon`, collecting transmitted
+    /// frames.
+    fn run_until(
+        kernel: &mut Kernel,
+        queue: &mut desim::EventQueue<NodeEvent>,
+        horizon: SimTime,
+    ) -> Vec<Packet> {
+        let mut out = Vec::new();
+        while queue.peek_time().is_some_and(|t| t <= horizon) {
             let (t, e) = queue.pop().expect("peeked");
-            let mut fx = kernel.handle(t, e);
-            for (te, e) in fx.schedule.drain(..) {
+            let fx = kernel.handle(t, e);
+            for (te, e) in fx.schedule {
                 queue.push(te, e);
             }
             out.extend(fx.transmit);
@@ -2103,6 +2138,75 @@ mod tests {
         // Replayed frames carry the same sequence numbers for dedup.
         let seqs: Vec<u32> = frames.iter().map(|f| f.meta().seq).collect();
         assert_eq!(seqs, vec![0, 1, 2, 0, 1, 2]);
+        // Only the replay's final frame is marked. It carries the original
+        // record, with the original-to-replay gap charged to `replay_ns`.
+        let marked: Vec<bool> = frames.iter().map(|f| f.meta().replay).collect();
+        assert_eq!(marked, vec![false, false, false, false, false, true]);
+        let (original, replay) = (frames[2].meta().stages, frames[5].meta().stages);
+        assert_eq!(replay.arrival, original.arrival);
+        assert!(replay.replay_ns > 0, "{replay:?}");
+        assert_eq!(k.replay_records(), 1, "held until the client resolves");
+    }
+
+    /// A replay record lives until the client resolves its request. A
+    /// replay after that goes out marked, with an empty record, and adds
+    /// no waterfall; retiring a `Done` entry drops a record no client
+    /// released.
+    #[test]
+    fn replay_records_live_until_released_or_retired() {
+        let mut k = Kernel::new(
+            KernelConfig::server_defaults()
+                .with_initial_pstate(cpusim::PStateId(0))
+                .with_reliability()
+                .with_request_tracing(1),
+            NodeId(0),
+            Nic::new(NicConfig::i82574_like()),
+            Box::new(Performance),
+            Box::new(PollIdle),
+            Box::new(StubApp {
+                cycles: 50_000,
+                response: 4_000,
+                io: None,
+            }),
+        );
+        k.set_dedup_linger(SimDuration::from_ms(20));
+        let mut queue = desim::EventQueue::new();
+        for (t, e) in k.init(SimTime::ZERO).schedule {
+            queue.push(t, e);
+        }
+        let arrive = |queue: &mut desim::EventQueue<NodeEvent>, us: u64, id: u64| {
+            queue.push(
+                SimTime::from_us(us),
+                NodeEvent::FrameFromWire(get_frame(id)),
+            );
+        };
+        arrive(&mut queue, 10, 7);
+        arrive(&mut queue, 20, 8);
+        let _ = run_until(&mut k, &mut queue, SimTime::from_ms(5));
+        assert_eq!((k.replay_records(), k.request_traces().len()), (2, 2));
+
+        k.release_replay(7);
+        assert_eq!(k.replay_records(), 1);
+        arrive(&mut queue, 6_000, 7);
+        let replay = run_until(&mut k, &mut queue, SimTime::from_ms(10));
+        let last = replay.last().expect("the replay went out").meta();
+        assert!(last.is_final && last.replay);
+        assert_eq!(last.stages.arrival, SimTime::ZERO, "an empty record");
+        assert_eq!(k.stats().resp_replays, 1);
+        assert_eq!(k.request_traces().len(), 2, "a replay adds no waterfall");
+
+        // Request 9 arrives after 7's and 8's linger: both entries retire,
+        // and 8's unreleased record goes with its entry.
+        arrive(&mut queue, 30_000, 9);
+        let _ = run_until(&mut k, &mut queue, SimTime::from_ms(35));
+        assert_eq!((k.dedup_entries(), k.replay_records()), (1, 1));
+    }
+
+    /// One `DupState` per request of the last linger sits in the duplicate
+    /// table; a field that regrows it regrows the whole table.
+    #[test]
+    fn dup_state_stays_small() {
+        assert!(std::mem::size_of::<DupState>() <= 16);
     }
 
     #[test]

@@ -484,7 +484,9 @@ fn rejected_requests_unpin_and_the_ledger_balances() {
 /// An armed 16-backend failover run (two fail-stops that restart) for two
 /// simulated seconds. At the horizon each request-keyed table holds at
 /// most the requests issued in the last linger plus 50 ms — before
-/// entries retired, each held every request of the run.
+/// entries retired, each held every request of the run — and the kernels'
+/// replay records, which live only until the client resolves their
+/// request, number no more than the client's in-flight entries.
 #[test]
 fn request_keyed_state_is_bounded_by_recent_issues() {
     let warmup = SimDuration::from_ms(100);
@@ -537,6 +539,13 @@ fn request_keyed_state_is_bounded_by_recent_issues() {
              issued in the last {window}"
         );
     }
+    assert!(
+        c.replay_records() <= c.inflight_requests(),
+        "{} replay records outlive their requests ({} in flight, {} duplicate entries)",
+        c.replay_records(),
+        c.inflight_requests(),
+        c.dedup_entries()
+    );
     let wd = c.watchdog().expect("the runner installs a watchdog");
     assert!(wd.violations().is_empty(), "{:?}", wd.violations());
 }
