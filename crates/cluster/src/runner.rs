@@ -38,9 +38,9 @@ pub struct ExperimentResult {
     pub offered: u64,
     /// Requests completed during the measured window.
     pub completed: u64,
-    /// NCAP proactive interrupts observed (whole run).
+    /// NCAP proactive interrupts observed (whole run, all servers).
     pub wake_markers: usize,
-    /// RX-ring drops at the server NIC (whole run).
+    /// RX-ring drops at the server NICs (whole run, all servers).
     pub rx_drops: u64,
     /// Length of the measured window.
     pub measure: desim::SimDuration,
@@ -50,9 +50,11 @@ pub struct ExperimentResult {
     /// was set, or the `NCAP_TRACE` environment variable enabled tracing).
     pub sim_trace: Option<simtrace::TraceData>,
     /// Sampled server-side request waterfalls (when
-    /// [`ExperimentConfig::with_request_tracing`] was set).
+    /// [`ExperimentConfig::with_request_tracing`] was set), every
+    /// server's in server order.
     pub server_request_traces: Option<Vec<oskernel::RequestTrace>>,
-    /// Server kernel operational counters (whole run).
+    /// Server kernel operational counters (whole run), summed field by
+    /// field over all servers.
     pub kernel_stats: oskernel::KernelStats,
     /// Fault-injection and recovery accounting, plus the request
     /// ledger's counters (only those are non-zero when the fault
@@ -318,6 +320,8 @@ pub fn try_run_experiment(cfg: &ExperimentConfig) -> Result<ExperimentResult, Co
         }
         s
     });
+    let servers = cluster.servers();
+    let kernel_stats = cluster.kernel_stats();
     let result = ExperimentResult {
         policy: cfg.policy,
         app: cfg.app,
@@ -328,19 +332,21 @@ pub fn try_run_experiment(cfg: &ExperimentConfig) -> Result<ExperimentResult, Co
         energy,
         offered: cluster.offered_measured(),
         completed: cluster.completed_measured(),
-        wake_markers: cluster.server().wake_marker_times().len(),
-        rx_drops: cluster.server().nic().rx_drops(),
+        wake_markers: servers.iter().map(|s| s.wake_marker_times().len()).sum(),
+        rx_drops: servers.iter().map(|s| s.nic().rx_drops()).sum(),
         measure: cfg.measure,
         traces: None,
         sim_trace,
-        server_request_traces: cfg
-            .request_trace_every
-            .map(|_| cluster.server().request_traces().to_vec()),
-        kernel_stats: cluster.server().stats(),
+        server_request_traces: cfg.request_trace_every.map(|_| {
+            servers
+                .iter()
+                .flat_map(|s| s.request_traces().iter().copied())
+                .collect()
+        }),
+        kernel_stats,
         faults: cluster.fault_summary(),
-        rejected: cluster.servers().iter().map(|s| s.stats().rejected).sum(),
-        max_queue_depth: cluster
-            .servers()
+        rejected: kernel_stats.rejected,
+        max_queue_depth: servers
             .iter()
             .map(oskernel::Kernel::max_run_queue_depth)
             .max()

@@ -20,7 +20,6 @@ use oldi_apps::OpenLoopClient;
 use oskernel::{Effects, Kernel, NodeEvent};
 use simstats::breakdown::{stage, BreakdownCollector, LatencyBreakdown, STAGE_COUNT, STAGE_NAMES};
 use simstats::LogHistogram;
-use std::collections::HashMap;
 
 /// Clamps a nanosecond duration into the `u32` stage fields (4.29 s cap,
 /// far above any request residency the harness simulates).
@@ -228,7 +227,7 @@ pub struct ClusterSim {
     faults: FaultConfig,
     /// The request ledger: latency-critical requests not yet resolved, by
     /// request id.
-    inflight: HashMap<u64, InFlight>,
+    inflight: netsim::IdMap<InFlight>,
     /// How long resolved entries of the servers' and the LB's
     /// request-keyed tables linger (set in `initial_events`).
     linger: SimDuration,
@@ -343,7 +342,7 @@ impl ClusterSim {
             latencies: LogHistogram::new(),
             rejected_measured: 0,
             faults: FaultConfig::none(),
-            inflight: HashMap::new(),
+            inflight: netsim::IdMap::default(),
             linger: SimDuration::ZERO,
             late_copies: 0,
             retransmits: 0,
@@ -1422,20 +1421,15 @@ impl ClusterSim {
     #[must_use]
     pub fn fault_summary(&self) -> FaultSummary {
         let fs = self.switch.fault_stats();
-        let (mut dup, mut replays) = (0, 0);
-        for s in &self.servers {
-            let ks = s.stats();
-            dup += ks.dup_suppressed;
-            replays += ks.resp_replays;
-        }
+        let ks = self.kernel_stats();
         FaultSummary {
             injected_losses: fs.losses,
             injected_corruptions: fs.corruptions,
             injected_reorders: fs.reorders,
             retransmits: self.retransmits,
             lost_requests: self.lost_requests,
-            dup_suppressed: dup,
-            resp_replays: replays,
+            dup_suppressed: ks.dup_suppressed,
+            resp_replays: ks.resp_replays,
             issued_total: self.issued_total,
             completed_total: self.completed_total,
             rejected_total: self.rejected_total,
@@ -1555,16 +1549,20 @@ impl ClusterSim {
         self.offered_measured
     }
 
-    /// The first (or only) server kernel (counters, cores, NIC).
-    #[must_use]
-    pub fn server(&self) -> &Kernel {
-        &self.servers[0]
-    }
-
     /// All server kernels.
     #[must_use]
     pub fn servers(&self) -> &[Kernel] {
         &self.servers
+    }
+
+    /// Every server kernel's counters, summed field by field.
+    #[must_use]
+    pub fn kernel_stats(&self) -> oskernel::KernelStats {
+        let mut sum = oskernel::KernelStats::default();
+        for s in &self.servers {
+            sum += s.stats();
+        }
+        sum
     }
 
     /// The collected traces, if tracing was enabled. The whole-run
@@ -1960,7 +1958,7 @@ mod tests {
     #[test]
     fn ncap_cluster_records_wake_markers() {
         let c = run(Policy::NcapCons);
-        assert!(!c.server().wake_marker_times().is_empty());
+        assert!(!c.servers()[0].wake_marker_times().is_empty());
         assert_eq!(c.servers().len(), 1);
     }
 

@@ -24,8 +24,7 @@
 use crate::config::{DispatchPolicy, FleetConfig};
 use crate::faults::HealthConfig;
 use desim::{SimDuration, SimTime};
-use netsim::{NodeId, Packet, TimeWait};
-use std::collections::HashMap;
+use netsim::{IdMap, NodeId, Packet, TimeWait};
 
 /// Rotation state of one backend, as the LB and coordinator see it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -325,7 +324,7 @@ pub struct LoadBalancer {
     rr_cursor: usize,
     /// Backend index by `NodeId`, dense over the node-id space.
     index_of: Vec<Option<usize>>,
-    conntrack: HashMap<u64, Conn>,
+    conntrack: IdMap<Conn>,
     /// Closed conntrack entries waiting out their linger.
     closed: TimeWait,
     /// The cluster clock, as of the last [`advance_clock`](Self::advance_clock).
@@ -368,7 +367,7 @@ impl LoadBalancer {
             backends: backends.into_iter().map(Backend::new).collect(),
             rr_cursor: 0,
             index_of,
-            conntrack: HashMap::new(),
+            conntrack: IdMap::default(),
             closed: TimeWait::default(),
             now: SimTime::ZERO,
             opened: 0,

@@ -18,7 +18,7 @@ use netsim::tcp::segment_response;
 use netsim::Bytes;
 use netsim::{NodeId, Packet};
 use nicsim::Nic;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Events delivered to a node's kernel.
 #[derive(Debug, Clone)]
@@ -198,6 +198,40 @@ pub struct KernelStats {
     pub polled_frames: u64,
 }
 
+impl std::ops::AddAssign for KernelStats {
+    /// Field-wise sum, so a fleet's counters add up over its backends.
+    fn add_assign(&mut self, o: Self) {
+        let KernelStats {
+            isrs,
+            softirq_rx,
+            softirq_tx,
+            app_jobs,
+            governor_ticks,
+            core_wakes,
+            dup_suppressed,
+            resp_replays,
+            rejected,
+            reject_replays,
+            backlog_sheds,
+            tx_sheds,
+            polled_frames,
+        } = o;
+        self.isrs += isrs;
+        self.softirq_rx += softirq_rx;
+        self.softirq_tx += softirq_tx;
+        self.app_jobs += app_jobs;
+        self.governor_ticks += governor_ticks;
+        self.core_wakes += core_wakes;
+        self.dup_suppressed += dup_suppressed;
+        self.resp_replays += resp_replays;
+        self.rejected += rejected;
+        self.reject_replays += reject_replays;
+        self.backlog_sheds += backlog_sheds;
+        self.tx_sheds += tx_sheds;
+        self.polled_frames += polled_frames;
+    }
+}
+
 /// A stage-level waterfall of one sampled request's life inside the
 /// server — measurement-only instrumentation (the gem5-pseudo-instruction
 /// role of the paper's methodology, at per-stage granularity). Derived
@@ -333,8 +367,8 @@ pub struct Kernel {
     uncore: EnergyMeter,
     uncore_sync: SimTime,
 
-    requests: HashMap<u64, ReqState>,
-    seen: HashMap<u64, DupState>,
+    requests: netsim::IdMap<ReqState>,
+    seen: netsim::IdMap<DupState>,
     /// Resolved `seen` entries waiting out their linger.
     seen_wait: netsim::TimeWait,
     /// Attribution records of `Done` requests, so a replayed response
@@ -342,7 +376,7 @@ pub struct Kernel {
     /// gap is charged to `replay_ns`). Measurement sideband: a record is
     /// released when the client resolves its request
     /// ([`Kernel::release_replay`]) or when its `Done` entry retires.
-    replay_stages: HashMap<u64, netsim::StageRecord>,
+    replay_stages: netsim::IdMap<netsim::StageRecord>,
     finished_traces: Vec<RequestTrace>,
     next_token: u64,
     tx_backlog: VecDeque<Packet>,
@@ -444,10 +478,10 @@ impl Kernel {
             wake_eta: vec![SimTime::ZERO; n],
             isr_pending,
             irq_wake,
-            requests: HashMap::new(),
-            seen: HashMap::new(),
+            requests: netsim::IdMap::default(),
+            seen: netsim::IdMap::default(),
             seen_wait: netsim::TimeWait::default(),
-            replay_stages: HashMap::new(),
+            replay_stages: netsim::IdMap::default(),
             finished_traces: Vec::new(),
             next_token: 0,
             tx_backlog: VecDeque::new(),

@@ -57,4 +57,4 @@ pub use link::Link;
 pub use packet::{NodeId, Packet, PacketMeta, StageRecord};
 pub use switch::{Delivery, Switch};
 pub use tcp::{segment_response, Reassembly, SegmentStatus};
-pub use timewait::TimeWait;
+pub use timewait::{IdMap, TimeWait};

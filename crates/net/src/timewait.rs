@@ -14,8 +14,37 @@
 //! closed id is queued and popped once, so the cost is O(1) amortised.
 //! Open entries are never queued and never retire.
 
-use desim::{SimDuration, SimTime};
-use std::collections::VecDeque;
+use desim::{SimDuration, SimTime, SplitMix64};
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A table keyed by a simulation-internal id (request or connection).
+///
+/// Its hasher is fixed, unlike `HashMap`'s per-process random seed, so
+/// the same run lays out its tables, and grows them, identically in
+/// every process, and its memory use repeats.
+pub type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
+
+/// The [`IdMap`] hasher: an id hashes to the first output of a
+/// [`SplitMix64`] seeded with it, i.e. the SplitMix64 finalizer.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = SplitMix64::new(id).next_u64();
+    }
+}
 
 /// A FIFO of closed request ids waiting out their linger.
 ///

@@ -15,10 +15,13 @@
 //! * a deliberately planted conservation bug is caught by the watchdog
 //!   in Collect mode (violations accumulate with sim-time stamps, the
 //!   run is never aborted), shrunk to a minimal repro, and the repro
-//!   replays from its scenario-file form.
+//!   replays from its scenario-file form;
+//! * the campaign's results match their pinned field-digest table.
 
 use cluster::chaos::{self, ChaosScenario};
 use cluster::{try_run_experiment, FailureMode, InvariantKind};
+
+mod common;
 
 /// A 16-seed campaign composes partitions, brownouts, crashes, and flash
 /// crowds — and the oracle stays silent on all of them.
@@ -138,39 +141,36 @@ fn planted_bug_shrinks_to_a_replayable_repro() {
     );
 }
 
-/// FNV-1a over a string, as in the 64-backend golden-digest test.
-fn fnv1a(s: &str) -> u64 {
-    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
-/// Result digests of the 16-seed campaign, seed 1 first: FNV-1a of each
-/// result's `Debug` render with the host-side trace and profile cleared.
-/// They pin what the campaign simulates under loss, reordering,
-/// brownouts, crashes and hangs, so a change meant to be exact (such as
-/// retiring request-keyed state) must leave every one unchanged.
-///
-/// Re-pinned when the breakdown's tail view became bucketed. With the
-/// `tail_threshold_ns`, `tail_count`, `tail_mean` and `tail_share` values
-/// masked, all 16 renders were byte-identical before and after.
-const CAMPAIGN_DIGESTS: [u64; 16] = [
-    0xD886_254D_FE6A_EF54,
-    0x0D39_AF62_D95D_B4ED,
-    0xB603_BC63_52AC_3AF9,
-    0x6DCC_A6C7_6337_9AC2,
-    0x99C2_E41C_1A8E_C052,
-    0xF0A5_A15D_2281_156E,
-    0x19E0_2B8A_9D93_C025,
-    0x9E7E_8A5C_D248_4040,
-    0xF740_0113_19CE_0450,
-    0xA255_8C7D_1DE0_46FC,
-    0xAB5E_6CF3_3D7B_2DAD,
-    0x528F_D363_620C_E2EF,
-    0x1DEF_9F00_1E35_243D,
-    0x4D6A_DB9A_DA5F_617E,
-    0xC44A_FCEE_4929_8810,
-    0x56E8_266F_9B76_7522,
+/// The field-digest table of the 16-seed campaign, folded over the
+/// results in seed order with the host-side trace and profile cleared.
+/// It pins what the campaign simulates under loss, reordering,
+/// brownouts, crashes and hangs.
+const CAMPAIGN_FIELDS: &[(&str, u64)] = &[
+    ("policy", 0xc07c8e76bd77dcbb),
+    ("app", 0x059ae44181cf3985),
+    ("load_rps", 0xef9cad6e384a4eef),
+    ("latency", 0xe8de439e6a93b126),
+    ("energy", 0x528084c5192d25b8),
+    ("energy_j", 0x15566139d2516c17),
+    ("poll_energy_j", 0xa249b7910edcaf03),
+    ("offered", 0x8c19a13a86a9c1bd),
+    ("completed", 0x9e784f629ce7bac5),
+    ("wake_markers", 0x50704d428ba2be8b),
+    ("rx_drops", 0xe3e7a96eb78724f5),
+    ("measure", 0x2d58c7eea20e6b45),
+    ("traces", 0x5c04345bf25981a5),
+    ("sim_trace", 0xa588ad518f01f875),
+    ("server_request_traces", 0xd7d5b90cfc116d25),
+    ("kernel_stats", 0xc10893d0b72385de),
+    ("faults", 0x824d46c581034e2b),
+    ("rejected", 0xd8d3441b1a147b25),
+    ("max_queue_depth", 0x88be97f4f7beeb75),
+    ("watchdog_checks", 0x15c10f38a913b365),
+    ("invariant_violations", 0x112ae2f4b5468845),
+    ("fleet", 0xf3b16cc7bc7993e5),
+    ("events_processed", 0x3bfc25fd8da42590),
+    ("breakdown", 0x8e53967bdb804549),
+    ("self_profile", 0x95fca0ba9fb02925),
 ];
 
 #[test]
@@ -178,19 +178,9 @@ fn seeded_campaign_results_match_the_pinned_digests() {
     let configs: Vec<_> = (1..=16)
         .map(|seed| ChaosScenario::generate(seed).to_config())
         .collect();
-    let digests: Vec<u64> = cluster::run_experiments_on(&configs, 4)
-        .into_iter()
-        .map(|mut r| {
-            r.sim_trace = None;
-            r.self_profile = None;
-            fnv1a(&format!("{r:?}"))
-        })
-        .collect();
-    let render: Vec<String> = digests.iter().map(|d| format!("{d:#018x}")).collect();
-    assert_eq!(
-        digests,
-        CAMPAIGN_DIGESTS,
-        "campaign digests changed: [{}]",
-        render.join(", ")
-    );
+    let mut results = cluster::run_experiments_on(&configs, 4);
+    for r in &mut results {
+        (r.sim_trace, r.self_profile) = (None, None);
+    }
+    common::assert_pinned(&common::field_table(&results), CAMPAIGN_FIELDS);
 }

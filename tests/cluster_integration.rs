@@ -8,6 +8,8 @@
 use cluster::{run_experiment, AppKind, BackgroundTraffic, ExperimentConfig, Policy};
 use desim::SimDuration;
 
+mod common;
+
 fn quick(app: AppKind, policy: Policy, load: f64) -> ExperimentConfig {
     ExperimentConfig::new(app, policy, load)
         .with_durations(SimDuration::from_ms(30), SimDuration::from_ms(80))
@@ -192,114 +194,37 @@ fn same_config_and_seed_is_byte_identical() {
     }
 }
 
-/// FNV-1a over a string: tiny, dependency-free, stable across platforms
-/// (the digest input is a `Debug` rendering, which Rust formats
-/// identically everywhere).
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// The golden digest of the 64-backend scale scenario below. Any change
-/// to event ordering, RNG derivation, or result accounting shows up here
-/// as a digest mismatch.
-///
-/// Re-pinned when `ExperimentResult` gained the `breakdown` and
-/// `self_profile` fields (the digest covers the full `Debug` render):
-/// every pre-existing field was verified bit-for-bit unchanged against
-/// the prior pin before updating.
-///
-/// Re-pinned again when `FleetSummary` gained the failure-layer fields
-/// (`failovers`, `health_probes`, `probe_failures`, `ejections`,
-/// `rejoins`, `stale_responses` — all zero in this fault-free run).
-/// Proof of no behavioural change: removing exactly that inserted
-/// zero-valued substring from the new render hashes to the prior pin
-/// `0x4A80_9097_44A1_195D`, so every pre-existing field is bit-for-bit
-/// unchanged.
-///
-/// Re-pinned for the datapath PR, which inserted three all-zero pieces
-/// into this render: `polled_frames` in `KernelStats`, `poll_energy_j`
-/// in `ExperimentResult`, and the `poll_wait` stage entry in the
-/// breakdown (the 13-stage taxonomy). The in-test splice proof strips
-/// exactly those inserted substrings and checks the remainder against
-/// the prior pin `0x9EFB_C273_4A94_71C4`, demonstrating
-/// `Datapath::Kernel` is observer-effect-free: every pre-existing byte
-/// of the result is unchanged by the bypass subsystem.
-///
-/// Re-pinned when the breakdown's tail view became bucketed: the tail
-/// is now every request in or above the total-latency histogram bucket
-/// that holds the p99, and its threshold is that bucket's lower bound.
-/// Only the four tail fields moved. The in-test splice proof puts back
-/// their prior values ([`PRE_BUCKET_TAIL`]) and checks the result against
-/// the prior pin `0x42B9_6683_DD82_1064`.
-///
-/// Re-pinned when the client's request ledger began counting every
-/// latency-critical request, with or without retransmission. This run
-/// has none armed, so at the prior pin its four ledger counters in
-/// `FaultSummary` (`issued_total`, `completed_total`, `rejected_total`,
-/// `in_flight`) were all zero. The in-test splice proof puts those zeros
-/// back and checks the result against the prior pin
-/// [`SCALE_64_PRE_LEDGER_DIGEST`]: no other byte of the result moved.
-const SCALE_64_GOLDEN_DIGEST: u64 = 0x7F8D_64C1_85F3_2B93;
-
-/// The pin before every run counted its requests in the ledger.
-const SCALE_64_PRE_LEDGER_DIGEST: u64 = 0x2B26_71C3_B142_E5B1;
-
-/// The pin before the tail view was bucketed.
-const SCALE_64_PRE_BUCKET_DIGEST: u64 = 0x42B9_6683_DD82_1064;
-
-/// This scenario's tail fields under the exact order-statistic threshold:
-/// `tail_threshold_ns`, `tail_count`, then each stage's `tail_mean` and
-/// `tail_share` in `STAGE_NAMES` order.
-const PRE_BUCKET_TAIL: (&str, &str, [(&str, &str); simstats::STAGE_COUNT]) = (
-    "247537",
-    "5",
-    [
-        ("5377.0", "0.021193538749451145"), // net_in
-        ("4000.0", "0.015766069369128617"), // lb
-        ("15033.0", "0.05925283020652763"), // dma
-        ("18543.8", "0.07309070929181181"), // moderation
-        ("47000.0", "0.18525131508726125"), // wake
-        ("7500.0", "0.029561380067116158"), // stack
-        ("0.0", "0.0"),                     // poll_wait
-        ("5000.0", "0.019707586711410773"), // rq_wait
-        ("105689.0", "0.4165750263884586"), // cpu
-        ("0.0", "0.0"),                     // io
-        ("37050.0", "0.14603321753155382"), // tx
-        ("8516.6", "0.03356832659728019"),  // net_out
-        ("0.0", "0.0"),                     // retx
-    ],
-);
-
-/// Replaces the value of each `(field, value)` pair's field, matched in
-/// order of appearance in `render`. A `Debug` value ends at `,`, ` ` or
-/// `}`.
-fn splice_fields(render: &str, fields: &[(&str, &str)]) -> String {
-    let mut out = String::with_capacity(render.len());
-    let mut rest = render;
-    for (field, value) in fields {
-        let key = format!("{field}: ");
-        let at = rest
-            .find(&key)
-            .unwrap_or_else(|| panic!("no {field} left in the render"))
-            + key.len();
-        out.push_str(&rest[..at]);
-        out.push_str(value);
-        rest = &rest[at..];
-        rest = &rest[rest.find([',', ' ', '}']).expect("the value ends")..];
-    }
-    out.push_str(rest);
-    out
-}
-
-/// The pin before the datapath PR — the splice proof in
-/// [`fleet_scale_64_backends_is_deterministic_and_pinned`] reduces the
-/// current render back to this digest.
-const SCALE_64_PRE_DATAPATH_DIGEST: u64 = 0x9EFB_C273_4A94_71C4;
+/// The field-digest table of the 64-backend scale scenario below
+/// (DESIGN.md §7). A change to event ordering, RNG derivation or result
+/// accounting moves the rows it touches: explain every moved row in
+/// CHANGES.md, then paste the table the failed check prints.
+const GOLDEN: &[(&str, u64)] = &[
+    ("policy", 0x11abb5cc1ec7b8d0),
+    ("app", 0x47e3ec018bf954bf),
+    ("load_rps", 0xb48cdcefa9649de7),
+    ("latency", 0x306af84f4b4f8fbd),
+    ("energy", 0x11d20b65beab134e),
+    ("energy_j", 0x684d17581d1073e2),
+    ("poll_energy_j", 0xdfbe5de2404c864e),
+    ("offered", 0x5b495dd73ffca4e2),
+    ("completed", 0x5f30437790c621e7),
+    ("wake_markers", 0x4da39ad0fdcb04d1),
+    ("rx_drops", 0x5cf2c40d5779f2a2),
+    ("measure", 0x9ce563e1a358a6ce),
+    ("traces", 0xac5275f879cfe7dd),
+    ("sim_trace", 0x4e86d3123be751a8),
+    ("server_request_traces", 0x84d5ec23c8f83b0d),
+    ("kernel_stats", 0x0978f5604a0d6a0b),
+    ("faults", 0x4c5572e532eb368d),
+    ("rejected", 0x88e437f1dfc23119),
+    ("max_queue_depth", 0xf9abd184a2a1ee40),
+    ("watchdog_checks", 0x5d466f1d66b393ad),
+    ("invariant_violations", 0x432e96bad331c2c8),
+    ("fleet", 0x1384b34e63332498),
+    ("events_processed", 0x768b45b17d3f7239),
+    ("breakdown", 0x3063edeccc03aea4),
+    ("self_profile", 0x321bcf89b69c1517),
+];
 
 #[test]
 fn fleet_scale_64_backends_is_deterministic_and_pinned() {
@@ -315,117 +240,30 @@ fn fleet_scale_64_backends_is_deterministic_and_pinned() {
         );
     let render = |r: &cluster::ExperimentResult| format!("{r:?}");
 
-    let serial = render(&run_experiment(&cfg));
+    let mut result = run_experiment(&cfg);
+    let serial = render(&result);
 
     // Parallel runner, several thread counts: byte-identical to serial.
     for threads in [1, 4] {
         let parallel = cluster::run_experiments_on(std::slice::from_ref(&cfg), threads);
-        assert_eq!(
-            render(&parallel[0]),
-            serial,
-            "{threads}-thread runner diverged at 64 backends"
-        );
+        assert_eq!(render(&parallel[0]), serial, "{threads} threads diverged");
     }
 
-    // Structured event tracing on (the same code path `NCAP_TRACE=1`
-    // selects — the env var is only read to build this exact config, and
-    // mutating the process environment from a threaded test harness is
-    // racy, so the builder is the sound way to cover it): the run must
-    // be byte-identical once the attached trace data itself is stripped.
-    let mut traced = run_experiment(
-        &cfg.clone()
-            .with_event_trace(simtrace::TracerConfig::default()),
-    );
-    assert!(traced.sim_trace.is_some(), "tracer must attach data");
-    traced.sim_trace = None;
+    // Structured event tracing on (the path `NCAP_TRACE=1` selects, set
+    // through the builder because mutating the environment of a threaded
+    // test harness is racy): byte-identical once the trace is stripped.
+    let mut traced = run_experiment(&cfg.clone().with_event_trace(Default::default()));
+    assert!(traced.sim_trace.take().is_some(), "tracer must attach data");
     assert_eq!(render(&traced), serial, "tracing perturbed the run");
 
-    // Splice proof for the request ledger: the render holds exactly one
-    // `FaultSummary`, and putting back the zeros its four ledger counters
-    // read before every run was counted reproduces the prior pin.
-    let ledger_fields = [
-        ("issued_total", "0"),
-        ("completed_total", "0"),
-        ("rejected_total", "0"),
-        ("in_flight", "0"),
-    ];
-    for (field, _) in ledger_fields {
-        assert_eq!(
-            serial.matches(&format!("{field}: ")).count(),
-            1,
-            "unexpected number of {field} fields in the render"
-        );
-    }
-    let pre_ledger = splice_fields(&serial, &ledger_fields);
-    assert_eq!(
-        fnv1a(&pre_ledger),
-        SCALE_64_PRE_LEDGER_DIGEST,
-        "the request ledger changed more than its four counters"
-    );
+    // And the whole scenario is pinned against history, field by field.
+    common::assert_pinned(&common::field_table(std::slice::from_ref(&result)), GOLDEN);
 
-    // Splice proof for the bucketed tail: the render holds exactly one
-    // breakdown, and putting back its prior tail values reproduces the
-    // prior pin, so no other byte of the result moved.
-    let (threshold, count, per_stage) = PRE_BUCKET_TAIL;
-    let mut tail_fields = vec![("tail_threshold_ns", threshold), ("tail_count", count)];
-    for (mean, share) in per_stage {
-        tail_fields.extend([("tail_mean", mean), ("tail_share", share)]);
-    }
-    for field in ["tail_threshold_ns", "tail_count", "tail_mean", "tail_share"] {
-        assert_eq!(
-            serial.matches(&format!("{field}: ")).count(),
-            tail_fields.iter().filter(|(f, _)| *f == field).count(),
-            "unexpected number of {field} fields in the render"
-        );
-    }
-    let pre_bucket = splice_fields(&pre_ledger, &tail_fields);
-    assert_eq!(
-        fnv1a(&pre_bucket),
-        SCALE_64_PRE_BUCKET_DIGEST,
-        "the bucketed tail changed more than the four tail fields"
-    );
-
-    // Splice proof: the datapath PR added exactly two zero-valued fields
-    // to this run's render (`polled_frames` in each backend's
-    // `KernelStats`, `poll_energy_j` in `ExperimentResult`). Removing
-    // precisely those substrings must reproduce the pre-PR digest —
-    // i.e. the kernel datapath default left every pre-existing byte of
-    // the result untouched.
-    let polled = ", polled_frames: 0";
-    let poll_energy = ", poll_energy_j: 0.0";
-    // The all-zero poll_wait stage entry (591 completed requests, every
-    // sample 0 ns) that the 13-stage taxonomy inserted into the
-    // breakdown render between "stack" and "rq_wait".
-    let poll_stage = "StageBreakdown { name: \"poll_wait\", mean: 0.0, share: 0.0, \
-                      tail_mean: 0.0, tail_share: 0.0, hist: LogHistogram { \
-                      buckets: [591], count: 591, sum: 0, min: 0, max: 0 } }, ";
-    for (what, pat) in [
-        ("polled_frames", polled),
-        ("poll_energy_j", poll_energy),
-        ("poll_wait stage", poll_stage),
-    ] {
-        assert_eq!(
-            serial.matches(pat).count(),
-            1,
-            "expected exactly one inserted {what} in the render"
-        );
-    }
-    let spliced = pre_bucket
-        .replace(polled, "")
-        .replace(poll_energy, "")
-        .replace(poll_stage, "");
-    assert_eq!(
-        fnv1a(&spliced),
-        SCALE_64_PRE_DATAPATH_DIGEST,
-        "kernel-datapath default perturbed pre-existing result fields"
-    );
-
-    // And the whole scenario is pinned against history.
-    assert_eq!(
-        fnv1a(&serial),
-        SCALE_64_GOLDEN_DIGEST,
-        "64-backend golden digest changed — event ordering or accounting moved"
-    );
+    // The pin is sensitive field by field: perturbing one field moves
+    // exactly that field's row.
+    result.wake_markers += 1;
+    let moved = common::moved_fields(&common::field_table(std::slice::from_ref(&result)), GOLDEN);
+    assert_eq!(moved, ["wake_markers"]);
 }
 
 /// The determinism contract the ISSUE's acceptance criteria demand for

@@ -91,6 +91,14 @@ fn every_policy_serves_through_the_lb() {
         let assigned: u64 = fleet.backends.iter().map(|b| b.assigned).sum();
         assert_eq!(assigned, fleet.requests_opened, "{dispatch}: {fleet:?}");
         assert_eq!(fleet.unmatched_responses, 0);
+        // The kernel counters count every backend: each completed request
+        // ran at least one application job somewhere in the fleet.
+        assert!(
+            r.kernel_stats.app_jobs >= fleet.requests_completed,
+            "{dispatch}: {} app jobs for {} completed requests",
+            r.kernel_stats.app_jobs,
+            fleet.requests_completed
+        );
     }
 }
 
