@@ -64,6 +64,11 @@ fn bench<R>(name: &str, mut f: impl FnMut() -> R) {
 fn main() {
     ncap_bench::header("micro", "no paper section — simulator self-timing");
 
+    // The event queue at two payload sizes. `u64` is the floor: no
+    // simulator queue holds events that small, and there the slab's extra
+    // indirection costs more than the 24-byte heap keys save. `[u64; 24]`
+    // is 192 bytes, the size of the cluster's `ClusterEvent`, where
+    // sifting keys instead of whole events pays.
     bench("event_queue_push_pop_1k", || {
         let mut q = EventQueue::with_capacity(1024);
         for i in 0..1_000u64 {
@@ -72,6 +77,19 @@ fn main() {
         let mut sum = 0u64;
         while let Some((_, v)) = q.pop() {
             sum = sum.wrapping_add(v);
+        }
+        sum
+    });
+    bench("event_queue_push_pop_1k_192b", || {
+        let mut q = EventQueue::with_capacity(1024);
+        for i in 0..1_000u64 {
+            let mut event = [0u64; 24];
+            event[0] = i;
+            q.push(SimTime::from_nanos((i * 7919) % 10_000), event);
+        }
+        let mut sum = 0u64;
+        while let Some((_, v)) = q.pop() {
+            sum = sum.wrapping_add(v[0]);
         }
         sum
     });

@@ -126,7 +126,10 @@ pub struct ExperimentConfig {
     pub trace: Option<TraceConfig>,
     /// Optional structured event tracing: install a `simtrace` tracer
     /// for the run and attach the collected [`simtrace::TraceData`] to
-    /// the result (Perfetto/CSV export).
+    /// the result (Perfetto/CSV export). [`ExperimentConfig::new`] sets
+    /// the default tracer when the `NCAP_TRACE` environment variable is
+    /// set (the bench/CI smoke harness); the runner reads this field
+    /// alone, so `None` always means untraced.
     pub event_trace: Option<simtrace::TracerConfig>,
     /// Optional background traffic from an extra client.
     pub background: Option<BackgroundTraffic>,
@@ -194,6 +197,13 @@ pub struct ExperimentConfig {
     pub poll_cores: u8,
 }
 
+/// `true` when the `NCAP_TRACE` environment variable requests event
+/// tracing for every experiment (used by the bench/CI smoke harness).
+fn env_trace_enabled() -> bool {
+    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *ENABLED.get_or_init(|| std::env::var("NCAP_TRACE").is_ok_and(|v| !v.is_empty() && v != "0"))
+}
+
 impl ExperimentConfig {
     /// A standard paper-setup experiment: 3 clients, 200-request bursts
     /// (§5: "e.g., 200 requests per burst"), 100 ms warmup, 400 ms
@@ -213,7 +223,7 @@ impl ExperimentConfig {
             ondemand_period: SimDuration::from_ms(10),
             ncap_override: None,
             trace: None,
-            event_trace: None,
+            event_trace: env_trace_enabled().then(simtrace::TracerConfig::default),
             background: None,
             per_core_boost: false,
             use_ladder: false,

@@ -46,8 +46,9 @@ pub struct ExperimentResult {
     pub measure: desim::SimDuration,
     /// Optional traces.
     pub traces: Option<Traces>,
-    /// Structured event trace (when [`ExperimentConfig::with_event_trace`]
-    /// was set, or the `NCAP_TRACE` environment variable enabled tracing).
+    /// Structured event trace (when [`ExperimentConfig::event_trace`] was
+    /// set: by [`ExperimentConfig::with_event_trace`], or by the `NCAP_TRACE`
+    /// environment variable when [`ExperimentConfig::new`] built it).
     pub sim_trace: Option<simtrace::TraceData>,
     /// Sampled server-side request waterfalls (when
     /// [`ExperimentConfig::with_request_tracing`] was set), every
@@ -229,13 +230,6 @@ fn build_clients(
     (clients, background)
 }
 
-/// `true` when the `NCAP_TRACE` environment variable requests event
-/// tracing for every experiment (used by the bench/CI smoke harness).
-fn env_trace_enabled() -> bool {
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENABLED.get_or_init(|| std::env::var("NCAP_TRACE").is_ok_and(|v| !v.is_empty() && v != "0"))
-}
-
 /// Runs one experiment to its horizon and collects the results.
 ///
 /// Deterministic: equal configurations (including seed) produce equal
@@ -257,10 +251,7 @@ pub fn try_run_experiment(cfg: &ExperimentConfig) -> Result<ExperimentResult, Co
     // experiment runs wholly on one thread, so parallel batches trace
     // independently. Tracing never feeds back into the simulation, so
     // results are identical with it on or off.
-    let event_trace = cfg
-        .event_trace
-        .or_else(|| env_trace_enabled().then(simtrace::TracerConfig::default));
-    if let Some(tc) = event_trace {
+    if let Some(tc) = cfg.event_trace {
         simtrace::install(tc);
     }
     let (cluster, initial) = assemble(cfg);

@@ -5,10 +5,16 @@
 //! events scheduled for the same instant are delivered in scheduling order.
 //! This tie-break is what makes whole-simulation runs bit-reproducible.
 //!
-//! The store is a `std::collections::BinaryHeap` min-heap: O(log n) push
-//! and pop, no tuning parameters, and memory that tracks the pending
-//! population. `crates/desim/tests/differential.rs` checks it operation by
-//! operation against a naive linear-scan model.
+//! The heap orders small keys, not events: a `std::collections::BinaryHeap`
+//! min-heap of 24-byte `(time, seq, slot)` keys, where `slot` indexes a
+//! slab that holds each pending event in place from push to pop. A sift
+//! therefore moves 24 bytes per level whatever the event's size (the
+//! cluster's events are 192 bytes), and each event is written once and
+//! read once. Freed slots go on a free list and are reused before the slab
+//! grows, so the slab's length is the peak pending population. O(log n)
+//! push and pop, no tuning parameters. `crates/desim/tests/differential.rs`
+//! checks the queue operation by operation against a naive linear-scan
+//! model.
 //!
 //! Counters obey the conservation identity
 //! `total_pushed == total_popped + total_cleared + len` at every instant.
@@ -17,28 +23,29 @@ use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// A scheduled entry. The comparisons below are *reversed* so a
-/// `std::collections::BinaryHeap<Entry<E>>` acts as a min-heap.
-struct Entry<E> {
+/// The heap's handle on one pending event: its delivery order and the
+/// slab slot holding it. The comparisons below are *reversed* so a
+/// `std::collections::BinaryHeap<Key>` acts as a min-heap.
+struct Key {
     time: SimTime,
     seq: u64,
-    event: E,
+    slot: u32,
 }
 
-impl<E> PartialEq for Entry<E> {
+impl PartialEq for Key {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.seq == other.seq
     }
 }
-impl<E> Eq for Entry<E> {}
+impl Eq for Key {}
 
-impl<E> PartialOrd for Entry<E> {
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<E> Ord for Entry<E> {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: the earliest (time, seq) is the heap maximum.
         (other.time, other.seq).cmp(&(self.time, self.seq))
@@ -64,7 +71,11 @@ impl<E> Ord for Entry<E> {
 /// assert_eq!(order, ['a', 'b', 'c']);
 /// ```
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    heap: BinaryHeap<Key>,
+    /// Pending events, each at the slot its key names; `None` slots are
+    /// listed in `free`.
+    slab: Vec<Option<E>>,
+    free: Vec<u32>,
     next_seq: u64,
     pushed: u64,
     popped: u64,
@@ -89,6 +100,8 @@ impl<E> EventQueue<E> {
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(capacity),
+            slab: Vec::with_capacity(capacity),
+            free: Vec::new(),
             next_seq: 0,
             pushed: 0,
             popped: 0,
@@ -97,41 +110,34 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedules `event` at absolute instant `time`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more than `u32::MAX` events are pending at once.
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.pushed += 1;
-        self.heap.push(Entry { time, seq, event });
+        let slot = if let Some(slot) = self.free.pop() {
+            self.slab[slot as usize] = Some(event);
+            slot
+        } else {
+            let slot = u32::try_from(self.slab.len()).expect("over u32::MAX pending events");
+            self.slab.push(Some(event));
+            slot
+        };
+        self.heap.push(Key { time, seq, slot });
     }
 
     /// Removes and returns the earliest event, or `None` when empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
+        let key = self.heap.pop()?;
+        let event = self.slab[key.slot as usize]
+            .take()
+            .expect("a pending key names an occupied slot");
+        self.free.push(key.slot);
         self.popped += 1;
-        Some((entry.time, entry.event))
-    }
-
-    /// Pops every event scheduled at or before `bound` — at most `max`
-    /// of them — appending `(time, event)` pairs to `out`. Returns the
-    /// number of events popped. Used by the simulation driver to drain
-    /// same-instant batches with one call.
-    pub fn pop_batch_until(
-        &mut self,
-        bound: SimTime,
-        max: usize,
-        out: &mut Vec<(SimTime, E)>,
-    ) -> usize {
-        let mut n = 0;
-        while n < max {
-            match self.peek_time() {
-                Some(t) if t <= bound => {}
-                _ => break,
-            }
-            let item = self.pop().expect("peeked entry vanished");
-            out.push(item);
-            n += 1;
-        }
-        n
+        Some((key.time, event))
     }
 
     /// The instant of the earliest pending event, if any.
@@ -202,6 +208,8 @@ impl<E> EventQueue<E> {
     pub fn clear(&mut self) {
         self.cleared += self.len() as u64;
         self.heap.clear();
+        self.slab.clear();
+        self.free.clear();
     }
 }
 
@@ -305,23 +313,11 @@ mod tests {
         assert_eq!(q.len(), 1);
     }
 
+    /// The heap sifts one `Key` per level on every push and pop; a field
+    /// that regrows it makes every sift move more.
     #[test]
-    fn pop_batch_until_respects_bound_and_cap() {
-        let mut q: EventQueue<u64> = EventQueue::new();
-        for i in 0..6 {
-            q.push(SimTime::from_us(10), i);
-        }
-        q.push(SimTime::from_us(20), 100);
-        let mut out = Vec::new();
-        // Cap smaller than the batch: exactly `max` events come out.
-        assert_eq!(q.pop_batch_until(SimTime::from_us(10), 4, &mut out), 4);
-        assert_eq!(out.len(), 4);
-        // Remainder of the same instant, bound excludes the 20us event.
-        assert_eq!(q.pop_batch_until(SimTime::from_us(10), 100, &mut out), 2);
-        let ids: Vec<u64> = out.iter().map(|&(_, e)| e).collect();
-        assert_eq!(ids, [0, 1, 2, 3, 4, 5], "FIFO preserved through batches");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.peek_time(), Some(SimTime::from_us(20)));
+    fn queue_keys_stay_small() {
+        assert!(std::mem::size_of::<Key>() <= 24);
     }
 
     #[test]
@@ -423,5 +419,42 @@ mod tests {
                     Ok(())
                 },
             );
+    }
+
+    /// Freed slots are reused before the slab grows, so over any
+    /// push/pop/clear stream the slab never outgrows the largest pending
+    /// population seen so far: memory tracks peak pending.
+    #[test]
+    fn prop_slab_tracks_peak_pending() {
+        Check::new("event_queue_slab_reuse").max_size(300).run(
+            |rng, size| gen::vec_with(rng, size, 1, 300, |r| r.next_below(100)),
+            |ops| {
+                let mut q = EventQueue::new();
+                let mut peak = 0;
+                for (i, &roll) in ops.iter().enumerate() {
+                    match roll {
+                        0..=54 => q.push(SimTime::from_nanos(roll * 7 % 13), i),
+                        55..=97 => {
+                            let _ = q.pop();
+                        }
+                        _ => q.clear(),
+                    }
+                    peak = peak.max(q.len());
+                    ensure!(
+                        q.slab.len() <= peak,
+                        "slab {} outgrew peak pending {peak}",
+                        q.slab.len()
+                    );
+                    ensure!(
+                        q.slab.len() == q.len() + q.free.len(),
+                        "slab {} != pending {} + free {}",
+                        q.slab.len(),
+                        q.len(),
+                        q.free.len()
+                    );
+                }
+                Ok(())
+            },
+        );
     }
 }

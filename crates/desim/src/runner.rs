@@ -8,11 +8,6 @@ use crate::profiler::{Profile, Profiler};
 use crate::queue::EventQueue;
 use crate::time::SimTime;
 
-/// Upper bound on events delivered per queue traversal in
-/// [`Simulation::run_until`]. Bounds the scratch buffer while still
-/// amortizing dispatch overhead across same-instant bursts.
-const DISPATCH_BATCH_MAX: usize = 128;
-
 /// The reaction logic of a simulation: consumes events, schedules new ones.
 ///
 /// Implementors are the "world" being simulated. The handler receives the
@@ -76,8 +71,6 @@ pub struct Simulation<H: EventHandler> {
     processed: u64,
     event_budget: u64,
     peak_pending: usize,
-    /// Reused scratch buffer for batched same-instant dispatch.
-    batch: Vec<(SimTime, H::Event)>,
     /// Opt-in wall-clock self-profiler (outside the determinism contract).
     profiler: Option<Profiler>,
 }
@@ -95,7 +88,6 @@ impl<H: EventHandler> Simulation<H> {
             processed: 0,
             event_budget: Self::DEFAULT_EVENT_BUDGET,
             peak_pending: 0,
-            batch: Vec::new(),
             profiler: None,
         }
     }
@@ -136,10 +128,10 @@ impl<H: EventHandler> Simulation<H> {
         self.processed
     }
 
-    /// High-water mark of the pending-event population, sampled once per
-    /// dispatch batch. Sizes the queue's working set (and the
-    /// sim-throughput bench's hold-model operating point); also reported
-    /// as [`Profile::peak_pending`].
+    /// High-water mark of the pending-event population, sampled before
+    /// every pop in [`run_until`](Self::run_until), so the exact peak at
+    /// dispatch. Sizes the queue's working set; also reported as
+    /// [`Profile::peak_pending`].
     #[must_use]
     pub fn peak_pending(&self) -> usize {
         self.peak_pending
@@ -177,52 +169,30 @@ impl<H: EventHandler> Simulation<H> {
     /// would occur strictly after `horizon`. Events **at** the horizon are
     /// delivered. The clock never exceeds the horizon.
     ///
-    /// Dispatch is batched: each queue traversal drains the full run of
-    /// events at the current earliest instant (bounded by the remaining
-    /// budget and [`DISPATCH_BATCH_MAX`]) before handlers run. Batching
-    /// only ever spans a single instant, so an event a handler schedules
-    /// *at that same instant* still runs after every already-scheduled
-    /// peer — its sequence number is higher than all batch members' —
-    /// and delivery order is identical to one-at-a-time dispatch.
+    /// Dispatch pops one event at a time straight from the queue into its
+    /// handler, so delivery is strictly by `(time, seq)`: an event a
+    /// handler schedules at the current instant runs after every peer
+    /// already scheduled there.
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
         loop {
             if self.processed >= self.event_budget {
                 return RunOutcome::EventBudgetExhausted;
             }
-            let next = match self.queue.peek_time() {
+            match self.queue.peek_time() {
                 None => return RunOutcome::QueueExhausted,
                 Some(t) if t > horizon => {
                     self.now = horizon;
                     return RunOutcome::HorizonReached;
                 }
-                Some(t) => t,
-            };
+                Some(_) => {}
+            }
             self.peak_pending = self.peak_pending.max(self.queue.len());
-            let cap = (self.event_budget - self.processed).min(DISPATCH_BATCH_MAX as u64) as usize;
-            let mut batch = std::mem::take(&mut self.batch);
             let pop_start = self.profiler.as_ref().map(|_| std::time::Instant::now());
-            self.queue.pop_batch_until(next, cap, &mut batch);
+            let (time, event) = self.queue.pop().expect("peeked event vanished");
             if let (Some(p), Some(t0)) = (self.profiler.as_mut(), pop_start) {
                 p.queue_ns += t0.elapsed().as_nanos() as u64;
             }
-            for (time, event) in batch.drain(..) {
-                debug_assert!(time >= self.now, "event scheduled in the past");
-                self.now = time;
-                self.processed += 1;
-                if self.profiler.is_some() {
-                    let class = self.handler.classify(&event);
-                    let t0 = std::time::Instant::now();
-                    self.handler.handle(time, event, &mut self.queue);
-                    let ns = t0.elapsed().as_nanos() as u64;
-                    if let Some(p) = self.profiler.as_mut() {
-                        p.record(class, ns);
-                    }
-                } else {
-                    self.handler.handle(time, event, &mut self.queue);
-                }
-                Self::trace_dispatch(time);
-            }
-            self.batch = batch;
+            self.deliver(time, event);
         }
     }
 
@@ -234,6 +204,14 @@ impl<H: EventHandler> Simulation<H> {
     /// Delivers exactly one event, if any is pending. Returns its time.
     pub fn step(&mut self) -> Option<SimTime> {
         let (time, event) = self.queue.pop()?;
+        self.deliver(time, event);
+        Some(time)
+    }
+
+    /// Advances the clock to `time` and hands `event` to the handler,
+    /// timing the dispatch when the profiler is on.
+    #[inline]
+    fn deliver(&mut self, time: SimTime, event: H::Event) {
         debug_assert!(time >= self.now, "event scheduled in the past");
         self.now = time;
         self.processed += 1;
@@ -249,7 +227,6 @@ impl<H: EventHandler> Simulation<H> {
             self.handler.handle(time, event, &mut self.queue);
         }
         Self::trace_dispatch(time);
-        Some(time)
     }
 
     /// Records one event dispatch on the installed tracer (no-op when
@@ -347,8 +324,8 @@ mod tests {
     }
 
     /// A handler that, for each seed event, schedules a follow-up at the
-    /// *same* instant. Batched dispatch must still run every follow-up
-    /// after all originally scheduled peers (FIFO by sequence number).
+    /// *same* instant. Every follow-up must run after all originally
+    /// scheduled peers (FIFO by sequence number).
     #[derive(Debug, Default)]
     struct SameInstant {
         order: Vec<u32>,
@@ -365,9 +342,7 @@ mod tests {
     }
 
     #[test]
-    fn same_instant_batching_preserves_fifo() {
-        // 300 seeds at one instant exceeds DISPATCH_BATCH_MAX, so the
-        // run crosses several batch boundaries.
+    fn same_instant_follow_ups_run_after_their_peers() {
         let mut sim = Simulation::new(SameInstant::default());
         for i in 0..300 {
             sim.queue_mut().push(SimTime::from_us(7), i);

@@ -11,7 +11,8 @@
 //!
 //! Coverage includes the adversarial shapes: all-same-instant floods
 //! (FIFO by seq alone), far-future outliers, dense ramps, and drain
-//! phases, plus `clear` and `pop_batch_until` interleavings.
+//! phases, plus `clear` interleavings and bounded same-instant pop runs
+//! (the simulation driver's dispatch shape).
 
 use check::{ensure, Check, Rng};
 use desim::{EventQueue, SimTime};
@@ -23,9 +24,9 @@ enum Op {
     /// ordinal so FIFO violations are visible in the output stream.
     Push(u64),
     Pop,
-    /// Pop everything at or before the current minimum plus the given
-    /// slack, capped at the given batch size.
-    PopBatch(u64, usize),
+    /// Pop one event at a time while the minimum is at or before the
+    /// current minimum plus the given slack, at most the given count.
+    PopRun(u64, usize),
     Clear,
     Peek,
 }
@@ -82,23 +83,6 @@ impl Model {
         self.pop_until(SimTime::MAX)
     }
 
-    fn pop_batch_until(
-        &mut self,
-        bound: SimTime,
-        max: usize,
-        out: &mut Vec<(SimTime, u64)>,
-    ) -> usize {
-        let mut n = 0;
-        while n < max {
-            let Some(item) = self.pop_until(bound) else {
-                break;
-            };
-            out.push(item);
-            n += 1;
-        }
-        n
-    }
-
     fn clear(&mut self) {
         self.cleared += self.pending.len() as u64;
         self.pending.clear();
@@ -117,8 +101,6 @@ fn run_differential(ops: &[Op]) -> Result<u64, String> {
     let mut model = Model::default();
     let mut ordinal = 0u64;
     let mut popped = 0u64;
-    let mut batch_a = Vec::new();
-    let mut batch_b = Vec::new();
     for (step, &op) in ops.iter().enumerate() {
         match op {
             Op::Push(t) => {
@@ -133,20 +115,22 @@ fn run_differential(ops: &[Op]) -> Result<u64, String> {
                 ensure!(a == b, "step {step}: pop mismatch {a:?} vs {b:?}");
                 popped += u64::from(a.is_some());
             }
-            Op::PopBatch(slack, max) => {
+            Op::PopRun(slack, max) => {
                 let bound = match model.peek_time() {
                     Some(t) => SimTime::from_nanos(t.as_nanos().saturating_add(slack)),
                     None => SimTime::from_nanos(slack),
                 };
-                batch_a.clear();
-                batch_b.clear();
-                let na = queue.pop_batch_until(bound, max, &mut batch_a);
-                let nb = model.pop_batch_until(bound, max, &mut batch_b);
-                ensure!(
-                    na == nb && batch_a == batch_b,
-                    "step {step}: batch mismatch ({na} events) {batch_a:?} vs {batch_b:?}"
-                );
-                popped += na as u64;
+                for i in 0..max {
+                    let Some(b) = model.pop_until(bound) else {
+                        break;
+                    };
+                    let a = queue.pop();
+                    ensure!(
+                        a == Some(b),
+                        "step {step}: pop {i} of run mismatch {a:?} vs {b:?}"
+                    );
+                    popped += 1;
+                }
             }
             Op::Clear => {
                 queue.clear();
@@ -208,7 +192,7 @@ fn gen_ops(rng: &mut Rng, n: usize, regime: u64) -> Vec<Op> {
                 Op::Push(base + rng.next_below(1_000_000))
             }
             _ if roll < 80 => Op::Pop,
-            _ if roll < 90 => Op::PopBatch(rng.next_below(2), 1 + rng.next_below(64) as usize),
+            _ if roll < 90 => Op::PopRun(rng.next_below(2), 1 + rng.next_below(64) as usize),
             _ if roll < 93 => Op::Clear,
             _ => Op::Peek,
         };
@@ -255,12 +239,12 @@ fn prop_queue_equals_naive_model() {
     );
 }
 
-/// All-same-instant flood of 20,000 events, drained with batch pops:
-/// delivery must stay FIFO and identical.
+/// All-same-instant flood of 20,000 events, drained with bounded pop
+/// runs: delivery must stay FIFO and identical.
 #[test]
 fn same_instant_flood_differential() {
     let mut ops: Vec<Op> = (0..20_000).map(|_| Op::Push(12_345)).collect();
-    ops.extend((0..400).map(|_| Op::PopBatch(0, 64)));
+    ops.extend((0..400).map(|_| Op::PopRun(0, 64)));
     ops.extend((0..20_000).map(|_| Op::Pop));
     run_differential(&ops).expect("flood must match the model");
 }

@@ -19,6 +19,10 @@ if [ "$quick" = 0 ]; then
     run cargo build --release --workspace
 fi
 run cargo test --workspace -q
+# The environment-forced trace path: `NCAP_TRACE=1` traces every config
+# `ExperimentConfig::new` builds, and the determinism tests' untraced
+# reference runs must still be untraced.
+NCAP_TRACE=1 run cargo test -q --test cluster_integration --test observability
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets -- -D warnings
 

@@ -230,7 +230,7 @@ const GOLDEN: &[(&str, u64)] = &[
 fn fleet_scale_64_backends_is_deterministic_and_pinned() {
     use cluster::{CoordinatorConfig, DispatchPolicy, FleetConfig};
 
-    let cfg = ExperimentConfig::new(AppKind::Memcached, Policy::NcapCons, 60_000.0)
+    let mut cfg = ExperimentConfig::new(AppKind::Memcached, Policy::NcapCons, 60_000.0)
         .with_durations(SimDuration::from_ms(5), SimDuration::from_ms(10))
         .with_poisson()
         .with_seed(7)
@@ -238,6 +238,8 @@ fn fleet_scale_64_backends_is_deterministic_and_pinned() {
             FleetConfig::new(64, DispatchPolicy::LeastOutstanding)
                 .with_coordinator(CoordinatorConfig::new(120_000.0).with_util_target(0.5)),
         );
+    // The reference run is untraced even when `NCAP_TRACE` is set.
+    cfg.event_trace = None;
     let render = |r: &cluster::ExperimentResult| format!("{r:?}");
 
     let mut result = run_experiment(&cfg);
@@ -249,7 +251,7 @@ fn fleet_scale_64_backends_is_deterministic_and_pinned() {
         assert_eq!(render(&parallel[0]), serial, "{threads} threads diverged");
     }
 
-    // Structured event tracing on (the path `NCAP_TRACE=1` selects, set
+    // Structured event tracing on (the tracer `NCAP_TRACE=1` selects, set
     // through the builder because mutating the environment of a threaded
     // test harness is racy): byte-identical once the trace is stripped.
     let mut traced = run_experiment(&cfg.clone().with_event_trace(Default::default()));
@@ -278,13 +280,15 @@ fn rival_datapaths_are_deterministic_across_runners() {
         (Datapath::Bypass, Policy::OndIdle),
         (Datapath::Offload, Policy::NcapCons),
     ] {
-        let cfg = ExperimentConfig::new(AppKind::Memcached, policy, 45_000.0)
+        let mut cfg = ExperimentConfig::new(AppKind::Memcached, policy, 45_000.0)
             .with_durations(SimDuration::from_ms(5), SimDuration::from_ms(10))
             .with_poisson()
             .with_seed(11)
             .with_datapath(datapath)
             .with_poll_cores(2)
             .with_fleet(FleetConfig::new(4, DispatchPolicy::LeastOutstanding));
+        // The reference run is untraced even when `NCAP_TRACE` is set.
+        cfg.event_trace = None;
         let base = run_experiment(&cfg);
         assert!(base.completed > 0, "{datapath:?}: no requests completed");
         match datapath {
