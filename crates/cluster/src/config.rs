@@ -146,8 +146,6 @@ pub struct ExperimentConfig {
     /// RSS receive queues on the server NIC (1 = the paper's evaluated
     /// single-queue 82574; >1 activates the §7 multi-queue extension).
     pub nic_queues: usize,
-    /// Stage-level request tracing on the server: every Nth request id.
-    pub request_trace_every: Option<u64>,
     /// Smooth Poisson arrivals instead of periodic bursts (burstiness
     /// ablation; same offered rate).
     pub poisson: bool,
@@ -230,7 +228,6 @@ impl ExperimentConfig {
             load_step: None,
             toe: None,
             nic_queues: 1,
-            request_trace_every: None,
             poisson: false,
             faults: FaultConfig::none(),
             rx_ring_override: None,
@@ -372,14 +369,6 @@ impl ExperimentConfig {
         self
     }
 
-    /// Enables server-side request-stage tracing for every `n`th request
-    /// (builder style; [`validate`](Self::validate) rejects zero).
-    #[must_use]
-    pub fn with_request_tracing(mut self, n: u64) -> Self {
-        self.request_trace_every = Some(n);
-        self
-    }
-
     /// Injects network faults (builder style). A config with
     /// [`RetxConfig`](netsim::RetxConfig) enabled also turns on the
     /// client retransmission timers and the server's duplicate
@@ -488,12 +477,6 @@ impl ExperimentConfig {
             return Err(ConfigError::new(
                 "nic_queues",
                 "a NIC needs at least one queue",
-            ));
-        }
-        if self.request_trace_every == Some(0) {
-            return Err(ConfigError::new(
-                "request_trace_every",
-                "sampling interval must be positive",
             ));
         }
         if self.rx_ring_override == Some(0) {
@@ -712,8 +695,6 @@ mod tests {
         assert_eq!(c.validate().unwrap_err().field, "clients");
         let c = base.clone().with_nic_queues(0);
         assert_eq!(c.validate().unwrap_err().field, "nic_queues");
-        let c = base.clone().with_request_tracing(0);
-        assert_eq!(c.validate().unwrap_err().field, "request_trace_every");
         let c = base.clone().with_rx_ring(0);
         assert_eq!(c.validate().unwrap_err().field, "rx_ring_override");
         let c = base

@@ -50,10 +50,6 @@ pub struct ExperimentResult {
     /// set: by [`ExperimentConfig::with_event_trace`], or by the `NCAP_TRACE`
     /// environment variable when [`ExperimentConfig::new`] built it).
     pub sim_trace: Option<simtrace::TraceData>,
-    /// Sampled server-side request waterfalls (when
-    /// [`ExperimentConfig::with_request_tracing`] was set), every
-    /// server's in server order.
-    pub server_request_traces: Option<Vec<oskernel::RequestTrace>>,
     /// Server kernel operational counters (whole run), summed field by
     /// field over all servers.
     pub kernel_stats: oskernel::KernelStats,
@@ -140,9 +136,6 @@ pub fn build_server(cfg: &ExperimentConfig, server_id: NodeId) -> Kernel {
         KernelConfig::server_defaults().with_initial_pstate(cfg.policy.initial_pstate(&table));
     if cfg.per_core_boost {
         kernel_cfg = kernel_cfg.with_per_core_boost();
-    }
-    if let Some(n) = cfg.request_trace_every {
-        kernel_cfg = kernel_cfg.with_request_tracing(n);
     }
     if cfg.faults.retx.enabled {
         // Retransmitted requests must not be served twice: turn on the
@@ -328,12 +321,6 @@ pub fn try_run_experiment(cfg: &ExperimentConfig) -> Result<ExperimentResult, Co
         measure: cfg.measure,
         traces: None,
         sim_trace,
-        server_request_traces: cfg.request_trace_every.map(|_| {
-            servers
-                .iter()
-                .flat_map(|s| s.request_traces().iter().copied())
-                .collect()
-        }),
         kernel_stats,
         faults: cluster.fault_summary(),
         rejected: kernel_stats.rejected,

@@ -1410,8 +1410,6 @@ impl ClusterSim {
         }
         if let Some(tr) = self.traces.as_mut() {
             tr.wake_markers = self.servers[0].wake_marker_times().to_vec();
-            tr.rx_drops = self.servers.iter().map(|s| s.nic().rx_drops()).sum();
-            tr.fault_drops = self.switch.fault_stats().dropped();
         }
     }
 
@@ -1975,5 +1973,13 @@ mod tests {
     fn debug_output_mentions_servers() {
         let (c, _) = tiny_cluster(Policy::Perf);
         assert!(format!("{c:?}").contains("servers"));
+    }
+
+    /// Every pending event is copied into and out of the event queue's
+    /// slab; a field that regrows an event regrows every push and pop.
+    #[test]
+    fn queued_events_stay_small() {
+        assert!(std::mem::size_of::<oskernel::NodeEvent>() <= 184);
+        assert!(std::mem::size_of::<ClusterEvent>() <= 192);
     }
 }

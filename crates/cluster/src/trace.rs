@@ -52,12 +52,6 @@ pub struct Traces {
     /// Cumulative resolved-request samples (throughput: served +
     /// rejected) — diverges from goodput under overload.
     pub throughput: TimeSeries,
-    /// Server NIC RX-ring overflow drops over the whole run (stamped at
-    /// cluster finalize).
-    pub rx_drops: u64,
-    /// Frames the switch impairment layer dropped (loss + corruption)
-    /// over the whole run (stamped at cluster finalize).
-    pub fault_drops: u64,
     last_busy: SimDuration,
     last_cstate: [SimDuration; 3],
     last_sample: SimTime,
@@ -81,8 +75,6 @@ impl Traces {
             wake_markers: Vec::new(),
             goodput: TimeSeries::new("goodput"),
             throughput: TimeSeries::new("throughput"),
-            rx_drops: 0,
-            fault_drops: 0,
             last_busy: SimDuration::ZERO,
             last_cstate: [SimDuration::ZERO; 3],
             last_sample: SimTime::ZERO,

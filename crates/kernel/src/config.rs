@@ -239,10 +239,6 @@ pub struct KernelConfig {
     /// immediately, other cores on their first work dispatch — instead of
     /// the whole chip. Idle cores keep polling at their lower voltage.
     pub per_core_boost: bool,
-    /// Stage-level request tracing: record a waterfall for every Nth
-    /// request id (`None` disables; tracing is measurement-only and does
-    /// not perturb the simulated system).
-    pub trace_requests_every: Option<u64>,
     /// TCP-lite reliability at the receiver: suppress retransmitted
     /// duplicates of in-flight requests and replay responses for
     /// already-answered ones. Enabled by the cluster harness whenever
@@ -274,7 +270,6 @@ impl KernelConfig {
             governor_tick_cycles: 20_000,
             mwait_wake_overhead: SimDuration::from_us(25),
             per_core_boost: false,
-            trace_requests_every: None,
             reliable: false,
             overload: OverloadConfig::off(),
             datapath: Datapath::Kernel,
@@ -300,13 +295,6 @@ impl KernelConfig {
     #[must_use]
     pub fn with_per_core_boost(mut self) -> Self {
         self.per_core_boost = true;
-        self
-    }
-
-    /// Builder-style enable of request-stage tracing for every `n`th id.
-    #[must_use]
-    pub fn with_request_tracing(mut self, n: u64) -> Self {
-        self.trace_requests_every = Some(n);
         self
     }
 
@@ -347,12 +335,6 @@ impl KernelConfig {
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.cores == 0 {
             return Err(ConfigError::new("cores", "a node needs at least one core"));
-        }
-        if self.trace_requests_every == Some(0) {
-            return Err(ConfigError::new(
-                "trace_requests_every",
-                "sampling interval must be positive",
-            ));
         }
         if self.datapath.bypasses_kernel() {
             self.bypass.validate(self.cores)?;
@@ -401,15 +383,6 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.field, "cores");
         assert!(err.to_string().contains("at least one core"));
-    }
-
-    #[test]
-    fn zero_trace_interval_rejected() {
-        let err = KernelConfig::server_defaults()
-            .with_request_tracing(0)
-            .validate()
-            .unwrap_err();
-        assert_eq!(err.field, "trace_requests_every");
     }
 
     #[test]

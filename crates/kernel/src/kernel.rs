@@ -128,8 +128,6 @@ struct Response {
     bytes: usize,
     sent_at: SimTime,
     stages: netsim::StageRecord,
-    /// A reliability-layer replay of a response already sent.
-    replay: bool,
 }
 
 /// Receiver-side duplicate-suppression state for one request id (only
@@ -229,35 +227,6 @@ impl std::ops::AddAssign for KernelStats {
         self.backlog_sheds += backlog_sheds;
         self.tx_sheds += tx_sheds;
         self.polled_frames += polled_frames;
-    }
-}
-
-/// A stage-level waterfall of one sampled request's life inside the
-/// server — measurement-only instrumentation (the gem5-pseudo-instruction
-/// role of the paper's methodology, at per-stage granularity). Derived
-/// from the response's [`netsim::StageRecord`] when its final frame
-/// leaves on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RequestTrace {
-    /// The client's request id.
-    pub id: u64,
-    /// The request frame fully arrived at the NIC.
-    pub nic_arrival: SimTime,
-    /// The receive SoftIRQ delivered the request to the application.
-    pub stack_done: SimTime,
-    /// The application finished generating the response.
-    pub app_done: SimTime,
-    /// Total IO (disk) wait inside the application phases.
-    pub io_wait: desim::SimDuration,
-    /// The final response frame left on the wire.
-    pub last_tx: SimTime,
-}
-
-impl RequestTrace {
-    /// Server-internal residence time (NIC arrival to last TX byte).
-    #[must_use]
-    pub fn residence(&self) -> desim::SimDuration {
-        self.last_tx.saturating_since(self.nic_arrival)
     }
 }
 
@@ -377,7 +346,6 @@ pub struct Kernel {
     /// released when the client resolves its request
     /// ([`Kernel::release_replay`]) or when its `Done` entry retires.
     replay_stages: netsim::IdMap<netsim::StageRecord>,
-    finished_traces: Vec<RequestTrace>,
     next_token: u64,
     tx_backlog: VecDeque<Packet>,
     completed_responses: u64,
@@ -482,7 +450,6 @@ impl Kernel {
             seen: netsim::IdMap::default(),
             seen_wait: netsim::TimeWait::default(),
             replay_stages: netsim::IdMap::default(),
-            finished_traces: Vec::new(),
             next_token: 0,
             tx_backlog: VecDeque::new(),
             completed_responses: 0,
@@ -654,12 +621,6 @@ impl Kernel {
     }
 
     // ----- RX path -------------------------------------------------------
-
-    fn sampled(&self, id: u64) -> bool {
-        self.cfg
-            .trace_requests_every
-            .is_some_and(|n| id.is_multiple_of(n))
-    }
 
     fn on_frame_from_wire(&mut self, now: SimTime, mut frame: Packet, fx: &mut Effects) {
         // Attribution anchor: the frame is fully off the wire. Everything
@@ -1308,7 +1269,6 @@ impl Kernel {
                             bytes: response_bytes,
                             sent_at: frame.meta().sent_at,
                             stages,
-                            replay: true,
                         },
                         fx,
                     );
@@ -1449,7 +1409,6 @@ impl Kernel {
                         bytes: state.response_bytes,
                         sent_at: state.info.sent_at,
                         stages,
-                        replay: false,
                     },
                     fx,
                 );
@@ -1466,16 +1425,13 @@ impl Kernel {
             bytes,
             sent_at,
             stages,
-            replay,
         } = response;
         let body = Bytes::from(vec![0u8; bytes]);
         let mut frames = segment_response(self.node, dst, request_id, body, sent_at);
         // The attribution record rides the final frame — the one whose
         // arrival completes the request at the client.
         if let Some(last) = frames.last_mut() {
-            let meta = last.meta_mut();
-            meta.stages = stages;
-            meta.replay = replay;
+            last.meta_mut().stages = stages;
         }
         let sw_cost = self.ncap_sw.as_ref().map_or(0, |_| ncap::SW_PER_TX_CYCLES);
         let stack = (self.cfg.tx_stack_cycles as f64 * self.nic.stack_cycle_factor()) as u64;
@@ -1543,32 +1499,13 @@ impl Kernel {
 
     fn on_tx_wire(&mut self, now: SimTime, mut frame: Packet, fx: &mut Effects) {
         self.nic.tx_done(now, frame.wire_len());
-        if frame.meta().is_final && !frame.meta().rejected {
-            if let Some(id) = frame.meta().request_id {
-                // Attribution: TX stack + NIC serialization, app-done
-                // to wire departure of the completing frame.
-                let meta = frame.meta_mut();
-                let st = &mut meta.stages;
-                st.tx_ns = ns32(now.as_nanos().saturating_sub(st.app_done.as_nanos()));
-                st.last_tx = now;
-                // A sampled request's waterfall is read off its original
-                // response's record; a replay repeats a response already sent.
-                if !meta.replay && self.sampled(id) {
-                    let ns = |d: u32| desim::SimDuration::from_nanos(u64::from(d));
-                    self.finished_traces.push(RequestTrace {
-                        id,
-                        nic_arrival: st.arrival,
-                        stack_done: st.dma_done
-                            + ns(st.moderation_ns)
-                            + ns(st.wake_ns)
-                            + ns(st.stack_ns)
-                            + ns(st.poll_wait_ns),
-                        app_done: st.app_done,
-                        io_wait: ns(st.io_ns),
-                        last_tx: now,
-                    });
-                }
-            }
+        let meta = frame.meta_mut();
+        if meta.is_final && !meta.rejected && meta.request_id.is_some() {
+            // Attribution: TX stack + NIC serialization, app-done to wire
+            // departure of the completing frame.
+            let st = &mut meta.stages;
+            st.tx_ns = ns32(now.as_nanos().saturating_sub(st.app_done.as_nanos()));
+            st.last_tx = now;
         }
         fx.transmit.push(frame);
         while let Some(front) = self.tx_backlog.front() {
@@ -1852,13 +1789,6 @@ impl Kernel {
     #[must_use]
     pub fn menu_disabled(&self) -> bool {
         self.menu_disabled
-    }
-
-    /// Completed stage-level request traces (sampled per
-    /// [`KernelConfig::trace_requests_every`]).
-    #[must_use]
-    pub fn request_traces(&self) -> &[RequestTrace] {
-        &self.finished_traces
     }
 
     /// Operational counters (ISRs, SoftIRQs, wakes, governor ticks).
@@ -2172,10 +2102,8 @@ mod tests {
         // Replayed frames carry the same sequence numbers for dedup.
         let seqs: Vec<u32> = frames.iter().map(|f| f.meta().seq).collect();
         assert_eq!(seqs, vec![0, 1, 2, 0, 1, 2]);
-        // Only the replay's final frame is marked. It carries the original
-        // record, with the original-to-replay gap charged to `replay_ns`.
-        let marked: Vec<bool> = frames.iter().map(|f| f.meta().replay).collect();
-        assert_eq!(marked, vec![false, false, false, false, false, true]);
+        // The replay's final frame carries the original record, with the
+        // original-to-replay gap charged to `replay_ns`.
         let (original, replay) = (frames[2].meta().stages, frames[5].meta().stages);
         assert_eq!(replay.arrival, original.arrival);
         assert!(replay.replay_ns > 0, "{replay:?}");
@@ -2183,16 +2111,14 @@ mod tests {
     }
 
     /// A replay record lives until the client resolves its request. A
-    /// replay after that goes out marked, with an empty record, and adds
-    /// no waterfall; retiring a `Done` entry drops a record no client
-    /// released.
+    /// replay after that goes out with an empty record; retiring a `Done`
+    /// entry drops a record no client released.
     #[test]
     fn replay_records_live_until_released_or_retired() {
         let mut k = Kernel::new(
             KernelConfig::server_defaults()
                 .with_initial_pstate(cpusim::PStateId(0))
-                .with_reliability()
-                .with_request_tracing(1),
+                .with_reliability(),
             NodeId(0),
             Nic::new(NicConfig::i82574_like()),
             Box::new(Performance),
@@ -2217,17 +2143,16 @@ mod tests {
         arrive(&mut queue, 10, 7);
         arrive(&mut queue, 20, 8);
         let _ = run_until(&mut k, &mut queue, SimTime::from_ms(5));
-        assert_eq!((k.replay_records(), k.request_traces().len()), (2, 2));
+        assert_eq!(k.replay_records(), 2);
 
         k.release_replay(7);
         assert_eq!(k.replay_records(), 1);
         arrive(&mut queue, 6_000, 7);
         let replay = run_until(&mut k, &mut queue, SimTime::from_ms(10));
         let last = replay.last().expect("the replay went out").meta();
-        assert!(last.is_final && last.replay);
+        assert!(last.is_final);
         assert_eq!(last.stages.arrival, SimTime::ZERO, "an empty record");
         assert_eq!(k.stats().resp_replays, 1);
-        assert_eq!(k.request_traces().len(), 2, "a replay adds no waterfall");
 
         // Request 9 arrives after 7's and 8's linger: both entries retire,
         // and 8's unreleased record goes with its entry.
@@ -2241,6 +2166,13 @@ mod tests {
     #[test]
     fn dup_state_stays_small() {
         assert!(std::mem::size_of::<DupState>() <= 16);
+    }
+
+    /// Every frame in flight is moved through the event queue inside a
+    /// `NodeEvent`; a field that regrows `Packet` regrows every event.
+    #[test]
+    fn packet_stays_small() {
+        assert!(std::mem::size_of::<Packet>() <= 176);
     }
 
     #[test]
@@ -2717,42 +2649,31 @@ mod trace_tests {
     }
 
     #[test]
-    fn request_trace_stages_are_monotone_and_complete() {
+    fn response_stages_are_monotone_and_complete() {
         let mut k = Kernel::new(
-            KernelConfig::server_defaults()
-                .with_initial_pstate(cpusim::PStateId(0))
-                .with_request_tracing(1),
+            KernelConfig::server_defaults().with_initial_pstate(cpusim::PStateId(0)),
             NodeId(0),
             Nic::new(NicConfig::i82574_like()),
             Box::new(Performance),
             Box::new(PollIdle),
             Box::new(OneShotApp),
         );
-        let mut queue: desim::EventQueue<NodeEvent> = desim::EventQueue::new();
-        let fx = k.init(SimTime::ZERO);
-        for (t, e) in fx.schedule {
-            queue.push(t, e);
-        }
+        let mut fx = k.init(SimTime::ZERO);
         let frame = Packet::request(NodeId(1), NodeId(0), 42, HttpRequest::get("/").to_payload());
-        queue.push(SimTime::from_us(10), NodeEvent::FrameFromWire(frame));
-        while let Some((t, e)) = queue.pop() {
-            if t > SimTime::from_ms(10) {
-                break;
-            }
-            let fx = k.handle(t, e);
-            for (te, ev) in fx.schedule {
-                queue.push(te, ev);
-            }
-        }
-        let traces = k.request_traces();
-        assert_eq!(traces.len(), 1, "the request must finish tracing");
-        let tr = traces[0];
-        assert_eq!(tr.id, 42);
-        assert_eq!(tr.nic_arrival, SimTime::from_us(10));
-        assert!(tr.stack_done > tr.nic_arrival);
-        assert!(tr.app_done > tr.stack_done);
-        assert!(tr.last_tx > tr.app_done);
-        assert_eq!(tr.io_wait, SimDuration::from_us(150));
-        assert!(tr.residence() > SimDuration::from_us(150));
+        fx.schedule
+            .push((SimTime::from_us(10), NodeEvent::FrameFromWire(frame)));
+        let frames = super::tests::drain(&mut k, fx, SimTime::from_ms(10));
+        let last = frames
+            .iter()
+            .map(Packet::meta)
+            .find(|m| m.is_final)
+            .expect("the response must finish");
+        assert_eq!(last.request_id, Some(42));
+        let st = last.stages;
+        assert_eq!(st.arrival, SimTime::from_us(10));
+        assert!(st.dma_done > st.arrival);
+        assert!(st.app_done > st.dma_done);
+        assert!(st.last_tx > st.app_done);
+        assert_eq!(st.io_ns, 150_000);
     }
 }

@@ -32,5 +32,5 @@ pub mod work;
 pub use app::{AppPhase, AppPlan, RequestInfo, ServerApp};
 pub use bypass::{BypassConfig, Datapath};
 pub use config::{KernelConfig, OverloadConfig, ShedPolicy};
-pub use kernel::{Effects, Kernel, KernelStats, NodeEvent, RequestTrace};
+pub use kernel::{Effects, Kernel, KernelStats, NodeEvent};
 pub use work::{CoreSet, Pick, RunQueue, WakePass, Work, WorkKind};

@@ -129,10 +129,6 @@ pub struct PacketMeta {
     /// request under overload instead of serving it. Clients count these
     /// as rejected, not completed, and never record their latency.
     pub rejected: bool,
-    /// `true` on the final frame of a response a server replayed for a
-    /// retransmitted request it had already answered: that response's
-    /// waterfall was taken from the original.
-    pub replay: bool,
     /// Per-stage latency attribution accumulated along the path.
     pub stages: StageRecord,
 }

@@ -160,7 +160,6 @@ const CAMPAIGN_FIELDS: &[(&str, u64)] = &[
     ("measure", 0x2d58c7eea20e6b45),
     ("traces", 0x5c04345bf25981a5),
     ("sim_trace", 0xa588ad518f01f875),
-    ("server_request_traces", 0xd7d5b90cfc116d25),
     ("kernel_stats", 0xc10893d0b72385de),
     ("faults", 0x824d46c581034e2b),
     ("rejected", 0xd8d3441b1a147b25),

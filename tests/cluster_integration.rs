@@ -213,7 +213,6 @@ const GOLDEN: &[(&str, u64)] = &[
     ("measure", 0x9ce563e1a358a6ce),
     ("traces", 0xac5275f879cfe7dd),
     ("sim_trace", 0x4e86d3123be751a8),
-    ("server_request_traces", 0x84d5ec23c8f83b0d),
     ("kernel_stats", 0x0978f5604a0d6a0b),
     ("faults", 0x4c5572e532eb368d),
     ("rejected", 0x88e437f1dfc23119),

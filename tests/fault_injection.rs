@@ -15,10 +15,10 @@
 
 use check::{ensure, Check};
 use cluster::{
-    build_cluster, run_experiment, run_experiments_on, AppKind, ExperimentConfig, FaultConfig,
-    FaultSummary, Policy, RetxConfig, TraceConfig,
+    run_experiment, run_experiments_on, AppKind, ExperimentConfig, FaultConfig, FaultSummary,
+    Policy, RetxConfig,
 };
-use desim::{SimDuration, SimTime, Simulation};
+use desim::SimDuration;
 
 fn quick(policy: Policy, load: f64) -> ExperimentConfig {
     ExperimentConfig::new(AppKind::Memcached, policy, load)
@@ -206,7 +206,6 @@ fn trace_counters_match_injected_faults_exactly() {
     let cfg = quick(Policy::NcapCons, 30_000.0)
         .with_faults(FaultConfig::lossy(0.01, 11))
         .with_rx_ring(48)
-        .with_trace(TraceConfig::per_ms())
         .with_event_trace(simtrace::TracerConfig::default());
     let r = run_experiment(&cfg);
     let f = &r.faults;
@@ -222,14 +221,7 @@ fn trace_counters_match_injected_faults_exactly() {
     assert_eq!(counter("cluster", "retransmits") as u64, f.retransmits);
     assert_eq!(counter("cluster", "lost_requests") as u64, f.lost_requests);
     assert_eq!(counter("nic", "rx_drops") as u64, r.rx_drops);
-    // The figure traces carry the same totals...
-    let traces = r.traces.as_ref().expect("figure traces were enabled");
-    assert_eq!(traces.rx_drops, r.rx_drops);
-    assert_eq!(
-        traces.fault_drops,
-        f.injected_losses + f.injected_corruptions
-    );
-    // ...and the CSV export always has the drop columns, faults or not.
+    // The CSV export always has the drop columns, faults or not.
     let horizon_ns = cfg.horizon().as_nanos();
     let csv = data.to_csv(horizon_ns);
     let header = csv.lines().next().expect("csv has a header");
@@ -244,37 +236,25 @@ fn trace_counters_match_injected_faults_exactly() {
     }
 }
 
-/// Every response the server generates leaves exactly one waterfall when
-/// every request is sampled — even when a retransmitted copy reaches the
-/// server after the application finished and the response is replayed.
+/// Every completed measured request enters the latency breakdown exactly
+/// once — even when a retransmitted copy reaches the server after the
+/// application finished and the response is replayed.
 #[test]
-fn lossy_runs_keep_one_waterfall_per_served_request() {
+fn lossy_runs_break_down_each_completed_request_once() {
     let mut faults = FaultConfig::none().with_retx(RetxConfig::standard());
     faults.loss = 0.02;
     let cfg = ExperimentConfig::new(AppKind::Apache, Policy::NcapCons, 24_000.0)
         .with_durations(SimDuration::from_ms(5), SimDuration::from_ms(40))
         .with_drain(SimDuration::from_ms(20))
-        .with_request_tracing(1)
         .with_faults(faults);
-    let (cluster, initial) = build_cluster(&cfg).expect("valid config");
-    let mut sim = Simulation::new(cluster);
-    for (t, e) in initial {
-        sim.queue_mut().push(t, e);
-    }
-    sim.run_until(SimTime::ZERO + cfg.horizon());
-    let now = sim.now();
-    sim.handler_mut().finalize(now);
-    let server = &sim.handler().servers()[0];
+    let r = run_experiment(&cfg);
     assert!(
-        server.stats().resp_replays > 0,
+        r.kernel_stats.resp_replays > 0,
         "the run must replay responses"
     );
-    let traces = server.request_traces();
-    assert_eq!(traces.len() as u64, server.completed_responses());
-    let mut ids: Vec<u64> = traces.iter().map(|t| t.id).collect();
-    ids.sort_unstable();
-    ids.dedup();
-    assert_eq!(ids.len(), traces.len(), "a request was traced twice");
+    let b = r.breakdown.as_ref().expect("breakdown is on by default");
+    assert!(r.completed > 0);
+    assert_eq!(b.count, r.completed);
 }
 
 #[test]
