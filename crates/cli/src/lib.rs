@@ -24,9 +24,9 @@
 
 use cluster::config::{token, value};
 use cluster::{
-    run_experiment, run_experiments_parallel, try_run_experiment, AppKind, CoordinatorConfig,
-    Datapath, DispatchPolicy, ExperimentConfig, FailureMode, FailureSpec, FleetConfig,
-    HealthConfig, OverloadConfig, Policy, RetxConfig, ShedPolicy, TraceConfig,
+    chaos, run_experiment, run_experiments_parallel, try_run_experiment, AppKind,
+    CoordinatorConfig, Datapath, DispatchPolicy, ExperimentConfig, FailureMode, FailureSpec,
+    FleetConfig, HealthConfig, OverloadConfig, Policy, RetxConfig, ShedPolicy, TraceConfig,
 };
 use desim::{ConfigError, SimDuration, SimTime};
 use simstats::{fmt_ns, sla_curve_table, sla_knee, FleetAggregate, Table};
@@ -86,21 +86,21 @@ pub struct ChaosArgs {
 impl ChaosArgs {
     /// The campaign: the scenarios of seeds `from..from + seeds`, with the
     /// forced datapath and poll-core count applied.
-    pub fn scenarios(&self) -> impl Iterator<Item = cluster::ChaosScenario> + '_ {
+    pub fn scenarios(&self) -> impl Iterator<Item = ExperimentConfig> + '_ {
         (self.from..self.from.saturating_add(self.seeds)).map(|seed| {
-            let mut sc = cluster::ChaosScenario::generate(seed);
-            sc.datapath = self.datapath.unwrap_or(sc.datapath);
-            sc.poll_cores = self.poll_cores.unwrap_or(sc.poll_cores);
+            let mut cfg = chaos::generate(seed);
+            cfg.datapath = self.datapath.unwrap_or(cfg.datapath);
+            cfg.poll_cores = self.poll_cores.unwrap_or(cfg.poll_cores);
             // A forced datapath may contradict the drawn policy; coerce to
             // a compatible pool member so every scenario still validates.
-            match sc.datapath {
-                Datapath::Bypass if sc.policy.is_ncap() => sc.policy = Policy::OndIdle,
-                Datapath::Offload if !sc.policy.uses_ncap_hardware() => {
-                    sc.policy = Policy::NcapCons;
+            match cfg.datapath {
+                Datapath::Bypass if cfg.policy.is_ncap() => cfg.policy = Policy::OndIdle,
+                Datapath::Offload if !cfg.policy.uses_ncap_hardware() => {
+                    cfg.policy = Policy::NcapCons;
                 }
                 _ => {}
             }
-            sc
+            cfg
         })
     }
 }
@@ -781,7 +781,6 @@ pub fn execute(cmd: Command) -> i32 {
             0
         }
         Command::Chaos(a) => {
-            use cluster::chaos::{self, ChaosScenario};
             let threads = if a.threads == 0 {
                 std::thread::available_parallelism().map_or(4, std::num::NonZero::get)
             } else {
@@ -795,17 +794,18 @@ pub fn execute(cmd: Command) -> i32 {
                         return 2;
                     }
                 };
-                let sc = match ChaosScenario::from_file_str(&text) {
-                    Ok(s) => s,
+                let cfg = match chaos::from_file_str(&text) {
+                    Ok(c) => c,
                     Err(e) => {
                         eprintln!("invalid scenario '{path}': {e}");
                         return 2;
                     }
                 };
-                println!("replaying scenario {path} (seed {})", sc.seed);
-                chaos::run_scenarios(std::slice::from_ref(&sc), 1)
+                let seed = chaos::scenario_seed(&cfg);
+                println!("replaying scenario {path} (seed {seed})");
+                chaos::run_scenarios(std::slice::from_ref(&cfg), 1)
             } else {
-                let scenarios: Vec<ChaosScenario> = a.scenarios().collect();
+                let scenarios: Vec<ExperimentConfig> = a.scenarios().collect();
                 println!(
                     "chaos campaign: seeds {}..={} on {threads} threads",
                     a.from,
@@ -818,15 +818,15 @@ pub fn execute(cmd: Command) -> i32 {
                 "failover", "verdict",
             ]);
             for v in &verdicts {
-                let s = &v.scenario;
+                let (c, fleet) = (&v.config, v.config.fleet.as_ref());
                 t.row(vec![
-                    s.seed.to_string(),
-                    s.backends.to_string(),
-                    format!("{:.0}", s.load_rps),
-                    s.datapath.name().to_owned(),
-                    s.crashes.len().to_string(),
-                    s.domains.len().to_string(),
-                    if s.flash_crowd.is_some() { "yes" } else { "-" }.to_owned(),
+                    chaos::scenario_seed(c).to_string(),
+                    fleet.map_or(0, |f| f.backends).to_string(),
+                    format!("{:.0}", c.load_rps),
+                    c.datapath.name().to_owned(),
+                    fleet.map_or(0, |f| f.faults.specs.len()).to_string(),
+                    fleet.map_or(0, |f| f.domains.domains.len()).to_string(),
+                    if c.load_step.is_some() { "yes" } else { "-" }.to_owned(),
                     v.completed.to_string(),
                     v.failovers.to_string(),
                     if v.passed() { "ok" } else { "FAIL" }.to_owned(),
@@ -836,7 +836,7 @@ pub fn execute(cmd: Command) -> i32 {
             let failing: Vec<_> = verdicts.iter().filter(|v| !v.passed()).collect();
             for v in &failing {
                 for f in &v.failures {
-                    println!("  seed {}: {f}", v.scenario.seed);
+                    println!("  seed {}: {f}", chaos::scenario_seed(&v.config));
                 }
             }
             println!(
@@ -844,30 +844,30 @@ pub fn execute(cmd: Command) -> i32 {
                 verdicts.len(),
                 verdicts
                     .iter()
-                    .filter(|v| v.scenario.fault_events() > 0)
+                    .filter(|v| chaos::fault_events(&v.config) > 0)
                     .count(),
                 failing.len()
             );
             if a.shrink {
                 for v in &failing {
-                    let (shrunk, runs) = chaos::shrink(&v.scenario);
+                    let seed = chaos::scenario_seed(&v.config);
+                    let (shrunk, runs) = chaos::shrink(&v.config);
                     println!(
-                        "shrunk seed {}: {} -> {} fault events in {runs} runs",
-                        v.scenario.seed,
-                        v.scenario.fault_events(),
-                        shrunk.fault_events()
+                        "shrunk seed {seed}: {} -> {} fault events in {runs} runs",
+                        chaos::fault_events(&v.config),
+                        chaos::fault_events(&shrunk)
                     );
                     if let Some(dir) = &a.out {
-                        let path = std::path::Path::new(dir)
-                            .join(format!("chaos-seed-{}.scenario", v.scenario.seed));
+                        let path =
+                            std::path::Path::new(dir).join(format!("chaos-seed-{seed}.scenario"));
                         let written = std::fs::create_dir_all(dir)
-                            .and_then(|()| std::fs::write(&path, shrunk.to_file_string()));
+                            .and_then(|()| std::fs::write(&path, chaos::to_file_string(&shrunk)));
                         match written {
                             Ok(()) => println!("  wrote {}", path.display()),
                             Err(e) => eprintln!("  cannot write {}: {e}", path.display()),
                         }
                     } else {
-                        print!("{}", shrunk.to_file_string());
+                        print!("{}", chaos::to_file_string(&shrunk));
                     }
                 }
             }
@@ -914,7 +914,7 @@ mod tests {
         match cmd {
             Command::Run(c) | Command::Report(c) | Command::Trace { cfg: c, .. } => vec![c.clone()],
             Command::Sweep(cs) | Command::Sla(cs) => cs.clone(),
-            Command::Chaos(a) => a.scenarios().take(4).map(|s| s.to_config()).collect(),
+            Command::Chaos(a) => a.scenarios().take(4).collect(),
             Command::Policies | Command::Help => Vec::new(),
         }
     }

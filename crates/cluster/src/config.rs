@@ -464,6 +464,14 @@ impl ExperimentConfig {
                 ),
             ));
         }
+        if let Some((_, rps)) = self.load_step {
+            if rps <= 0.0 || !rps.is_finite() {
+                return Err(ConfigError::new(
+                    "load_step",
+                    format!("the stepped load must be positive and finite, got {rps}"),
+                ));
+            }
+        }
         if self.clients == 0 {
             return Err(ConfigError::new("clients", "at least one client required"));
         }
@@ -489,6 +497,16 @@ impl ExperimentConfig {
             return Err(ConfigError::new(
                 "measure",
                 "the measured window must be positive",
+            ));
+        }
+        let horizon = self.warmup.as_nanos().checked_add(self.measure.as_nanos());
+        if horizon.is_none_or(|ns| ns > MAX_HORIZON.as_nanos()) {
+            return Err(ConfigError::new(
+                "horizon",
+                format!(
+                    "warmup {} + measure {} must not exceed {MAX_HORIZON} of simulated time",
+                    self.warmup, self.measure
+                ),
             ));
         }
         if self.drain >= self.horizon() {
@@ -573,6 +591,11 @@ impl ExperimentConfig {
         Ok(())
     }
 }
+
+/// The longest simulated run [`ExperimentConfig::validate`] accepts:
+/// one hour. The longest in-tree run simulates 8.1 s, and a horizon
+/// near the clock's end would never finish.
+pub const MAX_HORIZON: SimDuration = SimDuration::from_secs(3600);
 
 /// The default master seed: "NCAP" in ASCII.
 pub const DEFAULT_SEED: u64 = 0x4E43_4150;
@@ -701,6 +724,20 @@ mod tests {
             .clone()
             .with_durations(SimDuration::from_ms(5), SimDuration::ZERO);
         assert_eq!(c.validate().unwrap_err().field, "measure");
+        let c = base
+            .clone()
+            .with_durations(SimDuration::from_nanos(u64::MAX), SimDuration::from_ms(1));
+        assert_eq!(c.validate().unwrap_err().field, "horizon");
+        let c = base
+            .clone()
+            .with_durations(SimDuration::ZERO, MAX_HORIZON + SimDuration::from_nanos(1));
+        assert_eq!(c.validate().unwrap_err().field, "horizon");
+        let c = base.clone().with_durations(SimDuration::ZERO, MAX_HORIZON);
+        assert!(c.validate().is_ok());
+        for rps in [0.0, -5.0, f64::NAN, f64::INFINITY] {
+            let c = base.clone().with_load_step(SimDuration::from_ms(1), rps);
+            assert_eq!(c.validate().unwrap_err().field, "load_step", "{rps}");
+        }
         let c = base.clone().with_breakdown_tail(100.0);
         assert_eq!(c.validate().unwrap_err().field, "breakdown_tail");
         let mut c = base.clone();

@@ -49,7 +49,7 @@ pub mod sim;
 pub mod trace;
 pub mod watchdog;
 
-pub use chaos::{ChaosScenario, SeedVerdict};
+pub use chaos::SeedVerdict;
 pub use config::{AppKind, BackgroundTraffic, ExperimentConfig};
 pub use fleetsim::{
     BackendState, BackendSummary, CoordinatorConfig, DispatchPolicy, DomainFaultSpec,

@@ -67,6 +67,23 @@ expect_exit_2 cargo run --release -q -p ncap-cli -- trace --out target/config-sm
     --servers 2 --health-eject 0
 expect_exit_2 cargo run --release -q -p ncap-cli -- sla
 expect_exit_2 cargo run --release -q --example policy_explorer -- memcached 0
+# A chaos scenario file reaches the same gate: a flash crowd to a zero
+# rate and a horizon past the clock are typed errors, not a panic in the
+# arrival sampler or a run that never ends.
+mkdir -p target/config-smoke
+scenario="seed=1
+policy=perf
+backends=2
+load_rps=10000
+warmup_ns=2000000
+measure_ns=60000000
+drain_ns=25000000"
+printf '%s\npoisson=1\nflash=1000,0\n' "$scenario" >target/config-smoke/flash-zero.scenario
+printf '%s\nwarmup_ns=18446744073709551615\n' "$scenario" >target/config-smoke/endless.scenario
+for file in flash-zero endless; do
+    expect_exit_2 timeout 60 cargo run --release -q -p ncap-cli -- chaos \
+        --scenario "target/config-smoke/$file.scenario"
+done
 echo "==> config-rejection smoke ok"
 
 # Attribution smoke: `ncap report` must render the per-stage table,

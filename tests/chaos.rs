@@ -1,10 +1,11 @@
 //! Chaos-harness validation: deterministic campaigns, the quiescence
-//! oracle, Collect-mode violation accounting, and the auto-shrinker.
+//! oracle, Collect-mode violation accounting, the auto-shrinker, and the
+//! scenario-file reader.
 //!
 //! The chaos layer composes every fault surface the simulator has —
 //! correlated failure domains (rack partitions, brownouts), per-backend
 //! crash/slow/hang schedules, flash-crowd load steps, coordinator churn —
-//! into seeded scenarios judged by a silence oracle: zero invariant
+//! into seeded scenarios judged by the watchdog: zero invariant
 //! violations, balanced conservation ledgers at every layer, and
 //! end-of-run quiescence after a drain window. These tests pin the
 //! harness's own guarantees:
@@ -16,10 +17,14 @@
 //!   in Collect mode (violations accumulate with sim-time stamps, the
 //!   run is never aborted), shrunk to a minimal repro, and the repro
 //!   replays from its scenario-file form;
+//! * a whole-fleet partition reports its stranded requests and dead
+//!   dispatches, and no ledger break;
+//! * no scenario file panics the reader, and every file it accepts
+//!   validates and round-trips;
 //! * the campaign's results match their pinned field-digest table.
 
-use cluster::chaos::{self, ChaosScenario};
-use cluster::{try_run_experiment, FailureMode, InvariantKind};
+use cluster::chaos;
+use cluster::{try_run_experiment, ExperimentConfig, FailureMode, InvariantKind};
 
 mod common;
 
@@ -31,23 +36,16 @@ fn seeded_campaign_passes_the_silence_oracle() {
     let verdicts = chaos::run_campaign(&seeds, 4);
     assert_eq!(verdicts.len(), 16);
     for v in &verdicts {
-        assert!(
-            v.passed(),
-            "seed {} failed: {:?}",
-            v.scenario.seed,
-            v.failures
-        );
-        assert!(
-            v.completed > 0,
-            "seed {} completed nothing",
-            v.scenario.seed
-        );
+        let seed = chaos::scenario_seed(&v.config);
+        assert!(v.passed(), "seed {seed} failed: {:?}", v.failures);
+        assert!(v.completed > 0, "seed {seed} completed nothing");
     }
     // The generator actually exercises the fault surfaces: across the
     // campaign there are crashes, correlated domains, and flash crowds.
-    assert!(verdicts.iter().any(|v| !v.scenario.crashes.is_empty()));
-    assert!(verdicts.iter().any(|v| !v.scenario.domains.is_empty()));
-    assert!(verdicts.iter().any(|v| v.scenario.flash_crowd.is_some()));
+    let fleets = || verdicts.iter().filter_map(|v| v.config.fleet.as_ref());
+    assert!(fleets().any(|f| !f.faults.specs.is_empty()));
+    assert!(fleets().any(|f| !f.domains.domains.is_empty()));
+    assert!(verdicts.iter().any(|v| v.config.load_step.is_some()));
     assert!(
         verdicts.iter().any(|v| v.failovers > 0),
         "no scenario exercised retransmission failover"
@@ -68,13 +66,22 @@ fn verdicts_are_byte_identical_serial_vs_parallel() {
     );
 }
 
-/// Returns a generated scenario that schedules at least one fail-stop
-/// crash (so failover traffic exists for the planted bug to miscount).
-fn scenario_with_a_stop_crash() -> ChaosScenario {
-    (1..200)
-        .map(ChaosScenario::generate)
-        .find(|s| s.crashes.iter().any(|c| c.mode == FailureMode::Stop))
-        .expect("some seed below 200 schedules a fail-stop crash")
+/// The first generated scenario that schedules a fail-stop crash (so
+/// failover traffic exists for the planted bug to miscount), with the
+/// planted `failed_over` mis-count armed.
+fn planted_scenario() -> ExperimentConfig {
+    let mut cfg = (1..200)
+        .map(chaos::generate)
+        .find(|c| {
+            c.fleet
+                .as_ref()
+                .is_some_and(|f| f.faults.specs.iter().any(|s| s.mode == FailureMode::Stop))
+        })
+        .expect("some seed below 200 schedules a fail-stop crash");
+    cfg.fleet = cfg
+        .fleet
+        .map(cluster::FleetConfig::with_ledger_skew_for_test);
+    cfg
 }
 
 /// The planted `failed_over` mis-count is caught by the watchdog in
@@ -83,9 +90,8 @@ fn scenario_with_a_stop_crash() -> ChaosScenario {
 /// oracle still renders its verdict at the horizon.
 #[test]
 fn planted_ledger_bug_is_collected_not_fatal() {
-    let mut planted = scenario_with_a_stop_crash();
-    planted.ledger_skew = true;
-    let result = try_run_experiment(&planted.to_config()).expect("scenario config is valid");
+    let planted = planted_scenario();
+    let result = try_run_experiment(&planted).expect("scenario config is valid");
     // Never aborted: the run served traffic to the horizon.
     assert!(result.completed > 0, "collect mode must not halt the run");
     let conservation: Vec<_> = result
@@ -106,7 +112,7 @@ fn planted_ledger_bug_is_collected_not_fatal() {
         conservation[0].at.as_nanos() > 0,
         "violations carry sim-time stamps"
     );
-    // The campaign-level judge reaches the same verdict.
+    // The campaign-level verdict agrees.
     let verdict = &chaos::run_scenarios(std::slice::from_ref(&planted), 1)[0];
     assert!(!verdict.passed(), "the oracle must flag the planted bug");
 }
@@ -117,28 +123,173 @@ fn planted_ledger_bug_is_collected_not_fatal() {
 /// failure exactly.
 #[test]
 fn planted_bug_shrinks_to_a_replayable_repro() {
-    let mut planted = scenario_with_a_stop_crash();
-    planted.ledger_skew = true;
+    let planted = planted_scenario();
     let (shrunk, runs) = chaos::shrink(&planted);
     assert!(runs > 0);
+    let events = chaos::fault_events(&shrunk);
     assert!(
-        shrunk.fault_events() <= 3,
-        "expected a minimal repro, got {} fault events",
-        shrunk.fault_events()
+        events <= 3,
+        "expected a minimal repro, got {events} fault events"
     );
-    assert!(shrunk.fault_events() <= planted.fault_events());
+    assert!(events <= chaos::fault_events(&planted));
     // Still failing after minimization...
     let verdict = &chaos::run_scenarios(std::slice::from_ref(&shrunk), 1)[0];
     assert!(!verdict.passed(), "shrunk scenario no longer fails");
     // ...and replayable from its file form with an identical verdict.
-    let replay = ChaosScenario::from_file_str(&shrunk.to_file_string()).expect("file round-trips");
-    assert_eq!(replay, shrunk);
+    let replay = chaos::from_file_str(&chaos::to_file_string(&shrunk)).expect("file round-trips");
+    assert_eq!(format!("{replay:?}"), format!("{shrunk:?}"));
     let replayed = &chaos::run_scenarios(std::slice::from_ref(&replay), 1)[0];
     assert_eq!(
         format!("{:?}", replayed.failures),
         format!("{:?}", verdict.failures),
         "replay from file must reproduce the same failures"
     );
+}
+
+/// A partition of the whole fleet that outlasts the run strands its
+/// requests in the failed-over limbo, and the LB, with no healthy
+/// backend left, dispatches to ejected ones (DESIGN.md §14). The
+/// watchdog reports both. Both ledgers still close: the LB's counts
+/// the limbo, so there is no Conservation violation.
+#[test]
+fn whole_fleet_partition_breaks_no_ledger() {
+    let text = "seed=1\npolicy=perf\nbackends=2\nload_rps=10000\n\
+                warmup_ns=1000000\nmeasure_ns=5000000\n\
+                domain=1000,10000000,partition,0+1\n";
+    let cfg = chaos::from_file_str(text).expect("the scenario validates");
+    let result = try_run_experiment(&cfg).expect("valid");
+    let kinds: Vec<InvariantKind> = result.invariant_violations.iter().map(|v| v.kind).collect();
+    assert!(
+        !kinds.contains(&InvariantKind::Conservation),
+        "{:?}",
+        result.invariant_violations
+    );
+    assert!(kinds.contains(&InvariantKind::Quiescence), "{kinds:?}");
+    assert!(kinds.contains(&InvariantKind::Routing), "{kinds:?}");
+    let verdict = &chaos::run_scenarios(std::slice::from_ref(&cfg), 1)[0];
+    assert!(!verdict.passed());
+    assert!(
+        verdict.failures.iter().any(|f| f.contains("limbo")),
+        "{:?}",
+        verdict.failures
+    );
+    assert!(
+        !verdict.failures.iter().any(|f| f.contains("LB ledger")),
+        "{:?}",
+        verdict.failures
+    );
+}
+
+/// The sixteen scenario-file keys.
+const KEYS: [&str; 16] = [
+    "seed",
+    "policy",
+    "backends",
+    "dispatch",
+    "datapath",
+    "poll_cores",
+    "coordinator",
+    "load_rps",
+    "poisson",
+    "warmup_ns",
+    "measure_ns",
+    "drain_ns",
+    "flash",
+    "crash",
+    "domain",
+    "ledger_skew",
+];
+
+/// Values at the edges of every field type, plus malformed ones.
+const BOUNDARY: &[&str] = &[
+    "0",
+    "1",
+    "-1",
+    "NaN",
+    "inf",
+    "-inf",
+    "1e308",
+    "-0",
+    "18446744073709551615",
+    "18446744073709551616",
+    "",
+    ",",
+    "1,",
+    ",1",
+    "never",
+    "partition",
+    "brownout",
+    "0+1",
+    "+",
+    "stop",
+    "hang",
+    "bypass",
+    "ncap.cons",
+];
+
+/// Nothing a scenario file holds panics the reader, and every file it
+/// accepts validates and survives a write/read round trip unchanged. The
+/// files start from generated scenarios, then take up to four edits: a
+/// key set to a boundary or random value, one field of a line replaced
+/// by one, a line duplicated or dropped, or a stray comma appended. No
+/// simulation runs.
+#[test]
+fn prop_no_scenario_file_panics() {
+    let pick = |rng: &mut check::Rng, from: &[&'static str]| -> &'static str {
+        from[rng.next_below(from.len() as u64) as usize]
+    };
+    // A boundary value, or a random integer or fraction.
+    let value = |rng: &mut check::Rng, size: usize| match rng.next_below(3) {
+        0 => check::gen::u64_scaled(rng, size, 0, u64::MAX).to_string(),
+        1 => (rng.next_f64() * 20_000.0).to_string(),
+        _ => pick(rng, BOUNDARY).to_owned(),
+    };
+    check::Check::new("scenario_file_never_panics")
+        .cases(8192)
+        .run(
+            |rng, size| {
+                let text = chaos::to_file_string(&chaos::generate(rng.next_below(64)));
+                let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+                for _ in 0..check::gen::len_in(rng, size, 1, 4) {
+                    let at = rng.next_below(lines.len() as u64) as usize;
+                    match rng.next_below(5) {
+                        0 => {
+                            let line = format!("{}={}", pick(rng, &KEYS), value(rng, size));
+                            lines.push(line);
+                        }
+                        1 => {
+                            let (key, values) = lines[at].split_once('=').unwrap_or(("seed", ""));
+                            let mut fields: Vec<String> =
+                                values.split(',').map(str::to_owned).collect();
+                            let f = rng.next_below(fields.len() as u64) as usize;
+                            fields[f] = value(rng, size);
+                            lines[at] = format!("{key}={}", fields.join(","));
+                        }
+                        2 => lines.push(lines[at].clone()),
+                        3 if lines.len() > 1 => {
+                            lines.remove(at);
+                        }
+                        _ => lines[at].push(','),
+                    }
+                }
+                lines.join("\n")
+            },
+            |text| {
+                let Ok(cfg) = chaos::from_file_str(text) else {
+                    return Ok(());
+                };
+                cfg.validate()
+                    .map_err(|e| format!("accepted an invalid scenario: {e}"))?;
+                let again = chaos::to_file_string(&cfg);
+                let back = chaos::from_file_str(&again)
+                    .map_err(|e| format!("rewritten file rejected: {e}\n{again}"))?;
+                check::ensure!(
+                    format!("{back:?}") == format!("{cfg:?}"),
+                    "round trip changed the config:\n{again}"
+                );
+                Ok(())
+            },
+        );
 }
 
 /// The field-digest table of the 16-seed campaign, folded over the
@@ -174,9 +325,7 @@ const CAMPAIGN_FIELDS: &[(&str, u64)] = &[
 
 #[test]
 fn seeded_campaign_results_match_the_pinned_digests() {
-    let configs: Vec<_> = (1..=16)
-        .map(|seed| ChaosScenario::generate(seed).to_config())
-        .collect();
+    let configs: Vec<_> = (1..=16).map(chaos::generate).collect();
     let mut results = cluster::run_experiments_on(&configs, 4);
     for r in &mut results {
         (r.sim_trace, r.self_profile) = (None, None);
