@@ -65,10 +65,9 @@ fn main() {
     ncap_bench::header("micro", "no paper section — simulator self-timing");
 
     // The event queue at two payload sizes. `u64` is the floor: no
-    // simulator queue holds events that small, and there the slab's extra
-    // indirection costs more than the 24-byte heap keys save. `[u64; 24]`
-    // is 192 bytes, the size of the cluster's `ClusterEvent`, where
-    // sifting keys instead of whole events pays.
+    // simulator queue holds events that small. `[u64; 3]` is 24 bytes,
+    // the size of the cluster's `ClusterEvent`, whose frames travel as
+    // one pointer.
     bench("event_queue_push_pop_1k", || {
         let mut q = EventQueue::with_capacity(1024);
         for i in 0..1_000u64 {
@@ -80,11 +79,10 @@ fn main() {
         }
         sum
     });
-    bench("event_queue_push_pop_1k_192b", || {
+    bench("event_queue_push_pop_1k_24b", || {
         let mut q = EventQueue::with_capacity(1024);
         for i in 0..1_000u64 {
-            let mut event = [0u64; 24];
-            event[0] = i;
+            let event = [i, 0, 0];
             q.push(SimTime::from_nanos((i * 7919) % 10_000), event);
         }
         let mut sum = 0u64;

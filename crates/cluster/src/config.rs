@@ -438,7 +438,15 @@ impl ExperimentConfig {
     /// non-positive load the result is meaningless (but does not panic).
     #[must_use]
     pub fn burst_period(&self) -> SimDuration {
-        let per_client = self.load_rps / (self.clients.max(1)) as f64;
+        self.burst_period_at(self.load_rps)
+    }
+
+    /// Per-client burst period that realizes `rps` across all clients
+    /// (the base load, or a load step's). [`validate`](Self::validate)
+    /// rejects a load whose period rounds to zero.
+    #[must_use]
+    pub fn burst_period_at(&self, rps: f64) -> SimDuration {
+        let per_client = rps / (self.clients.max(1)) as f64;
         SimDuration::from_secs_f64(f64::from(self.burst_size) / per_client.max(f64::MIN_POSITIVE))
     }
 
@@ -480,6 +488,23 @@ impl ExperimentConfig {
                 "burst_size",
                 "bursts must carry at least one request",
             ));
+        }
+        // A period that rounds to 0 ns fires every burst at one instant,
+        // and the event queue grows until memory runs out.
+        let loads = [("load_rps", self.load_rps)]
+            .into_iter()
+            .chain(self.load_step.map(|(_, rps)| ("load_step", rps)));
+        for (field, rps) in loads {
+            if self.burst_period_at(rps).is_zero() {
+                return Err(ConfigError::new(
+                    field,
+                    format!(
+                        "{rps:e} rps over {} clients in bursts of {} leaves a burst period \
+                         under 1 ns",
+                        self.clients, self.burst_size
+                    ),
+                ));
+            }
         }
         if self.nic_queues == 0 {
             return Err(ConfigError::new(
@@ -734,7 +759,7 @@ mod tests {
         assert_eq!(c.validate().unwrap_err().field, "horizon");
         let c = base.clone().with_durations(SimDuration::ZERO, MAX_HORIZON);
         assert!(c.validate().is_ok());
-        for rps in [0.0, -5.0, f64::NAN, f64::INFINITY] {
+        for rps in [0.0, -5.0, f64::NAN, f64::INFINITY, 1e308] {
             let c = base.clone().with_load_step(SimDuration::from_ms(1), rps);
             assert_eq!(c.validate().unwrap_err().field, "load_step", "{rps}");
         }
@@ -761,6 +786,27 @@ mod tests {
         bad_faults.loss = 1.5;
         let c = base.with_faults(bad_faults);
         assert_eq!(c.validate().unwrap_err().field, "loss");
+    }
+
+    /// A load whose per-client burst period rounds to 0 ns would fire
+    /// every burst at one instant; the largest load with a 1 ns period
+    /// is still accepted.
+    #[test]
+    fn load_is_bounded_by_the_burst_period() {
+        let base = ExperimentConfig::new(AppKind::Memcached, Policy::Perf, 24_000.0);
+        for rps in [1e308, f64::MAX] {
+            let mut c = base.clone();
+            c.load_rps = rps;
+            assert_eq!(c.validate().unwrap_err().field, "load_rps", "{rps}");
+        }
+        // 3 clients × 200-request bursts every 1 ns.
+        let mut c = base.clone();
+        c.load_rps = 3.0 * 200.0 * 1e9;
+        assert_eq!(c.burst_period(), SimDuration::from_nanos(1));
+        assert!(c.validate().is_ok());
+        c.load_rps *= 4.0;
+        assert!(c.burst_period().is_zero());
+        assert_eq!(c.validate().unwrap_err().field, "load_rps");
     }
 
     #[test]

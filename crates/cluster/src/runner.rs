@@ -203,10 +203,7 @@ fn build_clients(
             cc = cc.with_deadline(d);
         }
         if let Some((at, new_load)) = cfg.load_step {
-            let per_client = new_load / cfg.clients as f64;
-            let new_period =
-                desim::SimDuration::from_secs_f64(f64::from(cfg.burst_size) / per_client);
-            cc = cc.with_step(desim::SimTime::ZERO + at, new_period);
+            cc = cc.with_step(desim::SimTime::ZERO + at, cfg.burst_period_at(new_load));
         }
         clients.push(OpenLoopClient::new(cc));
         background.push(false);

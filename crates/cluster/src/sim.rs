@@ -144,10 +144,10 @@ struct FleetState {
 /// finds no entry and is absorbed.
 #[derive(Debug)]
 struct InFlight {
-    /// The original request frame, kept (boxed) only while retransmission
-    /// is armed; a resend clones it with `sent_at` untouched, so latency
+    /// The original request frame, kept only while retransmission is
+    /// armed; a resend clones it with `sent_at` untouched, so latency
     /// spans every retransmission.
-    frame: Option<Box<Packet>>,
+    frame: Option<Packet>,
     /// Retransmissions performed so far (also the live timer generation).
     attempt: u32,
     /// Response reassembly.
@@ -242,6 +242,10 @@ pub struct ClusterSim {
     misroutes: u64,
     watchdog: Option<Watchdog>,
     fleet: Option<FleetState>,
+    /// The buffer lent to every kernel call. `apply_effects` drains it
+    /// after each call, so it keeps its capacity and events allocate
+    /// nothing for their effects.
+    fx: Effects,
     /// Full-population per-stage latency attribution (measurement
     /// sideband — never consulted by the simulated system).
     breakdown: BreakdownCollector,
@@ -353,6 +357,7 @@ impl ClusterSim {
             misroutes: 0,
             watchdog: None,
             fleet: None,
+            fx: Effects::default(),
             breakdown: BreakdownCollector::new(),
             collect_breakdown: true,
             #[cfg(test)]
@@ -440,7 +445,8 @@ impl ClusterSim {
         let mut events = Vec::new();
         for si in 0..self.servers.len() {
             let node = self.servers[si].node();
-            let fx = self.servers[si].init(SimTime::ZERO);
+            let mut fx = Effects::default();
+            self.servers[si].init(SimTime::ZERO, &mut fx);
             for (t, e) in fx.schedule {
                 events.push((t, ClusterEvent::Server(node, e)));
             }
@@ -597,17 +603,35 @@ impl ClusterSim {
         }
     }
 
+    /// Hands `event` to server `si`'s kernel in the lent buffer, then
+    /// applies what it produced.
+    fn run_server(
+        &mut self,
+        now: SimTime,
+        si: usize,
+        event: NodeEvent,
+        queue: &mut EventQueue<ClusterEvent>,
+    ) {
+        let mut fx = std::mem::take(&mut self.fx);
+        self.servers[si].handle(now, event, &mut fx);
+        let node = self.servers[si].node();
+        self.apply_effects(now, node, &mut fx, queue);
+        self.fx = fx;
+    }
+
+    /// Drains `fx`: schedules its events, then routes its frames, in the
+    /// order the handler produced them.
     fn apply_effects(
         &mut self,
         now: SimTime,
         node: NodeId,
-        fx: Effects,
+        fx: &mut Effects,
         queue: &mut EventQueue<ClusterEvent>,
     ) {
-        for (t, e) in fx.schedule {
+        for (t, e) in fx.schedule.drain(..) {
             queue.push(t, ClusterEvent::Server(node, e));
         }
-        for frame in fx.transmit {
+        for frame in fx.transmit.drain(..) {
             #[cfg(test)]
             if self.release_at_send && frame.meta().is_final {
                 if let (Some(si), Some(rid)) = (self.server_index(node), frame.meta().request_id) {
@@ -638,7 +662,7 @@ impl ClusterSim {
                 self.inflight.insert(
                     id,
                     InFlight {
-                        frame: armed.then(|| Box::new(frame.clone())),
+                        frame: armed.then(|| frame.clone()),
                         attempt: 0,
                         reasm: Reassembly::new(),
                         stages: None,
@@ -699,9 +723,7 @@ impl ClusterSim {
                 tr.rx.add(now.as_nanos(), bytes);
             }
             simtrace::metric_add("cluster", "bw_rx", now.as_nanos(), bytes);
-            let node = self.servers[si].node();
-            let fx = self.servers[si].handle(now, NodeEvent::FrameFromWire(frame));
-            self.apply_effects(now, node, fx, queue);
+            self.run_server(now, si, NodeEvent::FrameFromWire(frame), queue);
         } else {
             self.on_client_response(now, &frame);
         }
@@ -1620,8 +1642,7 @@ impl EventHandler for ClusterSim {
         match event {
             ClusterEvent::Server(node, e) => {
                 let si = self.server_index(node).expect("event for a known server");
-                let fx = self.servers[si].handle(now, e);
-                self.apply_effects(now, node, fx, queue);
+                self.run_server(now, si, e, queue);
             }
             ClusterEvent::ClientBurst { idx } => self.on_client_burst(now, idx, queue),
             ClusterEvent::Deliver { frame } => self.on_deliver(now, frame, queue),
@@ -1979,7 +2000,7 @@ mod tests {
     /// slab; a field that regrows an event regrows every push and pop.
     #[test]
     fn queued_events_stay_small() {
-        assert!(std::mem::size_of::<oskernel::NodeEvent>() <= 184);
-        assert!(std::mem::size_of::<ClusterEvent>() <= 192);
+        assert!(std::mem::size_of::<oskernel::NodeEvent>() <= 16);
+        assert!(std::mem::size_of::<ClusterEvent>() <= 24);
     }
 }

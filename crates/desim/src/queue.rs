@@ -8,13 +8,13 @@
 //! The heap orders small keys, not events: a `std::collections::BinaryHeap`
 //! min-heap of 24-byte `(time, seq, slot)` keys, where `slot` indexes a
 //! slab that holds each pending event in place from push to pop. A sift
-//! therefore moves 24 bytes per level whatever the event's size (the
-//! cluster's events are 192 bytes), and each event is written once and
-//! read once. Freed slots go on a free list and are reused before the slab
-//! grows, so the slab's length is the peak pending population. O(log n)
-//! push and pop, no tuning parameters. `crates/desim/tests/differential.rs`
-//! checks the queue operation by operation against a naive linear-scan
-//! model.
+//! therefore moves 24 bytes per level whatever the event's size, each
+//! event is written once and read once, and ordering two keys is one
+//! 128-bit compare of `time << 64 | seq`. Freed slots go on a free list
+//! and are reused before the slab grows, so the slab's length is the peak
+//! pending population. O(log n) push and pop, no tuning parameters.
+//! `crates/desim/tests/differential.rs` checks the queue operation by
+//! operation against a naive linear-scan model.
 //!
 //! Counters obey the conservation identity
 //! `total_pushed == total_popped + total_cleared + len` at every instant.
@@ -32,9 +32,17 @@ struct Key {
     slot: u32,
 }
 
+impl Key {
+    /// `(time, seq)` as one integer, so ordering two keys is a single
+    /// 128-bit compare instead of a branch on the time tie.
+    fn order(&self) -> u128 {
+        (u128::from(self.time.as_nanos()) << 64) | u128::from(self.seq)
+    }
+}
+
 impl PartialEq for Key {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.order() == other.order()
     }
 }
 impl Eq for Key {}
@@ -48,7 +56,7 @@ impl PartialOrd for Key {
 impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: the earliest (time, seq) is the heap maximum.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
+        other.order().cmp(&self.order())
     }
 }
 

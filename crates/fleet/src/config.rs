@@ -64,6 +64,11 @@ impl core::fmt::Display for DispatchPolicy {
     }
 }
 
+/// The largest fleet [`FleetConfig::validate`] accepts: 16× the
+/// 64-backend scenarios, and far inside the `u16` node-id space the
+/// backends share with the VIP and the clients.
+pub const MAX_BACKENDS: usize = 1024;
+
 /// Fleet topology: backend count, dispatch policy, LB service time, and
 /// the optional power coordinator.
 #[derive(Debug, Clone, PartialEq)]
@@ -185,6 +190,15 @@ impl FleetConfig {
             return Err(ConfigError::new(
                 "backends",
                 "a fleet needs at least one backend",
+            ));
+        }
+        if self.backends > MAX_BACKENDS {
+            return Err(ConfigError::new(
+                "backends",
+                format!(
+                    "{} backends exceed the limit of {MAX_BACKENDS}",
+                    self.backends
+                ),
             ));
         }
         if self.pack_spill == 0 {
@@ -399,6 +413,15 @@ mod tests {
             err(FleetConfig::new(0, DispatchPolicy::RoundRobin)),
             "backends"
         );
+        assert!(FleetConfig::new(MAX_BACKENDS, DispatchPolicy::RoundRobin)
+            .validate()
+            .is_ok());
+        for n in [MAX_BACKENDS + 1, 10_000_000, usize::MAX] {
+            assert_eq!(
+                err(FleetConfig::new(n, DispatchPolicy::RoundRobin)),
+                "backends"
+            );
+        }
         assert_eq!(
             err(FleetConfig::new(2, DispatchPolicy::Packing).with_pack_spill(0)),
             "pack_spill"

@@ -73,6 +73,28 @@ impl BackendState {
     }
 }
 
+/// Which backends a fresh frame may be dispatched to
+/// ([`LoadBalancer`]'s dispatch pool), as a filter on backend state so
+/// that choosing from it allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pool {
+    Active,
+    Unparking,
+    Healthy,
+    All,
+}
+
+impl Pool {
+    fn admits(self, state: BackendState) -> bool {
+        match self {
+            Pool::Active => state == BackendState::Active,
+            Pool::Unparking => state == BackendState::Unparking,
+            Pool::Healthy => state.is_healthy(),
+            Pool::All => true,
+        }
+    }
+}
+
 /// An illegal backend state transition, refused with context instead of
 /// silently corrupting rotation state in release builds (these guards
 /// were previously `debug_assert!`s).
@@ -563,73 +585,49 @@ impl LoadBalancer {
     /// unparking ones (about to serve), then any healthy backend, and —
     /// only when every single backend is failed/ejected — the whole
     /// fleet, so traffic is never dropped by the LB itself.
-    fn dispatch_pool(&self) -> Vec<usize> {
-        let active: Vec<usize> = self.in_state(BackendState::Active);
-        if !active.is_empty() {
-            return active;
-        }
-        let unparking = self.in_state(BackendState::Unparking);
-        if !unparking.is_empty() {
-            return unparking;
-        }
-        let healthy: Vec<usize> = (0..self.backends.len())
-            .filter(|&i| self.backends[i].state.is_healthy())
-            .collect();
-        if !healthy.is_empty() {
-            return healthy;
-        }
-        (0..self.backends.len()).collect()
+    fn dispatch_pool(&self) -> Pool {
+        [Pool::Active, Pool::Unparking, Pool::Healthy]
+            .into_iter()
+            .find(|pool| self.backends.iter().any(|b| pool.admits(b.state)))
+            .unwrap_or(Pool::All)
     }
 
     /// Picks a backend for a fresh (unpinned) frame from
     /// [`dispatch_pool`](Self::dispatch_pool).
     fn pick(&mut self) -> usize {
-        let pool = self.dispatch_pool();
-        self.pick_from(&pool)
+        self.pick_from(self.dispatch_pool())
     }
 
     /// Picks a healthy backend for a failover re-pin; `None` when every
     /// backend is failed/ejected (the stale pin is then kept — the frame
-    /// has nowhere better to go and the client will retry).
+    /// has nowhere better to go and the client will retry). Active and
+    /// unparking backends are healthy, so only the whole-fleet pool holds
+    /// an unhealthy one.
     fn pick_healthy(&mut self) -> Option<usize> {
-        let pool: Vec<usize> = self
-            .dispatch_pool()
-            .into_iter()
-            .filter(|&i| self.backends[i].state.is_healthy())
-            .collect();
-        if pool.is_empty() {
-            return None;
-        }
-        Some(self.pick_from(&pool))
+        let pool = self.dispatch_pool();
+        (pool != Pool::All).then(|| self.pick_from(pool))
     }
 
-    /// Applies the dispatch policy to a non-empty candidate pool.
-    fn pick_from(&mut self, pool: &[usize]) -> usize {
+    /// Applies the dispatch policy to a non-empty candidate pool, in
+    /// index order.
+    fn pick_from(&mut self, pool: Pool) -> usize {
+        let members = (0..self.backends.len()).filter(|&i| pool.admits(self.backends[i].state));
         match self.dispatch {
             DispatchPolicy::RoundRobin => {
-                let idx = pool[self.rr_cursor % pool.len()];
+                let nth = self.rr_cursor % members.clone().count();
                 self.rr_cursor = self.rr_cursor.wrapping_add(1);
-                idx
+                members.clone().nth(nth).expect("nth < pool size")
             }
-            DispatchPolicy::LeastOutstanding => self.least_outstanding(pool),
-            DispatchPolicy::Packing => pool
-                .iter()
-                .copied()
+            DispatchPolicy::LeastOutstanding => self.least_outstanding(members),
+            DispatchPolicy::Packing => members
+                .clone()
                 .find(|&i| (self.backends[i].outstanding as usize) < self.pack_spill)
-                .unwrap_or_else(|| self.least_outstanding(pool)),
+                .unwrap_or_else(|| self.least_outstanding(members)),
         }
     }
 
-    fn in_state(&self, state: BackendState) -> Vec<usize> {
-        (0..self.backends.len())
-            .filter(|&i| self.backends[i].state == state)
-            .collect()
-    }
-
-    fn least_outstanding(&self, pool: &[usize]) -> usize {
-        *pool
-            .iter()
-            .min_by_key(|&&i| (self.backends[i].outstanding, i))
+    fn least_outstanding(&self, pool: impl Iterator<Item = usize>) -> usize {
+        pool.min_by_key(|&i| (self.backends[i].outstanding, i))
             .expect("pool is never empty")
     }
 

@@ -43,7 +43,7 @@ pub mod faults;
 pub mod lb;
 pub mod metrics;
 
-pub use config::{CoordinatorConfig, DispatchPolicy, FleetConfig};
+pub use config::{CoordinatorConfig, DispatchPolicy, FleetConfig, MAX_BACKENDS};
 pub use coordinator::{FleetAction, FleetCoordinator};
 pub use faults::{
     DomainFaultSpec, DomainSchedule, FailureMode, FailureSchedule, FailureSpec, HealthConfig,

@@ -1,9 +1,9 @@
 //! The per-node kernel: event handlers tying every substrate together.
 //!
 //! See the crate docs for the model. The kernel is driven through
-//! [`Kernel::handle`]; every handler returns [`Effects`] — follow-up
-//! events for this node plus frames leaving on the wire (which the
-//! cluster routes through the switch).
+//! [`Kernel::handle`]; every handler appends to a caller-owned
+//! [`Effects`] — follow-up events for this node plus frames leaving on
+//! the wire (which the cluster routes through the switch).
 
 use crate::app::{AppPhase, RequestInfo, ServerApp};
 use crate::config::{KernelConfig, ShedPolicy};
@@ -96,7 +96,10 @@ impl NodeEvent {
     }
 }
 
-/// What a handler wants done next.
+/// What a handler wants done next. The caller owns one and lends it to
+/// every [`Kernel::handle`] call, which only appends; the caller drains
+/// it after each call, so the vectors keep their capacity and no event
+/// allocates.
 #[derive(Debug, Default)]
 pub struct Effects {
     /// Events to schedule on this node at absolute instants.
@@ -514,14 +517,13 @@ impl Kernel {
     /// Boots the node: applies the static governor (or schedules the
     /// dynamic one), arms the MITT and the `ncap.sw` timer, and lets idle
     /// cores consult cpuidle.
-    pub fn init(&mut self, now: SimTime) -> Effects {
-        let mut fx = Effects::default();
+    pub fn init(&mut self, now: SimTime, fx: &mut Effects) {
         match self.cpufreq.period() {
             None => {
                 self.desired_pstate =
                     self.cpufreq
                         .target(now, 0.0, self.cfg.initial_pstate, &self.table);
-                self.apply_pstates(now, &mut fx);
+                self.apply_pstates(now, fx);
             }
             Some(p) => {
                 self.last_gov_sample = now;
@@ -542,7 +544,6 @@ impl Kernel {
                 self.idle_enter(now, ci);
             }
         }
-        fx
     }
 
     /// Bills package/uncore power for the interval since the last event,
@@ -579,12 +580,12 @@ impl Kernel {
         self.uncore.accumulate(PowerMode::Uncore, w, dt);
     }
 
-    /// Handles one event. The single entry point for the event loop.
-    pub fn handle(&mut self, now: SimTime, event: NodeEvent) -> Effects {
+    /// Handles one event, appending what follows from it to `fx`. The
+    /// single entry point for the event loop.
+    pub fn handle(&mut self, now: SimTime, event: NodeEvent, fx: &mut Effects) {
         self.sync_uncore(now);
-        let mut fx = Effects::default();
         match event {
-            NodeEvent::FrameFromWire(frame) => self.on_frame_from_wire(now, frame, &mut fx),
+            NodeEvent::FrameFromWire(frame) => self.on_frame_from_wire(now, frame, fx),
             NodeEvent::RxDmaComplete { queue } => {
                 if let Some((deadline, gen)) = self.nic.rx_dma_complete(now, queue as usize) {
                     fx.at(deadline, NodeEvent::ModerationDelay { queue, gen });
@@ -592,21 +593,18 @@ impl Kernel {
             }
             NodeEvent::ModerationDelay { queue, gen } => {
                 if self.nic.delay_expired(now, queue as usize, gen) {
-                    self.deliver_irq(now, queue as usize, &mut fx);
+                    self.deliver_irq(now, queue as usize, fx);
                 }
             }
-            NodeEvent::MittExpired => self.on_mitt(now, &mut fx),
-            NodeEvent::JobDone { core, gen } => self.on_job_done(now, core as usize, gen, &mut fx),
-            NodeEvent::WakeDone { core, gen } => {
-                self.on_wake_done(now, core as usize, gen, &mut fx);
-            }
-            NodeEvent::GovernorTick => self.on_governor_tick(now, &mut fx),
-            NodeEvent::NcapSwTimer => self.on_sw_timer(now, &mut fx),
-            NodeEvent::IoDone { token } => self.advance_request(now, token, &mut fx),
-            NodeEvent::TxWire { frame } => self.on_tx_wire(now, frame, &mut fx),
-            NodeEvent::PollRx { queue } => self.on_poll_rx(now, queue as usize, &mut fx),
+            NodeEvent::MittExpired => self.on_mitt(now, fx),
+            NodeEvent::JobDone { core, gen } => self.on_job_done(now, core as usize, gen, fx),
+            NodeEvent::WakeDone { core, gen } => self.on_wake_done(now, core as usize, gen, fx),
+            NodeEvent::GovernorTick => self.on_governor_tick(now, fx),
+            NodeEvent::NcapSwTimer => self.on_sw_timer(now, fx),
+            NodeEvent::IoDone { token } => self.advance_request(now, token, fx),
+            NodeEvent::TxWire { frame } => self.on_tx_wire(now, frame, fx),
+            NodeEvent::PollRx { queue } => self.on_poll_rx(now, queue as usize, fx),
         }
-        fx
     }
 
     /// Cores dedicated to busy-polling (the lowest-numbered ones); zero
@@ -1426,7 +1424,7 @@ impl Kernel {
             sent_at,
             stages,
         } = response;
-        let body = Bytes::from(vec![0u8; bytes]);
+        let body = Bytes::zeroed(bytes);
         let mut frames = segment_response(self.node, dst, request_id, body, sent_at);
         // The attribution record rides the final frame — the one whose
         // arrival completes the request at the client.
@@ -1856,6 +1854,16 @@ mod tests {
         )
     }
 
+    impl Kernel {
+        /// [`Kernel::init`] into a fresh buffer, for tests that add
+        /// arrivals to the boot effects before draining them.
+        pub(crate) fn boot(&mut self, now: SimTime) -> Effects {
+            let mut fx = Effects::default();
+            self.init(now, &mut fx);
+            fx
+        }
+    }
+
     /// Drives a kernel to quiescence, collecting transmitted frames.
     pub(super) fn drain(kernel: &mut Kernel, fx: Effects, horizon: SimTime) -> Vec<Packet> {
         let mut queue = desim::EventQueue::new();
@@ -1875,13 +1883,16 @@ mod tests {
         horizon: SimTime,
     ) -> Vec<Packet> {
         let mut out = Vec::new();
+        // One lent buffer for the whole run, drained after every event,
+        // as the cluster's event loop does.
+        let mut fx = Effects::default();
         while queue.peek_time().is_some_and(|t| t <= horizon) {
             let (t, e) = queue.pop().expect("peeked");
-            let fx = kernel.handle(t, e);
-            for (te, e) in fx.schedule {
+            kernel.handle(t, e, &mut fx);
+            for (te, e) in fx.schedule.drain(..) {
                 queue.push(te, e);
             }
-            out.extend(fx.transmit);
+            out.append(&mut fx.transmit);
         }
         out
     }
@@ -1899,7 +1910,7 @@ mod tests {
     #[test]
     fn request_produces_segmented_response() {
         let mut k = stub_kernel(None);
-        let fx = k.init(SimTime::ZERO);
+        let fx = k.boot(SimTime::ZERO);
         let mut queue_fx = fx;
         queue_fx
             .schedule
@@ -1916,7 +1927,7 @@ mod tests {
     #[test]
     fn io_phase_releases_the_core() {
         let mut k = stub_kernel(Some(SimDuration::from_us(500)));
-        let mut fx = k.init(SimTime::ZERO);
+        let mut fx = k.boot(SimTime::ZERO);
         fx.schedule
             .push((SimTime::from_us(10), NodeEvent::FrameFromWire(get_frame(1))));
         let frames = drain(&mut k, fx, SimTime::from_ms(5));
@@ -1934,7 +1945,7 @@ mod tests {
     #[test]
     fn non_request_payloads_are_dropped_by_the_app() {
         let mut k = stub_kernel(None);
-        let mut fx = k.init(SimTime::ZERO);
+        let mut fx = k.boot(SimTime::ZERO);
         let bulk = Packet::new(
             NodeId(1),
             NodeId(0),
@@ -1969,7 +1980,7 @@ mod tests {
                 io: None,
             }),
         );
-        let mut fx = k.init(SimTime::ZERO);
+        let mut fx = k.boot(SimTime::ZERO);
         fx.schedule
             .push((SimTime::from_ms(2), NodeEvent::FrameFromWire(get_frame(1))));
         let frames = drain(&mut k, fx, SimTime::from_ms(4));
@@ -2003,7 +2014,7 @@ mod tests {
             }),
         );
         assert_eq!(k.desired_pstate(), table.deepest());
-        let mut fx = k.init(SimTime::ZERO);
+        let mut fx = k.boot(SimTime::ZERO);
         // A stream of heavy requests across the first 50 ms.
         for i in 0..200u64 {
             fx.schedule.push((
@@ -2022,7 +2033,7 @@ mod tests {
     #[test]
     fn stats_count_kernel_activity() {
         let mut k = stub_kernel(None);
-        let mut fx = k.init(SimTime::ZERO);
+        let mut fx = k.boot(SimTime::ZERO);
         fx.schedule
             .push((SimTime::from_us(10), NodeEvent::FrameFromWire(get_frame(1))));
         let _ = drain(&mut k, fx, SimTime::from_ms(5));
@@ -2049,7 +2060,7 @@ mod tests {
                 io: Some(SimDuration::from_ms(1)),
             }),
         );
-        let mut fx = k.init(SimTime::ZERO);
+        let mut fx = k.boot(SimTime::ZERO);
         // The duplicate lands while the original is still in its IO
         // phase: it must be dropped without a second app job.
         fx.schedule
@@ -2083,7 +2094,7 @@ mod tests {
                 io: None,
             }),
         );
-        let mut fx = k.init(SimTime::ZERO);
+        let mut fx = k.boot(SimTime::ZERO);
         fx.schedule
             .push((SimTime::from_us(10), NodeEvent::FrameFromWire(get_frame(7))));
         // Retransmit long after the response went out (it was "lost").
@@ -2131,7 +2142,7 @@ mod tests {
         );
         k.set_dedup_linger(SimDuration::from_ms(20));
         let mut queue = desim::EventQueue::new();
-        for (t, e) in k.init(SimTime::ZERO).schedule {
+        for (t, e) in k.boot(SimTime::ZERO).schedule {
             queue.push(t, e);
         }
         let arrive = |queue: &mut desim::EventQueue<NodeEvent>, us: u64, id: u64| {
@@ -2169,10 +2180,18 @@ mod tests {
     }
 
     /// Every frame in flight is moved through the event queue inside a
-    /// `NodeEvent`; a field that regrows `Packet` regrows every event.
+    /// `NodeEvent`, and through the run queue inside a `Work`; `Packet`
+    /// is one pointer to its boxed frame, so a frame moves as 8 bytes.
     #[test]
     fn packet_stays_small() {
-        assert!(std::mem::size_of::<Packet>() <= 176);
+        assert!(std::mem::size_of::<Packet>() <= 8);
+    }
+
+    /// A run-queue entry is moved on every push, pick and dispatch; a
+    /// field that regrows `Work` regrows every one of those moves.
+    #[test]
+    fn work_stays_small() {
+        assert!(std::mem::size_of::<Work>() <= 56);
     }
 
     #[test]
@@ -2192,7 +2211,7 @@ mod tests {
             }),
         );
         k.set_dedup_linger(SimDuration::from_ms(2));
-        let mut fx = k.init(SimTime::ZERO);
+        let mut fx = k.boot(SimTime::ZERO);
         for (at_us, id) in [(10, 7), (1_500, 8), (3_000, 9)] {
             fx.schedule.push((
                 SimTime::from_us(at_us),
@@ -2209,7 +2228,7 @@ mod tests {
     #[test]
     fn unreliable_kernel_serves_duplicates_twice() {
         let mut k = stub_kernel(None);
-        let mut fx = k.init(SimTime::ZERO);
+        let mut fx = k.boot(SimTime::ZERO);
         fx.schedule
             .push((SimTime::from_us(10), NodeEvent::FrameFromWire(get_frame(7))));
         fx.schedule
@@ -2255,7 +2274,9 @@ mod tests {
             .rev()
             .find(|(_, e)| matches!(e, NodeEvent::JobDone { core: c, .. } if *c as usize == core))
             .expect("core has a job in flight");
-        k.handle(t, done.clone())
+        let mut next = Effects::default();
+        k.handle(t, done.clone(), &mut next);
+        next
     }
 
     #[test]
@@ -2397,7 +2418,7 @@ mod overload_tests {
             .with_run_queue_cap(8)
             .with_policy(ShedPolicy::DropTail);
         let mut k = shed_kernel(ov, false, false);
-        let mut fx = k.init(SimTime::ZERO);
+        let mut fx = k.boot(SimTime::ZERO);
         let ids: Vec<u64> = (1..=8).collect();
         burst(&mut fx, SimTime::from_us(10), &ids);
         let frames = drain(&mut k, fx, SimTime::from_ms(5));
@@ -2418,7 +2439,7 @@ mod overload_tests {
                 .with_policy(ShedPolicy::DropTail)
         };
         let mut k = shed_kernel(ov, false, false);
-        let mut fx = k.init(SimTime::ZERO);
+        let mut fx = k.boot(SimTime::ZERO);
         let ids: Vec<u64> = (1..=9).collect();
         burst(&mut fx, SimTime::from_us(10), &ids);
         let frames = drain(&mut k, fx, SimTime::from_ms(5));
@@ -2448,7 +2469,7 @@ mod overload_tests {
             .with_run_queue_cap(0)
             .with_policy(ShedPolicy::DropTail);
         let mut k = shed_kernel(ov, false, true);
-        let mut fx = k.init(SimTime::ZERO);
+        let mut fx = k.boot(SimTime::ZERO);
         fx.schedule
             .push((SimTime::from_ms(2), NodeEvent::FrameFromWire(get_frame(1))));
         // mwait_wake_overhead is 25 us: this frame arrives mid-wake.
@@ -2476,7 +2497,7 @@ mod overload_tests {
             .with_run_queue_cap(2)
             .with_policy(ShedPolicy::DropTail);
         let mut k = shed_kernel(ov, true, false);
-        let mut fx = k.init(SimTime::ZERO);
+        let mut fx = k.boot(SimTime::ZERO);
         burst(&mut fx, SimTime::from_us(10), &[99, 1, 2]);
         fx.schedule
             .push((SimTime::from_ms(3), NodeEvent::FrameFromWire(get_frame(99))));
@@ -2494,7 +2515,7 @@ mod overload_tests {
     fn zero_deadline_requests_are_always_shed() {
         let ov = OverloadConfig::off().with_policy(ShedPolicy::Deadline);
         let mut k = shed_kernel(ov, false, false);
-        let mut fx = k.init(SimTime::ZERO);
+        let mut fx = k.boot(SimTime::ZERO);
         // Any queueing delay exceeds a zero budget.
         fx.schedule.push((
             SimTime::from_us(10),
@@ -2520,7 +2541,7 @@ mod overload_tests {
             .with_policy(ShedPolicy::Deadline)
             .with_default_deadline(SimDuration::from_us(5));
         let mut k = shed_kernel(ov, false, false);
-        let mut fx = k.init(SimTime::ZERO);
+        let mut fx = k.boot(SimTime::ZERO);
         // get_frame stamps sent_at = 1 us; arriving at 10 us exceeds the
         // 5 us default budget.
         fx.schedule
@@ -2604,7 +2625,7 @@ mod overload_tests {
             ..OverloadConfig::off()
         };
         let mut k = shed_kernel(ov, false, false);
-        let mut fx = k.init(SimTime::ZERO);
+        let mut fx = k.boot(SimTime::ZERO);
         let ids: Vec<u64> = (1..=16).collect();
         burst(&mut fx, SimTime::from_us(10), &ids);
         let _ = drain(&mut k, fx, SimTime::from_ms(5));
@@ -2658,7 +2679,7 @@ mod trace_tests {
             Box::new(PollIdle),
             Box::new(OneShotApp),
         );
-        let mut fx = k.init(SimTime::ZERO);
+        let mut fx = k.boot(SimTime::ZERO);
         let frame = Packet::request(NodeId(1), NodeId(0), 42, HttpRequest::get("/").to_payload());
         fx.schedule
             .push((SimTime::from_us(10), NodeEvent::FrameFromWire(frame)));

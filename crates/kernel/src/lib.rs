@@ -18,9 +18,10 @@
 //! * **applications** — the [`ServerApp`] trait: requests arrive from the
 //!   stack, execute CPU/IO phase plans, and emit multi-frame responses.
 //!
-//! The [`Kernel`] is driven by [`NodeEvent`]s and returns [`Effects`]
-//! (events to schedule on this node plus frames leaving on the wire);
-//! the `cluster` crate owns the event loop and the switch.
+//! The [`Kernel`] is driven by [`NodeEvent`]s and appends to a lent
+//! [`Effects`] buffer (events to schedule on this node plus frames
+//! leaving on the wire); the `cluster` crate owns the event loop, that
+//! buffer and the switch.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 

@@ -3,13 +3,20 @@
 //! The simulator only needs one thing from a byte container: cheap,
 //! shared, immutable views so that segmenting a multi-MTU response into
 //! frames ([`crate::tcp::segment_response`]) never copies the body. This
-//! type provides exactly that — an `Arc<[u8]>` (or a `&'static [u8]`)
-//! plus an `(offset, len)` window — and nothing else, keeping the build
+//! type provides exactly that — an `Arc<[u8]>` (or a `&'static [u8]`,
+//! which is also how [`Bytes::zeroed`] bodies cost no allocation) plus an
+//! `(offset, len)` window — and nothing else, keeping the build
 //! hermetic: no registry access, no feature flags, no unsafe.
 
 use core::fmt;
 use core::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
+
+/// Length of the static zero page behind [`Bytes::zeroed`]: above the
+/// largest response body any modelled application sends (20 KiB).
+const ZERO_PAGE_LEN: usize = 64 * 1024;
+
+static ZERO_PAGE: [u8; ZERO_PAGE_LEN] = [0; ZERO_PAGE_LEN];
 
 /// A cheaply cloneable, sliceable, immutable byte buffer.
 ///
@@ -60,6 +67,17 @@ impl Bytes {
             storage: Storage::Static(bytes),
             offset: 0,
             len: bytes.len(),
+        }
+    }
+
+    /// `len` zero bytes. Allocation-free up to 64 KiB: every such buffer
+    /// is a view of one static zero page. A longer one (no modelled
+    /// application sends one) falls back to a heap buffer.
+    #[must_use]
+    pub fn zeroed(len: usize) -> Self {
+        match ZERO_PAGE.get(..len) {
+            Some(zeros) => Bytes::from_static(zeros),
+            None => Bytes::from(vec![0u8; len]),
         }
     }
 
@@ -295,6 +313,34 @@ mod tests {
     #[should_panic(expected = "beyond length")]
     fn out_of_bounds_slice_panics() {
         let _ = Bytes::from_static(b"abc").slice(0..4);
+    }
+
+    #[test]
+    fn zeroed_views_the_static_zero_page() {
+        let z = Bytes::zeroed(4_000);
+        assert!(matches!(z.storage, Storage::Static(_)), "no heap storage");
+        assert_eq!(z.len(), 4_000);
+        assert!(z.iter().all(|&b| b == 0));
+        assert_eq!(
+            z.as_ptr(),
+            Bytes::zeroed(ZERO_PAGE_LEN).as_ptr(),
+            "one shared page"
+        );
+        let tail = z.slice(3_990..);
+        assert_eq!(tail, [0u8; 10]);
+        assert_eq!(
+            crate::Packet::request(
+                crate::NodeId(1),
+                crate::NodeId(0),
+                1,
+                z.slice(..crate::packet::MSS)
+            )
+            .leading_bytes(),
+            Some([0, 0])
+        );
+        let big = Bytes::zeroed(ZERO_PAGE_LEN + 1);
+        assert!(big.iter().all(|&b| b == 0));
+        assert!(Bytes::zeroed(0).is_empty());
     }
 
     #[test]

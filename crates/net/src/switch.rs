@@ -33,8 +33,9 @@ use std::collections::BTreeMap;
 #[derive(Debug)]
 pub struct Switch {
     switching_latency: SimDuration,
-    /// Per node: (node→switch uplink, switch→node downlink).
-    ports: BTreeMap<NodeId, Port>,
+    /// Per node, indexed by `NodeId.0`: (node→switch uplink,
+    /// switch→node downlink), `None` where no node is attached.
+    ports: Vec<Option<Port>>,
     frames_forwarded: u64,
     /// Impairment layer; `None` keeps the fault-free fast path untouched.
     faults: Option<FaultLayer>,
@@ -162,7 +163,7 @@ impl Switch {
     pub fn new(switching_latency: SimDuration) -> Self {
         Switch {
             switching_latency,
-            ports: BTreeMap::new(),
+            ports: Vec::new(),
             frames_forwarded: 0,
             faults: None,
             domains: None,
@@ -240,13 +241,33 @@ impl Switch {
     /// Attaches `node` with its uplink (node→switch) and downlink
     /// (switch→node). Re-attaching replaces the port.
     pub fn attach(&mut self, node: NodeId, uplink: Link, downlink: Link) {
-        self.ports.insert(node, Port { uplink, downlink });
+        let i = usize::from(node.0);
+        if i >= self.ports.len() {
+            self.ports.resize_with(i + 1, || None);
+        }
+        self.ports[i] = Some(Port { uplink, downlink });
     }
 
     /// Number of attached nodes.
     #[must_use]
     pub fn ports(&self) -> usize {
-        self.ports.len()
+        self.ports.iter().flatten().count()
+    }
+
+    fn port(&self, node: NodeId) -> Option<&Port> {
+        self.ports.get(usize::from(node.0))?.as_ref()
+    }
+
+    /// The attached port of `node`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`UnknownNode`] if `node` is not attached.
+    fn port_mut(&mut self, node: NodeId) -> Result<&mut Port, UnknownNode> {
+        self.ports
+            .get_mut(usize::from(node.0))
+            .and_then(Option::as_mut)
+            .ok_or(UnknownNode(node))
     }
 
     /// Total frames forwarded.
@@ -282,16 +303,13 @@ impl Switch {
         dst: NodeId,
         wire_bytes: usize,
     ) -> Result<SimTime, UnknownNode> {
-        if !self.ports.contains_key(&dst) {
-            return Err(UnknownNode(dst));
-        }
-        let src_port = self.ports.get_mut(&src).ok_or(UnknownNode(src))?;
+        // An unknown destination charges no link, as below.
+        self.port_mut(dst)?;
         // Node → switch.
-        let (_, at_switch) = src_port.uplink.transmit(now, wire_bytes);
+        let (_, at_switch) = self.port_mut(src)?.uplink.transmit(now, wire_bytes);
         let ready = at_switch + self.switching_latency;
         // Switch → node.
-        let dst_port = self.ports.get_mut(&dst).expect("checked above");
-        let (_, at_dst) = dst_port.downlink.transmit(ready, wire_bytes);
+        let (_, at_dst) = self.port_mut(dst)?.downlink.transmit(ready, wire_bytes);
         self.frames_forwarded += 1;
         if simtrace::is_enabled() {
             let t = now.as_nanos();
@@ -333,12 +351,9 @@ impl Switch {
             match dom.judge(src, dst) {
                 DomainVerdict::Deliver { extra_delay } => domain_extra = extra_delay,
                 verdict @ (DomainVerdict::DropPartition | DomainVerdict::DropBrownout) => {
-                    if !self.ports.contains_key(&dst) {
-                        return Err(UnknownNode(dst));
-                    }
+                    self.port_mut(dst)?;
                     // The drop still consumes the sender's uplink.
-                    let src_port = self.ports.get_mut(&src).ok_or(UnknownNode(src))?;
-                    let _ = src_port.uplink.transmit(now, wire_bytes);
+                    let _ = self.port_mut(src)?.uplink.transmit(now, wire_bytes);
                     if simtrace::is_enabled() {
                         let metric = match verdict {
                             DomainVerdict::DropPartition => "partition_drops",
@@ -393,17 +408,13 @@ impl Switch {
                 Ok(Delivery::Deliver(at_dst))
             }
             FaultVerdict::Drop(kind) => {
-                if !self.ports.contains_key(&dst) {
-                    return Err(UnknownNode(dst));
-                }
-                let src_port = self.ports.get_mut(&src).ok_or(UnknownNode(src))?;
-                let (_, at_switch) = src_port.uplink.transmit(now, wire_bytes);
+                self.port_mut(dst)?;
+                let (_, at_switch) = self.port_mut(src)?.uplink.transmit(now, wire_bytes);
                 if kind == DropKind::Corrupt {
                     // The corrupted frame traverses the fabric and is
                     // discarded at the receiver.
                     let ready = at_switch + self.switching_latency;
-                    let dst_port = self.ports.get_mut(&dst).expect("checked above");
-                    let _ = dst_port.downlink.transmit(ready, wire_bytes);
+                    let _ = self.port_mut(dst)?.downlink.transmit(ready, wire_bytes);
                 }
                 if simtrace::is_enabled() {
                     let t = now.as_nanos();
@@ -422,13 +433,13 @@ impl Switch {
     /// Bytes carried toward `node` so far (downlink utilization).
     #[must_use]
     pub fn bytes_to(&self, node: NodeId) -> Option<u64> {
-        self.ports.get(&node).map(|p| p.downlink.bytes_carried())
+        self.port(node).map(|p| p.downlink.bytes_carried())
     }
 
     /// Bytes carried from `node` so far (uplink utilization).
     #[must_use]
     pub fn bytes_from(&self, node: NodeId) -> Option<u64> {
-        self.ports.get(&node).map(|p| p.uplink.bytes_carried())
+        self.port(node).map(|p| p.uplink.bytes_carried())
     }
 }
 

@@ -67,9 +67,17 @@ expect_exit_2 cargo run --release -q -p ncap-cli -- trace --out target/config-sm
     --servers 2 --health-eject 0
 expect_exit_2 cargo run --release -q -p ncap-cli -- sla
 expect_exit_2 cargo run --release -q --example policy_explorer -- memcached 0
+# A load whose burst period rounds to 0 ns, and a fleet past
+# MAX_BACKENDS, are typed errors, not a queue or a fleet that grows until
+# the allocator aborts.
+expect_exit_2 timeout 60 cargo run --release -q -p ncap-cli -- run \
+    --load 1e308 --measure-ms 1 --warmup-ms 0
+expect_exit_2 timeout 60 cargo run --release -q -p ncap-cli -- run \
+    --servers 10000000 --measure-ms 1
 # A chaos scenario file reaches the same gate: a flash crowd to a zero
 # rate and a horizon past the clock are typed errors, not a panic in the
-# arrival sampler or a run that never ends.
+# arrival sampler or a run that never ends; so are the overload and the
+# oversized fleet above.
 mkdir -p target/config-smoke
 scenario="seed=1
 policy=perf
@@ -80,7 +88,9 @@ measure_ns=60000000
 drain_ns=25000000"
 printf '%s\npoisson=1\nflash=1000,0\n' "$scenario" >target/config-smoke/flash-zero.scenario
 printf '%s\nwarmup_ns=18446744073709551615\n' "$scenario" >target/config-smoke/endless.scenario
-for file in flash-zero endless; do
+printf '%s\nload_rps=1e308\n' "$scenario" >target/config-smoke/overload.scenario
+printf '%s\nbackends=10000000\n' "$scenario" >target/config-smoke/huge-fleet.scenario
+for file in flash-zero endless overload huge-fleet; do
     expect_exit_2 timeout 60 cargo run --release -q -p ncap-cli -- chaos \
         --scenario "target/config-smoke/$file.scenario"
 done
