@@ -11,9 +11,10 @@
 //!
 //! * [`EventQueue`] orders events by `(time, insertion sequence)`, so
 //!   simultaneous events always fire in the order they were scheduled.
-//!   It is a `std::collections::BinaryHeap` min-heap of small keys over
-//!   a slab of pending events, checked operation by operation against a
-//!   naive model in `tests/differential.rs`.
+//!   It is a timing wheel of 64 ns slots for the next 131 µs and a
+//!   binary heap for later events, both over one slab of pending events,
+//!   checked operation by operation against a naive model in
+//!   `tests/differential.rs`.
 //! * [`SplitMix64`] provides a tiny, dependency-free deterministic RNG for
 //!   internal jitter; workload-level randomness uses seeded `rand` RNGs in
 //!   higher layers.

@@ -5,14 +5,26 @@
 //! events scheduled for the same instant are delivered in scheduling order.
 //! This tie-break is what makes whole-simulation runs bit-reproducible.
 //!
-//! The heap orders small keys, not events: a `std::collections::BinaryHeap`
-//! min-heap of 24-byte `(time, seq, slot)` keys, where `slot` indexes a
-//! slab that holds each pending event in place from push to pop. A sift
-//! therefore moves 24 bytes per level whatever the event's size, each
-//! event is written once and read once, and ordering two keys is one
-//! 128-bit compare of `time << 64 | seq`. Freed slots go on a free list
-//! and are reused before the slab grows, so the slab's length is the peak
-//! pending population. O(log n) push and pop, no tuning parameters.
+//! Pending events sit in a slab from push to pop, each with its time and
+//! a `next` link. Freed slots are linked into a free list through the same
+//! field and reused before the slab grows, so the slab's length is the
+//! peak pending population. Two tiers order the slots:
+//!
+//! * **Near tier: a timing wheel.** A ring of 2,048 slots, each 64 ns of
+//!   simulated time wide, covers the 131 µs from the cursor (the instant
+//!   of the last pop) onwards. Each slot is a singly linked list threaded
+//!   through the slab's `next` links and kept in `(time, seq)` order.
+//!   Since `seq` only grows, a push is almost always an append at the
+//!   tail, and otherwise a sorted insert among the slot's few entries. An
+//!   occupancy bitmap of 32 words finds the next non-empty slot with
+//!   `trailing_zeros`. Push and pop are O(1) for events inside the window.
+//! * **Far tier: a binary heap** of 24-byte `(time, seq, slot)` keys holds
+//!   every event beyond the window and any event pushed behind the cursor.
+//!
+//! A pop takes the earlier of the near head and the far top, and the
+//! cursor moves to the popped instant, never backwards. A far event is
+//! never moved into the ring: it pops straight from the heap when its turn
+//! comes. DESIGN.md §12 has the delay mix behind the slot width and count.
 //! `crates/desim/tests/differential.rs` checks the queue operation by
 //! operation against a naive linear-scan model.
 //!
@@ -23,7 +35,21 @@ use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// The heap's handle on one pending event: its delivery order and the
+/// Simulated width of one ring slot: `1 << SLOT_SHIFT` ns = 64 ns.
+const SLOT_SHIFT: u32 = 6;
+/// Ring slots; the near window spans `SLOTS << SLOT_SHIFT` ns = 131 µs.
+const SLOTS: usize = 2048;
+/// Words of the ring's occupancy bitmap.
+const WORDS: usize = SLOTS / 64;
+/// The end of a list.
+const NIL: u32 = u32::MAX;
+
+/// The ring slot a time falls in, counted from time zero.
+fn tick(time: SimTime) -> u64 {
+    time.as_nanos() >> SLOT_SHIFT
+}
+
+/// The far heap's handle on one pending event: its delivery order and the
 /// slab slot holding it. The comparisons below are *reversed* so a
 /// `std::collections::BinaryHeap<Key>` acts as a min-heap.
 struct Key {
@@ -60,6 +86,22 @@ impl Ord for Key {
     }
 }
 
+/// One slab slot: a pending event and its time, or (`event` is `None`) a
+/// free slot. `next` links the slot into its ring list or the free list.
+struct Entry<E> {
+    time: SimTime,
+    next: u32,
+    event: Option<E>,
+}
+
+/// One ring slot's list of slab slots, meaningful only while the slot's
+/// occupancy bit is set.
+#[derive(Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
+}
+
 /// A deterministic future-event list.
 ///
 /// Events of type `E` are scheduled at absolute [`SimTime`] instants and
@@ -79,11 +121,21 @@ impl Ord for Key {
 /// assert_eq!(order, ['a', 'b', 'c']);
 /// ```
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Key>,
-    /// Pending events, each at the slot its key names; `None` slots are
-    /// listed in `free`.
-    slab: Vec<Option<E>>,
-    free: Vec<u32>,
+    /// Pending events, each at the slot a ring list or a far key names,
+    /// and free slots, listed from `free`.
+    slab: Vec<Entry<E>>,
+    free: u32,
+    /// The near tier: the list of each 64 ns slot, indexed by
+    /// `tick % SLOTS`, and which of them are non-empty.
+    ring: Box<[List; SLOTS]>,
+    occupied: [u64; WORDS],
+    /// Events in the ring.
+    near: usize,
+    /// The tick of the last popped instant. Every ring event's tick lies
+    /// in `cursor..cursor + SLOTS`.
+    cursor: u64,
+    /// The far tier.
+    far: BinaryHeap<Key>,
     next_seq: u64,
     pushed: u64,
     popped: u64,
@@ -106,10 +158,18 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue with room for `capacity` pending events.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
+        let empty = List {
+            head: NIL,
+            tail: NIL,
+        };
         EventQueue {
-            heap: BinaryHeap::with_capacity(capacity),
             slab: Vec::with_capacity(capacity),
-            free: Vec::new(),
+            free: NIL,
+            ring: Box::new([empty; SLOTS]),
+            occupied: [0; WORDS],
+            near: 0,
+            cursor: 0,
+            far: BinaryHeap::new(),
             next_seq: 0,
             pushed: 0,
             popped: 0,
@@ -121,43 +181,161 @@ impl<E> EventQueue<E> {
     ///
     /// # Panics
     ///
-    /// Panics if more than `u32::MAX` events are pending at once.
+    /// Panics if more than `u32::MAX - 1` events are pending at once.
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.pushed += 1;
-        let slot = if let Some(slot) = self.free.pop() {
-            self.slab[slot as usize] = Some(event);
+        let entry = Entry {
+            time,
+            next: NIL,
+            event: Some(event),
+        };
+        let slot = if self.free == NIL {
+            let slot = u32::try_from(self.slab.len())
+                .ok()
+                .filter(|&slot| slot != NIL)
+                .expect("over u32::MAX - 1 pending events");
+            self.slab.push(entry);
             slot
         } else {
-            let slot = u32::try_from(self.slab.len()).expect("over u32::MAX pending events");
-            self.slab.push(Some(event));
+            let slot = self.free;
+            let free = &mut self.slab[slot as usize];
+            self.free = free.next;
+            *free = entry;
             slot
         };
-        self.heap.push(Key { time, seq, slot });
+        // Behind the cursor wraps round to a huge distance: far, too.
+        if tick(time).wrapping_sub(self.cursor) < SLOTS as u64 {
+            self.link(time, slot);
+        } else {
+            self.far.push(Key { time, seq, slot });
+        }
+    }
+
+    /// Adds slab slot `slot` to its ring list, after every entry at or
+    /// before `time`, so the list stays in `(time, seq)` order.
+    fn link(&mut self, time: SimTime, slot: u32) {
+        let s = tick(time) as usize % SLOTS;
+        let (word, bit) = (s / 64, 1u64 << (s % 64));
+        self.near += 1;
+        let list = &mut self.ring[s];
+        if self.occupied[word] & bit == 0 {
+            self.occupied[word] |= bit;
+            *list = List {
+                head: slot,
+                tail: slot,
+            };
+        } else if self.slab[list.tail as usize].time <= time {
+            self.slab[list.tail as usize].next = slot;
+            list.tail = slot;
+        } else if self.slab[list.head as usize].time > time {
+            self.slab[slot as usize].next = list.head;
+            list.head = slot;
+        } else {
+            // Strictly inside: the tail is later than `time`, so the walk
+            // stops before the end of the list.
+            let mut prev = list.head as usize;
+            loop {
+                let next = self.slab[prev].next;
+                if self.slab[next as usize].time > time {
+                    self.slab[slot as usize].next = next;
+                    self.slab[prev].next = slot;
+                    break;
+                }
+                prev = next as usize;
+            }
+        }
+    }
+
+    /// The first non-empty ring slot at or after the cursor's, wrapping
+    /// round: the slot of the earliest ring event.
+    fn first_occupied(&self) -> Option<usize> {
+        if self.near == 0 {
+            return None;
+        }
+        let start = self.cursor as usize % SLOTS;
+        let first = start / 64;
+        let bits = self.occupied[first] & (!0u64 << (start % 64));
+        if bits != 0 {
+            return Some(first * 64 + bits.trailing_zeros() as usize);
+        }
+        // The last turn revisits `first` for the slots below `start`,
+        // which hold the latest ticks of the window.
+        (1..=WORDS).find_map(|i| {
+            let word = (first + i) % WORDS;
+            let bits = self.occupied[word];
+            (bits != 0).then(|| word * 64 + bits.trailing_zeros() as usize)
+        })
+    }
+
+    /// Where the earliest pending event is: its ring slot (`None` when it
+    /// is the far top) and its slab slot.
+    ///
+    /// A ring event and a far event due at the same instant never need
+    /// their `seq` compared: the far one always came first. Had it come
+    /// second, its instant would have been inside the window then (the
+    /// cursor only moves forwards, and the ring event keeps the instant at
+    /// or after the cursor), so it would have gone into the ring too.
+    fn front(&self) -> Option<(Option<usize>, u32)> {
+        let near = self.first_occupied().map(|s| (s, self.ring[s].head));
+        match (near, self.far.peek()) {
+            (Some((_, head)), Some(key)) if key.time <= self.slab[head as usize].time => {
+                Some((None, key.slot))
+            }
+            (Some((s, head)), _) => Some((Some(s), head)),
+            (None, key) => key.map(|key| (None, key.slot)),
+        }
     }
 
     /// Removes and returns the earliest event, or `None` when empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let key = self.heap.pop()?;
-        let event = self.slab[key.slot as usize]
+        self.pop_until(SimTime::MAX)
+    }
+
+    /// Removes and returns the earliest event if it is due at or before
+    /// `horizon`. Returns `None`, consuming nothing, when the queue is
+    /// empty or its earliest event is later than `horizon`. One scan both
+    /// checks the horizon and pops, where [`peek_time`](Self::peek_time)
+    /// then [`pop`](Self::pop) would scan twice.
+    pub fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
+        let (ring_slot, slot) = self.front()?;
+        let entry = &mut self.slab[slot as usize];
+        let time = entry.time;
+        if time > horizon {
+            return None;
+        }
+        let next = std::mem::replace(&mut entry.next, self.free);
+        let event = entry
+            .event
             .take()
-            .expect("a pending key names an occupied slot");
-        self.free.push(key.slot);
+            .expect("a pending link names an occupied slot");
+        self.free = slot;
+        if let Some(s) = ring_slot {
+            self.near -= 1;
+            if next == NIL {
+                self.occupied[s / 64] &= !(1u64 << (s % 64));
+            } else {
+                self.ring[s].head = next;
+            }
+        } else {
+            self.far.pop();
+        }
+        self.cursor = self.cursor.max(tick(time));
         self.popped += 1;
-        Some((key.time, event))
+        Some((time, event))
     }
 
     /// The instant of the earliest pending event, if any.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        self.front().map(|(_, slot)| self.slab[slot as usize].time)
     }
 
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.near + self.far.len()
     }
 
     /// `true` when no events are pending.
@@ -215,9 +393,82 @@ impl<E> EventQueue<E> {
     /// ordering stays globally monotonic across a clear).
     pub fn clear(&mut self) {
         self.cleared += self.len() as u64;
-        self.heap.clear();
         self.slab.clear();
-        self.free.clear();
+        self.free = NIL;
+        self.occupied = [0; WORDS];
+        self.near = 0;
+        self.far.clear();
+    }
+}
+
+#[cfg(test)]
+impl<E> EventQueue<E> {
+    /// Checks the two tiers and the free list against each other: every
+    /// slab slot is pending in exactly one list or heap key, or free;
+    /// every ring list is in time order, inside the window, in its own
+    /// slot, and flagged in the bitmap.
+    fn check_structure(&self) -> Result<(), String> {
+        let mut seen = vec![false; self.slab.len()];
+        let mut visit = |slot: u32, pending: bool| -> Result<(), String> {
+            let i = slot as usize;
+            if std::mem::replace(&mut seen[i], true) {
+                return Err(format!("slot {i} listed twice"));
+            }
+            if self.slab[i].event.is_some() != pending {
+                return Err(format!("slot {i}: occupancy disagrees with its list"));
+            }
+            Ok(())
+        };
+        let mut near = 0;
+        for s in 0..SLOTS {
+            if self.occupied[s / 64] & (1 << (s % 64)) == 0 {
+                continue;
+            }
+            let (mut slot, mut last) = (self.ring[s].head, SimTime::ZERO);
+            loop {
+                visit(slot, true)?;
+                near += 1;
+                let entry = &self.slab[slot as usize];
+                let t = tick(entry.time);
+                if entry.time < last || t % SLOTS as u64 != s as u64 {
+                    return Err(format!("ring slot {s}: entry at {} misfiled", entry.time));
+                }
+                if t.wrapping_sub(self.cursor) >= SLOTS as u64 {
+                    return Err(format!("ring slot {s}: {} outside the window", entry.time));
+                }
+                last = entry.time;
+                if entry.next == NIL {
+                    break;
+                }
+                slot = entry.next;
+            }
+            if slot != self.ring[s].tail {
+                return Err(format!("ring slot {s}: tail is not the list's end"));
+            }
+        }
+        if near != self.near {
+            return Err(format!("ring holds {near} events, counted {}", self.near));
+        }
+        for key in &self.far {
+            visit(key.slot, true)?;
+            if self.slab[key.slot as usize].time != key.time {
+                return Err(format!("far key for slot {} has the wrong time", key.slot));
+            }
+        }
+        let (mut free, mut slot) = (0, self.free);
+        while slot != NIL {
+            visit(slot, false)?;
+            free += 1;
+            slot = self.slab[slot as usize].next;
+        }
+        if self.len() + free != self.slab.len() {
+            return Err(format!(
+                "slab {} != pending {} + free {free}",
+                self.slab.len(),
+                self.len()
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -321,7 +572,7 @@ mod tests {
         assert_eq!(q.len(), 1);
     }
 
-    /// The heap sifts one `Key` per level on every push and pop; a field
+    /// The far heap sifts one `Key` per level on every push and pop; a field
     /// that regrows it makes every sift move more.
     #[test]
     fn queue_keys_stay_small() {
@@ -453,13 +704,60 @@ mod tests {
                         "slab {} outgrew peak pending {peak}",
                         q.slab.len()
                     );
-                    ensure!(
-                        q.slab.len() == q.len() + q.free.len(),
-                        "slab {} != pending {} + free {}",
-                        q.slab.len(),
-                        q.len(),
-                        q.free.len()
-                    );
+                    q.check_structure()?;
+                }
+                Ok(())
+            },
+        );
+    }
+
+    /// Pushes whose delays straddle every wheel edge (a slot's width, the
+    /// window's end, the cursor itself and behind it), interleaved with
+    /// pops and the odd clear: the ring, the far heap and the free list
+    /// stay consistent after every operation, and same-instant pops stay
+    /// FIFO. (Order in full is the differential oracle's job.)
+    #[test]
+    fn prop_wheel_structure_holds() {
+        const WINDOW: u64 = (SLOTS as u64) << SLOT_SHIFT;
+        const DELAYS: [u64; 10] = [
+            0,
+            1,
+            63,
+            64,
+            65,
+            WINDOW - 64,
+            WINDOW - 1,
+            WINDOW,
+            WINDOW + 64,
+            5_000_000,
+        ];
+        Check::new("event_queue_wheel_structure").max_size(400).run(
+            |rng, size| gen::vec_with(rng, size, 1, 400, |r| (r.next_below(100), r.next_below(64))),
+            |ops| {
+                let mut q = EventQueue::new();
+                let mut last: Option<(SimTime, usize)> = None;
+                for (i, &(roll, jitter)) in ops.iter().enumerate() {
+                    let now = last.map_or(SimTime::ZERO, |(t, _)| t);
+                    match roll {
+                        0..=49 => q.push(
+                            now + SimDuration::from_nanos(DELAYS[(roll % 10) as usize] + jitter),
+                            i,
+                        ),
+                        50..=54 => q.push(
+                            SimTime::from_nanos(now.as_nanos().saturating_sub(jitter * 97)),
+                            i,
+                        ),
+                        55..=97 => {
+                            if let Some((t, e)) = q.pop() {
+                                if let Some((lt, le)) = last {
+                                    ensure!(t != lt || e > le, "FIFO broken at {t}");
+                                }
+                                last = Some((t, e));
+                            }
+                        }
+                        _ => q.clear(),
+                    }
+                    q.check_structure()?;
                 }
                 Ok(())
             },

@@ -128,10 +128,10 @@ impl<H: EventHandler> Simulation<H> {
         self.processed
     }
 
-    /// High-water mark of the pending-event population, sampled before
-    /// every pop in [`run_until`](Self::run_until), so the exact peak at
-    /// dispatch. Sizes the queue's working set; also reported as
-    /// [`Profile::peak_pending`].
+    /// High-water mark of the pending-event population, sampled at every
+    /// pop in [`run_until`](Self::run_until) (counting the popped event),
+    /// so the exact peak at dispatch. Sizes the queue's working set; also
+    /// reported as [`Profile::peak_pending`].
     #[must_use]
     pub fn peak_pending(&self) -> usize {
         self.peak_pending
@@ -172,26 +172,28 @@ impl<H: EventHandler> Simulation<H> {
     /// Dispatch pops one event at a time straight from the queue into its
     /// handler, so delivery is strictly by `(time, seq)`: an event a
     /// handler schedules at the current instant runs after every peer
-    /// already scheduled there.
+    /// already scheduled there. Each turn is one
+    /// [`EventQueue::pop_until`], which checks the horizon and pops in
+    /// one scan.
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
         loop {
             if self.processed >= self.event_budget {
                 return RunOutcome::EventBudgetExhausted;
             }
-            match self.queue.peek_time() {
-                None => return RunOutcome::QueueExhausted,
-                Some(t) if t > horizon => {
-                    self.now = horizon;
-                    return RunOutcome::HorizonReached;
-                }
-                Some(_) => {}
-            }
-            self.peak_pending = self.peak_pending.max(self.queue.len());
             let pop_start = self.profiler.as_ref().map(|_| std::time::Instant::now());
-            let (time, event) = self.queue.pop().expect("peeked event vanished");
+            let popped = self.queue.pop_until(horizon);
             if let (Some(p), Some(t0)) = (self.profiler.as_mut(), pop_start) {
                 p.queue_ns += t0.elapsed().as_nanos() as u64;
             }
+            let Some((time, event)) = popped else {
+                if self.queue.is_empty() {
+                    return RunOutcome::QueueExhausted;
+                }
+                self.now = horizon;
+                return RunOutcome::HorizonReached;
+            };
+            // The population just before this pop, as a peek would see it.
+            self.peak_pending = self.peak_pending.max(self.queue.len() + 1);
             self.deliver(time, event);
         }
     }
@@ -381,6 +383,119 @@ mod tests {
         assert!(profile.wall_ns > 0);
         // The ticker keeps exactly one event pending.
         assert_eq!(profile.peak_pending, 1);
+    }
+
+    #[test]
+    fn horizon_leaves_the_late_event_pending() {
+        let mut sim = ticker(100);
+        assert_eq!(
+            sim.run_until(SimTime::from_us(150)),
+            RunOutcome::HorizonReached
+        );
+        assert_eq!(sim.now(), SimTime::from_us(150));
+        assert_eq!(sim.events_processed(), 2);
+        // The tick at 200 us was looked at but not consumed.
+        assert_eq!(sim.queue().len(), 1);
+        assert_eq!(sim.queue().peek_time(), Some(SimTime::from_us(200)));
+        assert_eq!(sim.queue().total_popped(), 2);
+        // A horizon exactly at the pending event delivers it.
+        assert_eq!(
+            sim.run_until(SimTime::from_us(200)),
+            RunOutcome::HorizonReached
+        );
+        assert_eq!(sim.handler().ticks.last(), Some(&SimTime::from_us(200)));
+        assert_eq!(sim.queue().peek_time(), Some(SimTime::from_us(300)));
+    }
+
+    #[test]
+    fn empty_queue_is_exhausted_at_once() {
+        let mut sim = ticker(1);
+        let _ = sim.queue_mut().pop();
+        assert_eq!(
+            sim.run_until(SimTime::from_ms(1)),
+            RunOutcome::QueueExhausted
+        );
+        assert_eq!(sim.events_processed(), 0);
+        assert_eq!(sim.now(), SimTime::ZERO);
+        assert_eq!(sim.peak_pending(), 0);
+    }
+
+    #[test]
+    fn event_budget_stops_before_the_horizon() {
+        let mut sim = ticker(usize::MAX);
+        sim.set_event_budget(4);
+        let outcome = sim.run_until(SimTime::from_ms(1));
+        assert_eq!(outcome, RunOutcome::EventBudgetExhausted);
+        assert_eq!(sim.events_processed(), 4);
+        assert_eq!(sim.now(), SimTime::from_us(300));
+        // The next tick stays pending for a later run with more budget.
+        assert_eq!(sim.queue().peek_time(), Some(SimTime::from_us(400)));
+    }
+
+    /// Each event `e` schedules `e % 4` follow-ups at scripted delays, so
+    /// the pending population rises and falls over the run.
+    #[derive(Debug, Default)]
+    struct Script {
+        handled: u64,
+    }
+
+    impl EventHandler for Script {
+        type Event = u64;
+        fn handle(&mut self, now: SimTime, e: u64, q: &mut EventQueue<u64>) {
+            self.handled += 1;
+            if self.handled < 400 {
+                for k in 0..e % 4 {
+                    let delay = SimDuration::from_nanos((e * 7_919 + k * 131) % 200_000);
+                    q.push(now + delay, e * 3 + k + 1);
+                }
+            }
+        }
+    }
+
+    /// `peak_pending` is sampled as each event pops; it must read what the
+    /// former driver loop read by sampling `len()` after a peek and before
+    /// every pop.
+    #[test]
+    fn peak_pending_matches_peek_then_pop_sampling() {
+        let seeds = [
+            (SimTime::ZERO, 3),
+            (SimTime::from_us(5), 7),
+            (SimTime::from_us(5), 2),
+        ];
+        // The former loop, on the public queue API: the peak and the
+        // delivery times up to `horizon`.
+        let peek_then_pop = |horizon: SimTime| {
+            let (mut world, mut q, mut peak) = (Script::default(), EventQueue::new(), 0);
+            for (t, e) in seeds {
+                q.push(t, e);
+            }
+            let mut times = Vec::new();
+            while q.peek_time().is_some_and(|t| t <= horizon) {
+                peak = peak.max(q.len());
+                let (t, e) = q.pop().expect("peeked");
+                times.push(t);
+                world.handle(t, e, &mut q);
+            }
+            (peak, times)
+        };
+        // Stop mid-run, with events still pending.
+        let (_, all) = peek_then_pop(SimTime::MAX);
+        let horizon = all[all.len() / 2];
+        let (peak, times) = peek_then_pop(horizon);
+
+        let mut sim = Simulation::new(Script::default());
+        for (t, e) in seeds {
+            sim.queue_mut().push(t, e);
+        }
+        sim.enable_profiling();
+        assert_eq!(sim.run_until(horizon), RunOutcome::HorizonReached);
+        assert_eq!(sim.events_processed(), times.len() as u64);
+        assert!(
+            peak > 10,
+            "the script should build a population, got {peak}"
+        );
+        assert_eq!(sim.peak_pending(), peak);
+        assert_eq!(sim.profile().map(|p| p.peak_pending), Some(peak));
     }
 
     #[test]

@@ -15,6 +15,12 @@ cd "$(dirname "$0")/.."
 # observer-effect-free; see tests/observability.rs).
 export NCAP_TRACE=1
 
+# Smoke numbers are meaningless, so skip the release profile's fat LTO:
+# with it each of the 25 bench binaries pays a whole-program link. A real
+# `cargo bench` keeps the profile of .cargo/config.toml.
+export CARGO_PROFILE_BENCH_LTO=false
+export CARGO_PROFILE_BENCH_CODEGEN_UNITS=16
+
 quiet=0
 [ "${1:-}" = "--quiet" ] && quiet=1
 
