@@ -264,6 +264,10 @@ pub struct ClusterSim {
     /// sent instead of when the client resolves the request.
     #[cfg(test)]
     release_at_send: bool,
+    /// Planted bug: resent requests are forgotten at resolution too,
+    /// instead of lingering.
+    #[cfg(test)]
+    forget_resent: bool,
 }
 
 impl std::fmt::Debug for ClusterSim {
@@ -366,6 +370,8 @@ impl ClusterSim {
             drop_completion: false,
             #[cfg(test)]
             release_at_send: false,
+            #[cfg(test)]
+            forget_resent: false,
         })
     }
 
@@ -635,7 +641,7 @@ impl ClusterSim {
             #[cfg(test)]
             if self.release_at_send && frame.meta().is_final {
                 if let (Some(si), Some(rid)) = (self.server_index(node), frame.meta().request_id) {
-                    self.servers[si].release_replay(rid);
+                    self.servers[si].resolved(rid, false);
                 }
             }
             let bytes = frame.wire_len() as f64;
@@ -1169,11 +1175,12 @@ impl ClusterSim {
             // A 503: the server refused the request under overload. The
             // request is *resolved* (no retransmission, no latency
             // sample); a stale replay after resolution is ignored.
-            if self.inflight.remove(&rid).is_some() {
+            if let Some(row) = self.inflight.remove(&rid) {
                 self.rejected_total += 1;
                 if measured {
                     self.rejected_measured += 1;
                 }
+                self.resolved(rid, frame.src(), row.attempt);
             }
             return;
         }
@@ -1188,14 +1195,12 @@ impl ClusterSim {
         }
         // Removing the row cancels the pending timer: the next RetxCheck
         // finds no state and is a no-op.
-        let row = self.inflight.remove(&rid);
-        if self.faults.retx.enabled {
-            self.release_replay(rid, frame.src());
-        }
+        let row = self.inflight.remove(&rid).expect("present above");
+        self.resolved(rid, frame.src(), row.attempt);
         let stages = if meta.is_final {
             Some(meta.stages)
         } else {
-            row.and_then(|e| e.stages).map(|st| *st)
+            row.stages.map(|st| *st)
         };
         #[cfg(test)]
         if std::mem::take(&mut self.drop_completion) {
@@ -1211,18 +1216,32 @@ impl ClusterSim {
         }
     }
 
-    /// Frees the replay record of `rid`, which its client just resolved,
-    /// on the server that served it: the response's source, or in a fleet
-    /// the backend the LB's lingering conntrack entry pins. A record held
-    /// elsewhere (a failed-over request's first server) retires with its
-    /// duplicate-table entry.
-    fn release_replay(&mut self, rid: u64, src: NodeId) {
-        let served = match &self.fleet {
-            Some(fs) => fs.lb.pin_of(rid),
+    /// Tells the layers that keep request-keyed state that the client has
+    /// resolved `rid` after `attempt` retransmissions: the LB, and the
+    /// server that served it (the response's source, or in a fleet the
+    /// backend the LB's closed conntrack entry pins). A request resolved
+    /// from its only copy is forgotten at once. Nothing can reach any
+    /// layer for it again: that copy was consumed, every response frame
+    /// was absorbed, and the fabric drops and delays frames but never
+    /// duplicates one. Anything resent keeps its linger, and state held
+    /// elsewhere (a failed-over request's first server) retires with it.
+    fn resolved(&mut self, rid: u64, src: NodeId, attempt: u32) {
+        if !self.faults.retx.enabled {
+            return;
+        }
+        let clean = attempt == 0;
+        #[cfg(test)]
+        let clean = clean || self.forget_resent;
+        let served = match self.fleet.as_mut() {
+            Some(fs) => {
+                let pin = fs.lb.pin_of(rid);
+                fs.lb.resolved(rid, clean);
+                pin
+            }
             None => self.server_index(src),
         };
         if let Some(si) = served {
-            self.servers[si].release_replay(rid);
+            self.servers[si].resolved(rid, clean);
         }
     }
 
@@ -1493,10 +1512,24 @@ impl ClusterSim {
         self.fleet.as_ref().map_or(0, |f| f.lb.conntrack_entries())
     }
 
+    /// Closed LB conntrack entries waiting out their linger (zero without
+    /// a fleet).
+    #[must_use]
+    pub fn conntrack_time_wait(&self) -> usize {
+        self.fleet.as_ref().map_or(0, |f| f.lb.time_wait_entries())
+    }
+
     /// Live duplicate-suppression entries summed over the servers.
     #[must_use]
     pub fn dedup_entries(&self) -> usize {
         self.servers.iter().map(Kernel::dedup_entries).sum()
+    }
+
+    /// Resolved duplicate-suppression entries waiting out their linger,
+    /// summed over the servers.
+    #[must_use]
+    pub fn dedup_time_wait(&self) -> usize {
+        self.servers.iter().map(Kernel::dedup_time_wait).sum()
     }
 
     /// Replay attribution records summed over the servers.
@@ -1805,6 +1838,45 @@ mod tests {
 
         let (mut planted, initial) = reordering_fleet();
         planted.install_linger(SimDuration::ZERO);
+        let planted = drive((planted, initial), horizon);
+        assert!(planted.late_copies > 0);
+        let wd = planted.watchdog().expect("installed");
+        assert!(
+            wd.violations()
+                .iter()
+                .any(|v| v.kind == crate::InvariantKind::LateCopies),
+            "{:?}",
+            wd.violations()
+        );
+    }
+
+    /// Planted bug: forgetting every resolved request at once, resent
+    /// ones too, drops the LB entries their copies still on the wire need,
+    /// and the `late_copies` detector must catch it. The unplanted run
+    /// forgets only requests resolved from their only copy: it stays
+    /// clean, and each request-keyed table holds no more than the
+    /// requests in flight plus those resent.
+    #[test]
+    fn forgetting_a_resent_request_is_caught_as_late_copies() {
+        let horizon = SimTime::from_ms(65);
+        let control = drive(reordering_fleet(), horizon);
+        let f = control.fault_summary();
+        assert!(f.retransmits > 0);
+        assert_eq!(control.late_copies, 0);
+        let wd = control.watchdog().expect("installed");
+        assert!(wd.violations().is_empty(), "{:?}", wd.violations());
+        let bound = control.inflight_requests() + f.retransmits as usize;
+        for (table, held) in [
+            ("LB conntrack", control.conntrack_entries()),
+            ("LB TIME_WAIT", control.conntrack_time_wait()),
+            ("kernel dedup", control.dedup_entries()),
+            ("kernel TIME_WAIT", control.dedup_time_wait()),
+        ] {
+            assert!(held <= bound, "{table}: {held} > {bound}");
+        }
+
+        let (mut planted, initial) = reordering_fleet();
+        planted.forget_resent = true;
         let planted = drive((planted, initial), horizon);
         assert!(planted.late_copies > 0);
         let wd = planted.watchdog().expect("installed");

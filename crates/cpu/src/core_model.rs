@@ -18,7 +18,7 @@
 
 use crate::cstate::CState;
 use crate::energy::{EnergyMeter, PowerMode};
-use crate::power::PowerModel;
+use crate::power::PowerTable;
 use crate::pstate::{PStateId, PStateTable};
 use crate::transition::{transition_plan, TransitionPlan};
 use core::fmt;
@@ -99,7 +99,7 @@ struct Job {
 pub struct Core {
     id: CoreId,
     table: PStateTable,
-    power: PowerModel,
+    power: PowerTable,
     pstate: PStateId,
     state: State,
     pending: Option<Pending>,
@@ -118,9 +118,11 @@ struct Pending {
 }
 
 impl Core {
-    /// Creates an awake, idle core at `initial` P-state.
+    /// Creates an awake, idle core at `initial` P-state that bills its
+    /// time from `power`, a [`PowerTable`] of `table`'s P-states, which
+    /// the cores of one chip share.
     #[must_use]
-    pub fn new(id: CoreId, table: PStateTable, power: PowerModel, initial: PStateId) -> Self {
+    pub fn new(id: CoreId, table: PStateTable, power: PowerTable, initial: PStateId) -> Self {
         assert!(
             (initial.0 as usize) < table.len(),
             "initial P-state out of range"
@@ -279,11 +281,11 @@ impl Core {
                     CState::C3 => PowerMode::SleepC3,
                     CState::C6 => PowerMode::SleepC6,
                 };
-                let w = self.power.sleep_power(&self.table, self.pstate, c);
+                let w = self.power.sleep(self.pstate, c);
                 self.energy.accumulate(mode, w, dt);
             }
             State::Waking { .. } => {
-                let w = self.power.wake_power(&self.table, self.pstate);
+                let w = self.power.wake(self.pstate);
                 self.energy.accumulate(PowerMode::Wake, w, dt);
             }
             State::Active => {
@@ -291,16 +293,16 @@ impl Core {
                     self.busy += dt;
                 }
                 if self.in_halt() {
-                    let w = self.power.halt_power(&self.table, self.pstate);
+                    let w = self.power.halt(self.pstate);
                     self.energy.accumulate(PowerMode::Halt, w, dt);
                 } else if let Some(job) = self.job.as_mut() {
                     let freq = self.table.freq_hz(self.pstate) as f64;
                     job.remaining_cycles =
                         (job.remaining_cycles - dt.as_secs_f64() * freq).max(0.0);
-                    let w = self.power.busy_power(&self.table, self.pstate);
+                    let w = self.power.busy(self.pstate);
                     self.energy.accumulate(PowerMode::Busy, w, dt);
                 } else {
-                    let w = self.power.c0_idle_power(&self.table, self.pstate);
+                    let w = self.power.c0_idle(self.pstate);
                     self.energy.accumulate(PowerMode::IdleC0, w, dt);
                 }
             }
@@ -454,7 +456,7 @@ impl Core {
         );
         // One-off transition overhead (context save/restore, cache flush
         // and refill, voltage ramps), billed as wake-path energy.
-        let overhead = self.power.transition_energy(&self.table, self.pstate, c);
+        let overhead = self.power.transition_energy(self.pstate, c);
         self.energy.add_joules(PowerMode::Wake, overhead);
         Ok(())
     }
@@ -497,9 +499,12 @@ impl Core {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::power::PowerModel;
 
     fn core_at(p: PStateId) -> Core {
-        Core::new(CoreId(0), PStateTable::i7_like(), PowerModel::i7_like(), p)
+        let table = PStateTable::i7_like();
+        let power = PowerTable::new(&PowerModel::i7_like(), &table);
+        Core::new(CoreId(0), table, power, p)
     }
 
     #[test]
@@ -687,6 +692,7 @@ mod tests {
 #[cfg(test)]
 mod prop_tests {
     use super::*;
+    use crate::power::PowerModel;
     use check::{ensure, ensure_eq, gen, Check};
 
     /// Under arbitrary interleavings of dispatch, DVFS, sleep and wake,
@@ -706,12 +712,8 @@ mod prop_tests {
             },
             |ops| {
                 let table = PStateTable::i7_like();
-                let mut core = Core::new(
-                    CoreId(0),
-                    table.clone(),
-                    PowerModel::i7_like(),
-                    table.deepest(),
-                );
+                let power = PowerTable::new(&PowerModel::i7_like(), &table);
+                let mut core = Core::new(CoreId(0), table.clone(), power, table.deepest());
                 let mut now = SimTime::ZERO;
                 let mut eta: Option<SimTime> = None;
                 for &(op, dt_us, p) in ops {

@@ -17,12 +17,13 @@
 //! ## Example
 //!
 //! ```
-//! use cpusim::{Core, CoreId, PStateTable, PowerModel};
+//! use cpusim::{Core, CoreId, PStateTable, PowerModel, PowerTable};
 //! use desim::SimTime;
 //!
 //! let table = PStateTable::i7_like();
 //! let deepest = table.deepest();
-//! let mut core = Core::new(CoreId(0), table, PowerModel::i7_like(), deepest);
+//! let power = PowerTable::new(&PowerModel::i7_like(), &table);
+//! let mut core = Core::new(CoreId(0), table, power, deepest);
 //! let eta = core.begin_job(SimTime::ZERO, 8_000.0).unwrap();
 //! assert!(eta > SimTime::ZERO); // 8000 cycles at 0.8 GHz = 10 us
 //! ```
@@ -39,6 +40,6 @@ pub mod transition;
 pub use core_model::{Core, CoreError, CoreId, CoreStateKind};
 pub use cstate::CState;
 pub use energy::{EnergyMeter, PowerMode};
-pub use power::PowerModel;
+pub use power::{PowerModel, PowerTable};
 pub use pstate::{PState, PStateId, PStateTable};
 pub use transition::{transition_plan, TransitionPlan, VfTracePoint};

@@ -29,6 +29,7 @@
 
 use crate::cstate::CState;
 use crate::pstate::{PStateId, PStateTable};
+use std::sync::Arc;
 
 /// Per-core power model.
 #[derive(Debug, Clone, PartialEq)]
@@ -152,9 +153,100 @@ impl PowerModel {
     /// `E = residency × (P_C0idle − P_sleep)`.
     #[must_use]
     pub fn transition_energy(&self, table: &PStateTable, entry_pstate: PStateId, c: CState) -> f64 {
-        let saved =
-            self.c0_idle_power(table, entry_pstate) - self.sleep_power(table, entry_pstate, c);
-        c.target_residency().as_secs_f64() * saved.max(0.0)
+        break_even(
+            c,
+            self.c0_idle_power(table, entry_pstate),
+            self.sleep_power(table, entry_pstate, c),
+        )
+    }
+}
+
+/// The energy a sleep in `c` saves over its target residency, against
+/// the C0 idle loop: its transition overhead by definition.
+fn break_even(c: CState, c0_idle_w: f64, sleep_w: f64) -> f64 {
+    c.target_residency().as_secs_f64() * (c0_idle_w - sleep_w).max(0.0)
+}
+
+/// The watts a core draws at one P-state.
+#[derive(Debug, Clone, Copy)]
+struct Watts {
+    busy: f64,
+    c0_idle: f64,
+    /// Static power at the P-state's voltage: halted, or in C1.
+    leakage: f64,
+}
+
+/// A [`PowerModel`] evaluated once at every P-state of one
+/// [`PStateTable`], so billing a core's time reads a table instead of
+/// computing `V^n`. Each value is bit-identical to the model's. Clones
+/// share the table, so every core of a server holds one pointer to it.
+#[derive(Debug, Clone)]
+pub struct PowerTable {
+    watts: Arc<[Watts]>,
+    c3_static_w: f64,
+}
+
+impl PowerTable {
+    /// Evaluates `model` at every P-state of `table`.
+    #[must_use]
+    pub fn new(model: &PowerModel, table: &PStateTable) -> Self {
+        let watts = table
+            .iter()
+            .map(|(p, _)| Watts {
+                busy: model.busy_power(table, p),
+                c0_idle: model.c0_idle_power(table, p),
+                leakage: model.halt_power(table, p),
+            })
+            .collect();
+        PowerTable {
+            watts,
+            c3_static_w: model.c3_static_w,
+        }
+    }
+
+    fn at(&self, p: PStateId) -> &Watts {
+        &self.watts[p.0 as usize]
+    }
+
+    /// [`PowerModel::busy_power`] at `p`.
+    #[must_use]
+    pub fn busy(&self, p: PStateId) -> f64 {
+        self.at(p).busy
+    }
+
+    /// [`PowerModel::c0_idle_power`] at `p`.
+    #[must_use]
+    pub fn c0_idle(&self, p: PStateId) -> f64 {
+        self.at(p).c0_idle
+    }
+
+    /// [`PowerModel::halt_power`] at `p`.
+    #[must_use]
+    pub fn halt(&self, p: PStateId) -> f64 {
+        self.at(p).leakage
+    }
+
+    /// [`PowerModel::sleep_power`] in `c`, entered at `p`.
+    #[must_use]
+    pub fn sleep(&self, p: PStateId, c: CState) -> f64 {
+        match c {
+            CState::C0 => self.c0_idle(p),
+            CState::C1 => self.at(p).leakage,
+            CState::C3 => self.c3_static_w,
+            CState::C6 => 0.0,
+        }
+    }
+
+    /// [`PowerModel::wake_power`] after a sleep entered at `p`.
+    #[must_use]
+    pub fn wake(&self, p: PStateId) -> f64 {
+        self.c0_idle(p)
+    }
+
+    /// [`PowerModel::transition_energy`] of a sleep in `c` entered at `p`.
+    #[must_use]
+    pub fn transition_energy(&self, p: PStateId, c: CState) -> f64 {
+        break_even(c, self.c0_idle(p), self.sleep(p, c))
     }
 }
 
@@ -272,6 +364,25 @@ mod tests {
         let saved =
             (m.c0_idle_power(&t, t.fastest()) - 0.0) * CState::C6.target_residency().as_secs_f64();
         assert!((saved - e6).abs() < 1e-12);
+    }
+
+    /// Billing reads the table, so a single differing bit would move
+    /// every energy result.
+    #[test]
+    fn the_power_table_repeats_the_model_bit_for_bit() {
+        let (m, t) = setup();
+        let pt = PowerTable::new(&m, &t);
+        let same = |a: f64, b: f64| assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
+        for (p, _) in t.iter() {
+            same(pt.busy(p), m.busy_power(&t, p));
+            same(pt.c0_idle(p), m.c0_idle_power(&t, p));
+            same(pt.halt(p), m.halt_power(&t, p));
+            same(pt.wake(p), m.wake_power(&t, p));
+            for c in [CState::C0, CState::C1, CState::C3, CState::C6] {
+                same(pt.sleep(p, c), m.sleep_power(&t, p, c));
+                same(pt.transition_energy(p, c), m.transition_energy(&t, p, c));
+            }
+        }
     }
 
     #[test]

@@ -16,8 +16,10 @@
 //! backend's duplicate suppression keeps working, and entries survive
 //! resolution so late response replays still find their client. A closed
 //! entry lingers in TIME_WAIT ([`LoadBalancer::set_linger`]) until no
-//! copy of its request can still arrive, then retires, so the table holds
-//! O(requests in flight) entries. Frames without a request id (bulk
+//! copy of its request can still arrive, then retires. An entry whose
+//! request was resolved from its only copy goes at once
+//! ([`LoadBalancer::resolved`]), so the table holds the requests in
+//! flight plus the few that were resent. Frames without a request id (bulk
 //! background traffic) are forwarded through the same dispatch pick but
 //! tracked only as frame counts.
 
@@ -461,6 +463,23 @@ impl LoadBalancer {
     #[must_use]
     pub fn conntrack_entries(&self) -> usize {
         self.conntrack.len()
+    }
+
+    /// Closed conntrack entries waiting out their linger.
+    #[must_use]
+    pub fn time_wait_entries(&self) -> usize {
+        self.closed.len()
+    }
+
+    /// The client resolved `id`. A `clean` request was resolved from its
+    /// only copy, so no frame of it can reach the LB again: its closed
+    /// entry goes at once, out of TIME_WAIT. Any other request's entry
+    /// waits out its linger, and an open entry is never dropped.
+    pub fn resolved(&mut self, id: u64, clean: bool) {
+        if clean && self.conntrack.get(&id).is_some_and(|c| !c.open) {
+            self.conntrack.remove(&id);
+            self.closed.cancel(id);
+        }
     }
 
     /// The rotation state of backend `idx`.
@@ -1239,6 +1258,27 @@ mod tests {
         assert!(!l.tracks(1), "closed and past its linger");
         assert!(l.tracks(2), "open entries never retire");
         assert_eq!(l.conntrack_entries(), 3);
+        let led = l.ledger();
+        assert_eq!(led.opened, led.completed + led.rejected + led.outstanding);
+    }
+
+    #[test]
+    fn a_clean_resolution_drops_a_closed_entry_at_once() {
+        let mut l = lb(2, DispatchPolicy::RoundRobin);
+        l.set_linger(SimDuration::from_ms(10));
+        let (first, _) = l.dispatch(request(10, 1));
+        let (second, _) = l.dispatch(request(10, 2));
+        let _ = l.dispatch(request(10, 3)); // never answered
+        let _ = l.on_response(response(&l, first, 1));
+        let _ = l.on_response(response(&l, second, 2));
+        assert_eq!((l.conntrack_entries(), l.time_wait_entries()), (3, 2));
+        l.resolved(1, true);
+        l.resolved(2, false);
+        l.resolved(3, true);
+        assert!(!l.tracks(1), "resolved from its only copy");
+        assert!(l.tracks(2), "a resent request lingers");
+        assert!(l.tracks(3), "open entries are never dropped");
+        assert_eq!((l.conntrack_entries(), l.time_wait_entries()), (2, 1));
         let led = l.ledger();
         assert_eq!(led.opened, led.completed + led.rejected + led.outstanding);
     }

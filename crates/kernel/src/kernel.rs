@@ -10,6 +10,7 @@ use crate::config::{KernelConfig, ShedPolicy};
 use crate::work::{RunQueue, Work, WorkKind};
 use cpusim::{
     CState, Core, CoreId, CoreStateKind, EnergyMeter, PStateTable, PowerMode, PowerModel,
+    PowerTable,
 };
 use desim::{SimTime, TimerSlot};
 use governors::{CpufreqGovernor, CpuidleGovernor};
@@ -347,7 +348,7 @@ pub struct Kernel {
     /// still tiles the client-observed latency (the original-to-replay
     /// gap is charged to `replay_ns`). Measurement sideband: a record is
     /// released when the client resolves its request
-    /// ([`Kernel::release_replay`]) or when its `Done` entry retires.
+    /// ([`Kernel::resolved`]) or when its `Done` entry retires.
     replay_stages: netsim::IdMap<netsim::StageRecord>,
     next_token: u64,
     tx_backlog: VecDeque<Packet>,
@@ -394,6 +395,7 @@ impl Kernel {
     ) -> Self {
         let table = PStateTable::i7_like();
         let power = PowerModel::i7_like();
+        let watts = PowerTable::new(&power, &table);
         let n = cfg.cores as usize;
         let mut nic = nic;
         let poll_cores = if cfg.datapath.bypasses_kernel() {
@@ -413,7 +415,7 @@ impl Kernel {
                 } else {
                     cfg.initial_pstate
                 };
-                Core::new(CoreId(i), table.clone(), power.clone(), p)
+                Core::new(CoreId(i), table.clone(), watts.clone(), p)
             })
             .collect();
         let isr_pending = vec![false; nic.queue_count()];
@@ -497,11 +499,29 @@ impl Kernel {
         self.replay_stages.len()
     }
 
-    /// Drops the replay attribution record of `rid`: its client resolved
-    /// the request, so no replay of it can be consumed any more. A later
-    /// replay still goes out, with an empty record.
-    pub fn release_replay(&mut self, rid: u64) {
+    /// Resolved duplicate-suppression entries waiting out their linger.
+    #[must_use]
+    pub fn dedup_time_wait(&self) -> usize {
+        self.seen_wait.len()
+    }
+
+    /// The client resolved `rid`, which this node served. Its replay
+    /// record goes: no replay of it can be consumed any more, and a later
+    /// one still goes out, with an empty record. A `clean` request was
+    /// resolved from its only copy, which this node consumed, so no copy
+    /// can arrive again and its resolved duplicate entry goes too, out of
+    /// TIME_WAIT. Any other request's entry waits out its linger.
+    pub fn resolved(&mut self, rid: u64, clean: bool) {
         self.replay_stages.remove(&rid);
+        if clean
+            && matches!(
+                self.seen.get(&rid),
+                Some(DupState::Done { .. } | DupState::Rejected)
+            )
+        {
+            self.seen.remove(&rid);
+            self.seen_wait.cancel(rid);
+        }
     }
 
     /// Records that `rid` resolved as `state`: its entry now waits out
@@ -2156,7 +2176,7 @@ mod tests {
         let _ = run_until(&mut k, &mut queue, SimTime::from_ms(5));
         assert_eq!(k.replay_records(), 2);
 
-        k.release_replay(7);
+        k.resolved(7, false);
         assert_eq!(k.replay_records(), 1);
         arrive(&mut queue, 6_000, 7);
         let replay = run_until(&mut k, &mut queue, SimTime::from_ms(10));
@@ -2170,6 +2190,44 @@ mod tests {
         arrive(&mut queue, 30_000, 9);
         let _ = run_until(&mut k, &mut queue, SimTime::from_ms(35));
         assert_eq!((k.dedup_entries(), k.replay_records()), (1, 1));
+    }
+
+    /// A request resolved from its only copy leaves no trace: its
+    /// duplicate entry, replay record and TIME_WAIT slot all go at once,
+    /// while a resent one's entry keeps its linger.
+    #[test]
+    fn a_clean_resolution_forgets_the_request_at_once() {
+        let mut k = Kernel::new(
+            KernelConfig::server_defaults()
+                .with_initial_pstate(cpusim::PStateId(0))
+                .with_reliability(),
+            NodeId(0),
+            Nic::new(NicConfig::i82574_like()),
+            Box::new(Performance),
+            Box::new(PollIdle),
+            Box::new(StubApp {
+                cycles: 50_000,
+                response: 4_000,
+                io: None,
+            }),
+        );
+        k.set_dedup_linger(SimDuration::from_ms(20));
+        let mut fx = k.boot(SimTime::ZERO);
+        for (at_us, id) in [(10, 7), (20, 8)] {
+            fx.schedule.push((
+                SimTime::from_us(at_us),
+                NodeEvent::FrameFromWire(get_frame(id)),
+            ));
+        }
+        let _ = drain(&mut k, fx, SimTime::from_ms(5));
+        let held = |k: &Kernel| (k.dedup_entries(), k.dedup_time_wait(), k.replay_records());
+        assert_eq!(held(&k), (2, 2, 2));
+        k.resolved(7, true);
+        assert_eq!(held(&k), (1, 1, 1));
+        k.resolved(8, false);
+        assert_eq!(held(&k), (1, 1, 0), "a resent request lingers");
+        k.resolved(9, true);
+        assert_eq!(held(&k), (1, 1, 0), "an id never seen is a no-op");
     }
 
     /// One `DupState` per request of the last linger sits in the duplicate

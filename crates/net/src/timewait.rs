@@ -12,7 +12,10 @@
 //! The owner [`close`](TimeWait::close)s an entry when it resolves and
 //! calls [`retire`](TimeWait::retire) as it inserts new entries; each
 //! closed id is queued and popped once, so the cost is O(1) amortised.
-//! Open entries are never queued and never retire.
+//! Open entries are never queued and never retire. An entry no copy can
+//! reach any more (its request was resolved from its only copy) is
+//! dropped at once instead, and [`cancel`](TimeWait::cancel) takes its id
+//! out of the queue.
 
 use desim::{SimDuration, SimTime, SplitMix64};
 use std::collections::{HashMap, VecDeque};
@@ -46,6 +49,10 @@ impl Hasher for IdHasher {
     }
 }
 
+/// How far back from the newest close [`TimeWait::cancel`] looks: owners
+/// cancel an id a few closes after closing it.
+const CANCEL_SCAN: usize = 64;
+
 /// A FIFO of closed request ids waiting out their linger.
 ///
 /// Ids are queued in close order with the instant they may retire. Close
@@ -71,6 +78,33 @@ impl TimeWait {
         if let Some(linger) = self.linger {
             self.due.push_back((first_seen + linger, id));
         }
+    }
+
+    /// Takes `id` out of the queue, if it is among the last
+    /// `CANCEL_SCAN` (64) ids closed, and reports whether
+    /// it was. An id further back stays queued until its instant; the
+    /// owner's `remove` then gets an id it no longer holds.
+    pub fn cancel(&mut self, id: u64) -> bool {
+        let back = self.due.len();
+        let found = self
+            .due
+            .iter()
+            .rev()
+            .take(CANCEL_SCAN)
+            .position(|&(_, queued)| queued == id);
+        found.map(|i| self.due.remove(back - 1 - i)).is_some()
+    }
+
+    /// Ids queued to retire.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.due.len()
+    }
+
+    /// Whether no id is queued.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.due.is_empty()
     }
 
     /// Hands every queued id whose instant has come by `now` to `remove`,
@@ -124,6 +158,34 @@ mod tests {
         tw.close(2, SimTime::from_ms(1));
         assert!(retired(&mut tw, SimTime::from_ms(12)).is_empty());
         assert_eq!(retired(&mut tw, SimTime::from_ms(15)), vec![1, 2]);
+    }
+
+    #[test]
+    fn a_cancelled_id_never_retires_and_the_others_keep_their_order() {
+        let mut tw = TimeWait::default();
+        tw.set_linger(SimDuration::from_ms(10));
+        for id in 1..=3 {
+            tw.close(id, SimTime::from_ms(id));
+        }
+        assert!(tw.cancel(2));
+        assert!(!tw.cancel(2), "already gone");
+        assert_eq!(tw.len(), 2);
+        assert_eq!(retired(&mut tw, SimTime::MAX), vec![1, 3]);
+        assert!(tw.is_empty());
+    }
+
+    #[test]
+    fn cancel_looks_back_only_a_bounded_number_of_closes() {
+        let mut tw = TimeWait::default();
+        tw.set_linger(SimDuration::from_ms(10));
+        let n = CANCEL_SCAN as u64;
+        for id in 0..=n {
+            tw.close(id, SimTime::ZERO);
+        }
+        assert!(!tw.cancel(0), "one close too far back");
+        assert!(tw.cancel(1));
+        assert_eq!(tw.len(), CANCEL_SCAN);
+        assert_eq!(retired(&mut tw, SimTime::MAX)[0], 0);
     }
 
     #[test]

@@ -222,6 +222,22 @@ grep -q 'watchdog [1-9][0-9]* checks, 0 violations' "$failover_dir/run.txt" ||
     { echo "verify: failover watchdog missing or reported violations" >&2; exit 1; }
 echo "==> failover smoke ok ($failover_dir)"
 
+# Lossy-fleet smoke: loss and reordering behind an LB exercise both ways
+# a request's LB and kernel state can end: forgotten at once when the
+# client resolves it from its only copy, or lingering in TIME_WAIT after
+# a resend. A copy arriving after its state went is a late_copies
+# violation, so the watchdog must stay silent and nothing may be lost.
+lossy_fleet_out=$(run cargo run --release -p ncap-cli -- run \
+    --app memcached --policy ond.idle --load 60000 --poisson \
+    --warmup-ms 5 --measure-ms 25 \
+    --servers 4 --dispatch jsq --loss 0.01 --reorder 0.05 --fault-seed 7)
+echo "$lossy_fleet_out"
+echo "$lossy_fleet_out" | grep -q '[1-9][0-9]* retransmits, 0 requests lost' ||
+    { echo "verify: lossy fleet run lost requests or resent none" >&2; exit 1; }
+echo "$lossy_fleet_out" | grep -q 'watchdog [1-9][0-9]* checks, 0 violations' ||
+    { echo "verify: lossy fleet watchdog missing or reported violations" >&2; exit 1; }
+echo "==> lossy fleet smoke ok"
+
 # Chaos smoke: a short seeded campaign composing correlated failure
 # domains, crash/slow/hang events, and flash crowds must pass the
 # silence oracle (no violations, balanced ledgers, quiescence at the

@@ -19,16 +19,17 @@
 //!   ejected by the LB's health layer, their in-flight requests fail
 //!   over to healthy machines through client retransmission, and
 //!   goodput recovers — with the conservation ledger intact end to end;
-//! * bounded state: the client's in-flight table, the LB's conntrack and
-//!   the backends' duplicate tables retire resolved entries, so at any
-//!   instant they hold no more than the requests issued in the last
-//!   linger, not every request of the run.
+//! * bounded state: the LB's conntrack and the backends' duplicate tables
+//!   forget a request its client resolved from its only copy and retire
+//!   a resent one after its linger, so at any instant they hold no more
+//!   than the requests in flight plus those resent, not every request of
+//!   the run.
 
 use check::{ensure, Check};
 use cluster::{
-    run_experiment, run_experiments_on, AppKind, BackendState, CoordinatorConfig, DispatchPolicy,
-    ExperimentConfig, ExperimentResult, FailureMode, FailureSchedule, FailureSpec, FleetConfig,
-    HealthConfig, OverloadConfig, Policy,
+    run_experiment, run_experiments_on, AppKind, BackendState, ClusterSim, CoordinatorConfig,
+    DispatchPolicy, ExperimentConfig, ExperimentResult, FailureMode, FailureSchedule, FailureSpec,
+    FleetConfig, HealthConfig, OverloadConfig, Policy,
 };
 use desim::{SimDuration, SimTime, Simulation};
 
@@ -490,13 +491,16 @@ fn rejected_requests_unpin_and_the_ledger_balances() {
 }
 
 /// An armed 16-backend failover run (two fail-stops that restart) for two
-/// simulated seconds. At the horizon each request-keyed table holds at
-/// most the requests issued in the last linger plus 50 ms — before
-/// entries retired, each held every request of the run — and the kernels'
-/// replay records, which live only until the client resolves their
-/// request, number no more than the client's in-flight entries.
+/// simulated seconds. A request resolved from its only copy is forgotten
+/// at once, so at `horizon − (linger + 50 ms)` and at the horizon each
+/// request-keyed table, and each TIME_WAIT queue, holds at most the
+/// requests still in flight plus those resent. Before that, each held
+/// every request of the last linger, and before entries retired at all,
+/// every request of the run. The kernels' replay records, which live only
+/// until the client resolves their request, number no more than the
+/// client's in-flight entries.
 #[test]
-fn request_keyed_state_is_bounded_by_recent_issues() {
+fn request_keyed_state_is_bounded_by_requests_in_flight_or_resent() {
     let warmup = SimDuration::from_ms(100);
     let measure = SimDuration::from_ms(1_900);
     let start = SimTime::ZERO + warmup;
@@ -522,38 +526,46 @@ fn request_keyed_state_is_bounded_by_recent_issues() {
     for (t, e) in initial {
         sim.queue_mut().push(t, e);
     }
+    let check = |c: &ClusterSim, at: &str| {
+        let f = c.fault_summary();
+        let bound = c.inflight_requests() as u64 + f.retransmits;
+        assert!(
+            bound * 100 < f.issued_total,
+            "at {at}, the bound must be a small share of the run: {bound} of {}",
+            f.issued_total
+        );
+        for (table, live) in [
+            ("LB conntrack", c.conntrack_entries()),
+            ("LB TIME_WAIT", c.conntrack_time_wait()),
+            ("summed kernel dedup", c.dedup_entries()),
+            ("summed kernel TIME_WAIT", c.dedup_time_wait()),
+        ] {
+            assert!(
+                live as u64 <= bound,
+                "at {at}, {table}: {live} live entries, but only {} requests are in \
+                 flight and {} were resent",
+                c.inflight_requests(),
+                f.retransmits
+            );
+        }
+        assert!(
+            c.replay_records() <= c.inflight_requests(),
+            "at {at}, {} replay records outlive their requests ({} in flight, {} duplicate \
+             entries)",
+            c.replay_records(),
+            c.inflight_requests(),
+            c.dedup_entries()
+        );
+    };
     sim.run_until(horizon - window);
-    let issued_before = sim.handler().fault_summary().issued_total;
+    check(sim.handler(), "horizon - window");
     sim.run_until(horizon);
     let now = sim.now();
     sim.handler_mut().finalize(now);
     let c = sim.handler();
-    let issued = c.fault_summary().issued_total;
-    let recent = issued - issued_before;
-    assert!(
-        recent * 4 < issued,
-        "the window must be a small share of the run: {recent} of {issued}"
-    );
+    check(c, "the horizon");
     let fleet = c.fleet_summary().expect("fleet summary");
     assert!(fleet.failovers > 0, "the crashes exercised failover");
-    for (table, live) in [
-        ("client in-flight", c.inflight_requests()),
-        ("LB conntrack", c.conntrack_entries()),
-        ("summed kernel dedup", c.dedup_entries()),
-    ] {
-        assert!(
-            live as u64 <= recent,
-            "{table}: {live} live entries, but only {recent} of {issued} requests were \
-             issued in the last {window}"
-        );
-    }
-    assert!(
-        c.replay_records() <= c.inflight_requests(),
-        "{} replay records outlive their requests ({} in flight, {} duplicate entries)",
-        c.replay_records(),
-        c.inflight_requests(),
-        c.dedup_entries()
-    );
     let wd = c.watchdog().expect("the runner installs a watchdog");
     assert!(wd.violations().is_empty(), "{:?}", wd.violations());
 }

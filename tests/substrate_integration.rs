@@ -2,7 +2,7 @@
 //! the full cluster, and conservation properties of the accounting.
 
 use cluster::{run_experiment, AppKind, ExperimentConfig, Policy};
-use cpusim::{CState, Core, CoreId, PStateTable, PowerModel};
+use cpusim::{CState, Core, CoreId, PStateTable, PowerModel, PowerTable};
 use desim::{SimDuration, SimTime};
 use ncap::{IcrFlags, NcapConfig};
 use netsim::http::HttpRequest;
@@ -87,12 +87,8 @@ fn core_time_accounting_is_conserved() {
 #[test]
 fn core_full_lifecycle_accounting() {
     let table = PStateTable::i7_like();
-    let mut core = Core::new(
-        CoreId(0),
-        table.clone(),
-        PowerModel::i7_like(),
-        table.deepest(),
-    );
+    let power = PowerTable::new(&PowerModel::i7_like(), &table);
+    let mut core = Core::new(CoreId(0), table.clone(), power, table.deepest());
     // idle → work → DVFS up mid-job → complete → sleep → wake.
     core.sync(SimTime::from_us(100));
     core.begin_job(SimTime::from_us(100), 1_000_000.0).unwrap();
