@@ -8,7 +8,6 @@
 
 use cluster::{run_experiments_parallel, AppKind, Policy};
 use ncap_bench::{header, standard};
-use nicsim::ToeConfig;
 use simstats::{fmt_ns, Table};
 
 fn main() {
@@ -19,9 +18,7 @@ fn main() {
     let mut configs = Vec::new();
     for &load in &loads {
         configs.push(standard(AppKind::Memcached, Policy::NcapCons, load));
-        configs.push(
-            standard(AppKind::Memcached, Policy::NcapCons, load).with_toe(ToeConfig::typical()),
-        );
+        configs.push(standard(AppKind::Memcached, Policy::NcapCons, load).with_toe());
     }
     let results = run_experiments_parallel(&configs);
     let mut t = Table::new(vec!["load (rps)", "NIC", "p95", "goodput", "energy (J)"]);

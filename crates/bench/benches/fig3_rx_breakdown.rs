@@ -11,7 +11,7 @@ use desim::{EventHandler, EventQueue, SimDuration, SimTime, Simulation};
 use ncap_bench::header;
 use netsim::packet::{NodeId, Packet};
 use netsim::Bytes;
-use nicsim::{Nic, NicConfig};
+use nicsim::{Nic, NicConfig, ICR_READ_LATENCY};
 use simstats::{LogHistogram, Table};
 
 #[derive(Debug, Clone)]
@@ -29,15 +29,12 @@ struct RxProbe {
     dma_h: LogHistogram,
     irq_wait_h: LogHistogram,
     total_h: LogHistogram,
-    icr_read: SimDuration,
     seq: u64,
 }
 
 impl RxProbe {
     fn new() -> (Self, SimTime) {
-        let cfg = NicConfig::i82574_like();
-        let icr_read = cfg.icr_read_latency;
-        let mut nic = Nic::new(cfg);
+        let mut nic = Nic::new(NicConfig::i82574_like());
         let first_mitt = nic.start_mitt(SimTime::ZERO);
         (
             RxProbe {
@@ -46,7 +43,6 @@ impl RxProbe {
                 dma_h: LogHistogram::new(),
                 irq_wait_h: LogHistogram::new(),
                 total_h: LogHistogram::new(),
-                icr_read,
                 seq: 0,
             },
             first_mitt,
@@ -110,7 +106,7 @@ impl EventHandler for RxProbe {
 
 impl RxProbe {
     fn service_irq(&mut self, now: SimTime) {
-        let delivered = now + self.icr_read;
+        let delivered = now + ICR_READ_LATENCY;
         self.nic.read_icr(0);
         while self.nic.fetch_rx(0).is_some() {}
         for &(arrival, dma_done) in &self.waiting {
@@ -129,7 +125,6 @@ fn main() {
         "Figure 3 / §2.2 (RX path latency, steps 1-3)",
     );
     let (probe, first_mitt) = RxProbe::new();
-    let icr_read = probe.icr_read;
     let mut sim = Simulation::new(probe);
     sim.queue_mut().push(SimTime::from_us(100), Ev::Burst);
     sim.queue_mut().push(first_mitt, Ev::Mitt);
@@ -157,8 +152,8 @@ fn main() {
     ));
     table.row(vec![
         "3. ICR read".to_owned(),
-        format!("{:.1}us", icr_read.as_us_f64()),
-        format!("{:.1}us", icr_read.as_us_f64()),
+        format!("{:.1}us", ICR_READ_LATENCY.as_us_f64()),
+        format!("{:.1}us", ICR_READ_LATENCY.as_us_f64()),
         "one PCIe round trip".to_owned(),
     ]);
     table.row(row(

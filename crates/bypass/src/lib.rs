@@ -8,16 +8,14 @@
 //! * [`Datapath`] — the three-way stack selector (`kernel`, `bypass`,
 //!   `offload`) threaded through `ExperimentConfig`, `KernelConfig` and the
 //!   CLI.
-//! * [`BypassConfig`] — the busy-poll budget: how many cores spin, and the
-//!   per-frame userspace RX/TX processing cost that replaces the kernel's
-//!   ISR + SoftIRQ stack cycles.
 //! * [`UserRing`] — a deterministic FIFO descriptor ring with high-water and
 //!   throughput accounting, used by the kernel model as the userspace RX/TX
 //!   work ring that poll cores drain.
 //!
 //! The poll-mode semantics themselves (skipping IRQ/NAPI/run-queue stages,
 //! pinning poll cores in C0 at max P-state, assert-time NCAP actions for
-//! `offload`) live in `oskernel`, which consumes these types.
+//! `offload`) and the userspace per-frame cycle costs live in `oskernel`,
+//! which consumes these types.
 
 use std::collections::VecDeque;
 
@@ -95,98 +93,6 @@ impl Datapath {
 impl std::fmt::Display for Datapath {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// Busy-poll budget for [`Datapath::Bypass`].
-///
-/// The per-frame cycle costs replace the kernel path's ISR + SoftIRQ costs:
-/// a poll core that picks a descriptor out of the userspace ring runs the
-/// (much thinner) userspace packet processing inline, with no mode switch,
-/// no softirq hop and no doorbell MMIO on TX.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BypassConfig {
-    /// Cores dedicated to busy-polling (the lowest-numbered cores). They
-    /// never sleep, never change P-state, and take no application work.
-    pub poll_cores: u8,
-    /// Cycles to receive one frame in userspace (ring pickup + protocol
-    /// processing). Compare `isr_cycles + rx_stack_cycles` on the kernel
-    /// path.
-    pub poll_rx_cycles: u64,
-    /// Cycles to transmit one response frame in userspace (descriptor
-    /// write, no doorbell). Compare `tx_stack_cycles` on the kernel path.
-    pub poll_tx_cycles: u64,
-    /// Per-mille of the application's kernel-path CPU cycle budget that
-    /// the zero-copy service loop still pays (1..=1000). Bypass hands
-    /// the payload to the application straight out of the userspace
-    /// ring, so the serving loop skips the socket-API copies and
-    /// syscall crossings baked into the kernel-path app budget — the
-    /// efficiency that pays back the core lost to polling.
-    pub app_cycle_permille: u16,
-}
-
-impl BypassConfig {
-    /// A DPDK-like budget: one poll core, userspace RX/TX costs well
-    /// under the kernel's 9k-cycle ISR+stack path (no context switches,
-    /// no skb allocation, no softirq scheduling), and a 25% discount on
-    /// the application's own cycles from zero-copy, syscall-free
-    /// serving — conservative against the 2x+ per-core gains userspace
-    /// stacks report for memcached-class workloads.
-    #[must_use]
-    pub fn dpdk_like() -> Self {
-        BypassConfig {
-            poll_cores: 1,
-            poll_rx_cycles: 1_200,
-            poll_tx_cycles: 600,
-            app_cycle_permille: 750,
-        }
-    }
-
-    /// Sets the number of busy-poll cores.
-    #[must_use]
-    pub fn with_poll_cores(mut self, n: u8) -> Self {
-        self.poll_cores = n;
-        self
-    }
-
-    /// Validates the budget against the server's core count. At least one
-    /// core must poll, and at least one core must remain for application
-    /// work.
-    pub fn validate(&self, total_cores: u8) -> Result<(), ConfigError> {
-        if self.poll_cores == 0 {
-            return Err(ConfigError::new(
-                "poll_cores",
-                "bypass datapath needs at least one busy-poll core",
-            ));
-        }
-        if self.poll_cores >= total_cores {
-            return Err(ConfigError::new(
-                "poll_cores",
-                format!(
-                    "{} poll cores leave no application cores on a {}-core server",
-                    self.poll_cores, total_cores
-                ),
-            ));
-        }
-        if self.poll_rx_cycles == 0 || self.poll_tx_cycles == 0 {
-            return Err(ConfigError::new(
-                "poll_rx_cycles",
-                "userspace per-frame costs must be non-zero",
-            ));
-        }
-        if self.app_cycle_permille == 0 || self.app_cycle_permille > 1_000 {
-            return Err(ConfigError::new(
-                "app_cycle_permille",
-                "zero-copy app cycle fraction must be in 1..=1000 per mille",
-            ));
-        }
-        Ok(())
-    }
-}
-
-impl Default for BypassConfig {
-    fn default() -> Self {
-        BypassConfig::dpdk_like()
     }
 }
 
@@ -293,27 +199,6 @@ mod tests {
         assert!(!Datapath::Bypass.offloads_ncap());
         assert!(!Datapath::Offload.bypasses_kernel());
         assert!(Datapath::Offload.offloads_ncap());
-    }
-
-    #[test]
-    fn bypass_config_validates_core_budget() {
-        let cfg = BypassConfig::dpdk_like();
-        assert!(cfg.validate(4).is_ok());
-        assert!(cfg.with_poll_cores(0).validate(4).is_err());
-        assert!(cfg.with_poll_cores(4).validate(4).is_err());
-        assert!(cfg.with_poll_cores(3).validate(4).is_ok());
-        let zero_rx = BypassConfig {
-            poll_rx_cycles: 0,
-            ..BypassConfig::dpdk_like()
-        };
-        assert!(zero_rx.validate(4).is_err());
-        for bad in [0, 1_001] {
-            let cfg = BypassConfig {
-                app_cycle_permille: bad,
-                ..BypassConfig::dpdk_like()
-            };
-            assert!(cfg.validate(4).is_err(), "app_cycle_permille {bad}");
-        }
     }
 
     #[test]

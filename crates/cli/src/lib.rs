@@ -205,7 +205,7 @@ fn parse_experiment(
             (_, "--poisson") => c.poisson = true,
             (_, "--queues") => c.nic_queues = value(flag, it)?,
             (_, "--per-core") => c.per_core_boost = true,
-            (_, "--toe") => c.toe = Some(nicsim::ToeConfig::typical()),
+            (_, "--toe") => c.toe = true,
             (_, "--loss") => c.faults.loss = value(flag, it)?,
             (_, "--corrupt") => c.faults.corrupt = value(flag, it)?,
             (_, "--reorder") => c.faults.reorder = value(flag, it)?,
@@ -216,7 +216,10 @@ fn parse_experiment(
                 overload(c).policy = ShedPolicy::parse(token(flag, it)?)?;
                 shed_policy_given = true;
             }
-            (_, "--deadline-us") => overload(c).default_deadline = Some(span(flag, US, it)?),
+            (_, "--deadline-us") => {
+                overload(c);
+                c.deadline = Some(span(flag, US, it)?);
+            }
             (_, "--servers") => fleet(c).backends = value(flag, it)?,
             (_, "--dispatch") => fleet(c).dispatch = DispatchPolicy::parse(token(flag, it)?)?,
             // Sized against the app's knee once every flag is read.
@@ -247,14 +250,11 @@ fn parse_experiment(
         cfg.faults.reorder_delay = SimDuration::from_us(50);
         cfg.faults.retx = RetxConfig::standard();
     }
-    if let Some(d) = cfg.overload.default_deadline {
-        // Clients stamp the deadline too, and without an explicit policy
-        // it implies deadline-aware shedding — the other policies never
-        // look at the stamp.
-        cfg.deadline = Some(d);
-        if !shed_policy_given {
-            cfg.overload.policy = ShedPolicy::Deadline;
-        }
+    if cfg.deadline.is_some() && !shed_policy_given {
+        // Without an explicit policy a client deadline implies
+        // deadline-aware shedding — the other policies never look at
+        // the stamp.
+        cfg.overload.policy = ShedPolicy::Deadline;
     }
     if let Some(fleet) = &mut cfg.fleet {
         if let Some(coordinator) = &mut fleet.coordinator {
@@ -366,7 +366,12 @@ pub fn parse<I: IntoIterator<Item = &'static str>>(args: I) -> Result<Command, C
                 datapath: None,
                 poll_cores: None,
             };
+            // The last flag given that only a seeded campaign reads.
+            let mut campaign_flag = None;
             while let Some(flag) = it.next() {
+                if matches!(flag, "--seeds" | "--from" | "--datapath" | "--poll-cores") {
+                    campaign_flag = Some(flag);
+                }
                 match flag {
                     "--seeds" => a.seeds = value(flag, it)?,
                     "--from" => a.from = value(flag, it)?,
@@ -387,6 +392,19 @@ pub fn parse<I: IntoIterator<Item = &'static str>>(args: I) -> Result<Command, C
                     }
                     _ => return Err(unknown(cmd, flag)),
                 }
+            }
+            if let (Some(flag), Some(_)) = (campaign_flag, &a.scenario) {
+                return Err(ConfigError::new(
+                    flag,
+                    "a replayed --scenario file fixes its own seed and datapath; \
+                     this flag applies only to a seeded campaign",
+                ));
+            }
+            if a.out.is_some() && !a.shrink {
+                return Err(ConfigError::new(
+                    "--out",
+                    "--out is where --shrink writes its repros; it needs --shrink",
+                ));
             }
             // A wrapped `from + seeds` would run nothing and pass vacuously.
             if a.seeds == 0 || a.from.checked_add(a.seeds).is_none() {
@@ -464,7 +482,8 @@ USAGE:
              watchdog, conservation ledgers, and an end-of-run quiescence
              oracle; --shrink minimizes each failing seed to its smallest
              still-failing repro and (with --out) writes a replayable
-             .scenario file; --scenario replays one such file instead;
+             .scenario file; --scenario replays one such file instead
+             (--seeds, --from, --datapath and --poll-cores then do not apply);
              exits nonzero if any scenario fails; the generator draws a
              datapath per seed — --datapath forces one for the whole
              campaign (coercing incompatible drawn policies)
@@ -1007,6 +1026,7 @@ mod tests {
         match cmd {
             "trace" => &["--out", "target/cli-out"],
             "sweep" | "sla" => &["--app", "memcached"],
+            "chaos" => &["--shrink"],
             _ => &[],
         }
     }
@@ -1153,7 +1173,7 @@ mod tests {
         assert_eq!(c.app, AppKind::Apache);
         assert_eq!(c.policy, Policy::NcapAggr);
         assert_eq!(c.load_rps, 24_000.0);
-        assert!(c.poisson && c.per_core_boost && c.toe.is_some());
+        assert!(c.poisson && c.per_core_boost && c.toe);
         assert_eq!(c.nic_queues, 4);
         assert_eq!(c.seed, 7);
     }
@@ -1313,10 +1333,9 @@ mod tests {
     #[test]
     fn deadline_flag_implies_deadline_policy() {
         let cfg = run("--load 30000 --deadline-us 2000");
-        assert_eq!(cfg.overload.policy, ShedPolicy::Deadline);
         assert_eq!(
-            cfg.overload.default_deadline,
-            Some(SimDuration::from_us(2_000))
+            cfg.overload,
+            OverloadConfig::server_defaults().with_policy(ShedPolicy::Deadline)
         );
         assert_eq!(cfg.deadline, Some(SimDuration::from_us(2_000)));
         // An explicit policy wins over the implication, in either order.
@@ -1490,6 +1509,14 @@ mod tests {
             ("sweep --app apache --loads -5", "load_rps"),
             ("run --measure-ms 0 --warmup-ms 5", "measure"),
             ("run --queues 0", "nic_queues"),
+            // A replayed file ignores the campaign flags, and --out
+            // writes only what --shrink produces.
+            ("chaos --scenario x --seeds 4", "--seeds"),
+            ("chaos --from 3 --scenario x", "--from"),
+            ("chaos --scenario x --datapath bypass", "--datapath"),
+            ("chaos --scenario x --poll-cores 2", "--poll-cores"),
+            ("chaos --out dir", "--out"),
+            ("chaos --scenario x --out dir", "--out"),
         ] {
             let err = line(text).unwrap_err();
             assert_eq!(err.field, field, "{text}: {err}");

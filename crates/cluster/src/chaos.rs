@@ -88,7 +88,7 @@ pub fn scenario_seed(cfg: &ExperimentConfig) -> u64 {
 
 /// The power coordinator a scenario arms when it draws one.
 fn coordinator() -> CoordinatorConfig {
-    CoordinatorConfig::new(12_000.0).with_min_active(1)
+    CoordinatorConfig::new(12_000.0)
 }
 
 /// Draws a complete scenario from `seed`. Deterministic and always

@@ -141,8 +141,8 @@ pub struct ExperimentConfig {
     /// Optional load step: from this offset into the run, clients switch
     /// to the new total offered load (requests/second).
     pub load_step: Option<(SimDuration, f64)>,
-    /// Optional TCP offload engine on the server NIC (§7 discussion).
-    pub toe: Option<nicsim::ToeConfig>,
+    /// Put a TCP offload engine on the server NIC (§7 discussion).
+    pub toe: bool,
     /// RSS receive queues on the server NIC (1 = the paper's evaluated
     /// single-queue 82574; >1 activates the §7 multi-queue extension).
     pub nic_queues: usize,
@@ -226,7 +226,7 @@ impl ExperimentConfig {
             per_core_boost: false,
             use_ladder: false,
             load_step: None,
-            toe: None,
+            toe: false,
             nic_queues: 1,
             poisson: false,
             faults: FaultConfig::none(),
@@ -356,8 +356,8 @@ impl ExperimentConfig {
 
     /// Puts a TCP offload engine on the server NIC (builder style, §7).
     #[must_use]
-    pub fn with_toe(mut self, toe: nicsim::ToeConfig) -> Self {
-        self.toe = Some(toe);
+    pub fn with_toe(mut self) -> Self {
+        self.toe = true;
         self
     }
 
@@ -609,7 +609,6 @@ impl ExperimentConfig {
             ncap.validate()?;
         }
         self.faults.validate()?;
-        self.overload.validate()?;
         if let Some(fleet) = &self.fleet {
             fleet.validate()?;
         }

@@ -57,7 +57,7 @@ pub use fleetsim::{
     HealthConfig, DEFAULT_DOMAIN_FAULT_SEED, DEFAULT_FLEET_FAULT_SEED,
 };
 pub use netsim::{DomainImpairment, FaultConfig, RetxConfig, DEFAULT_FAULT_SEED};
-pub use oskernel::{BypassConfig, Datapath, OverloadConfig, ShedPolicy};
+pub use oskernel::{Datapath, OverloadConfig, ShedPolicy};
 pub use policy::Policy;
 pub use runner::{
     build_cluster, run_experiment, run_experiments_on, run_experiments_parallel,

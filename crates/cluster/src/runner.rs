@@ -123,9 +123,7 @@ pub fn build_server(cfg: &ExperimentConfig, server_id: NodeId) -> Kernel {
     } else {
         NicConfig::i82574_like()
     };
-    if let Some(toe) = cfg.toe {
-        nic_config = nic_config.with_toe(toe);
-    }
+    nic_config.toe = cfg.toe;
     if cfg.nic_queues > 1 {
         nic_config = nic_config.with_queues(cfg.nic_queues);
     }
@@ -143,10 +141,7 @@ pub fn build_server(cfg: &ExperimentConfig, server_id: NodeId) -> Kernel {
         kernel_cfg = kernel_cfg.with_reliability();
     }
     kernel_cfg = kernel_cfg.with_datapath(cfg.datapath);
-    if cfg.datapath.bypasses_kernel() {
-        kernel_cfg = kernel_cfg
-            .with_bypass(oskernel::BypassConfig::dpdk_like().with_poll_cores(cfg.poll_cores));
-    }
+    kernel_cfg.poll_cores = cfg.poll_cores;
     kernel_cfg = kernel_cfg.with_overload(cfg.overload);
     let cores = kernel_cfg.cores as usize;
     let cpuidle: Box<dyn governors::CpuidleGovernor + Send> =

@@ -8,12 +8,12 @@
 //! not modelled — latency is measured when the full response arrives).
 
 use crate::trace::{TraceConfig, Traces};
-use crate::watchdog::{AccountingView, Watchdog};
+use crate::watchdog::{AccountingView, Watchdog, CHECK_PERIOD};
 use cpusim::{EnergyMeter, PowerMode};
 use desim::{ConfigError, EventHandler, EventQueue, SimDuration, SimTime};
 use fleetsim::{
-    DomainSchedule, FailureMode, FailureSchedule, FleetAction, FleetConfig, FleetCoordinator,
-    FleetSummary, HealthConfig, LoadBalancer,
+    coordinator, DomainSchedule, FailureMode, FailureSchedule, FleetAction, FleetConfig,
+    FleetCoordinator, FleetSummary, HealthConfig, LoadBalancer,
 };
 use netsim::{Delivery, FaultConfig, NodeId, Packet, Reassembly, SegmentStatus, Switch};
 use oldi_apps::OpenLoopClient;
@@ -111,8 +111,6 @@ pub enum ClusterEvent {
 struct FleetState {
     lb: LoadBalancer,
     coordinator: Option<FleetCoordinator>,
-    /// Per-frame forwarding latency through the LB.
-    latency: SimDuration,
     /// The prober policy driving the `FleetHealth` tick (`None` disables
     /// the tick entirely — the no-faults fast path schedules nothing).
     health: Option<HealthConfig>,
@@ -410,7 +408,6 @@ impl ClusterSim {
         self.fleet = Some(FleetState {
             lb: LoadBalancer::new(vip, backends, cfg),
             coordinator: cfg.coordinator.clone().map(FleetCoordinator::new),
-            latency: cfg.lb_latency,
             health: cfg.effective_health(),
             faults: cfg.faults.clone(),
             domains: cfg.domains.clone(),
@@ -473,11 +470,11 @@ impl ClusterSim {
         if self.traces.is_some() {
             events.push((SimTime::ZERO + self.sample_period, ClusterEvent::Sample));
         }
-        if let Some(wd) = &self.watchdog {
-            events.push((SimTime::ZERO + wd.period(), ClusterEvent::Watchdog));
+        if self.watchdog.is_some() {
+            events.push((SimTime::ZERO + CHECK_PERIOD, ClusterEvent::Watchdog));
         }
-        if let Some(co) = self.fleet.as_ref().and_then(|f| f.coordinator.as_ref()) {
-            events.push((SimTime::ZERO + co.epoch_period(), ClusterEvent::FleetEpoch));
+        if self.fleet.as_ref().is_some_and(|f| f.coordinator.is_some()) {
+            events.push((SimTime::ZERO + coordinator::EPOCH, ClusterEvent::FleetEpoch));
         }
         if let Some(fs) = &self.fleet {
             for spec in &fs.faults.specs {
@@ -801,7 +798,7 @@ impl ClusterSim {
             // service times; what matters is that the slow machine's
             // requests take visibly longer and trip client RTOs).
             if fs.down.get(idx).copied().flatten() == Some(FailureMode::Slow) {
-                let ns = fs.latency.as_nanos() as f64 * fs.faults.slow_factor;
+                let ns = fleetsim::LB_LATENCY.as_nanos() as f64 * fs.faults.slow_factor;
                 #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
                 {
                     slow_extra = SimDuration::from_nanos(ns as u64);
@@ -828,14 +825,14 @@ impl ClusterSim {
         if let Some(mut f) = forward {
             // Attribution: the LB's forwarding hold, per direction. The
             // extra switch hop's transit stays in the net stages.
-            let hold = ns32((fs.latency + slow_extra).as_nanos());
+            let hold = ns32((fleetsim::LB_LATENCY + slow_extra).as_nanos());
             let st = &mut f.meta_mut().stages;
             if is_response {
                 st.lb_out_ns = st.lb_out_ns.saturating_add(hold);
             } else {
                 st.lb_in_ns = st.lb_in_ns.saturating_add(hold);
             }
-            self.route(now + fs.latency + slow_extra, f, queue);
+            self.route(now + fleetsim::LB_LATENCY + slow_extra, f, queue);
         }
         self.fleet = Some(fs);
     }
@@ -879,7 +876,7 @@ impl ClusterSim {
             for action in co.epoch(now, &mut fs.lb) {
                 Self::schedule_fleet_action(now, action, queue);
             }
-            queue.push(now + co.epoch_period(), ClusterEvent::FleetEpoch);
+            queue.push(now + coordinator::EPOCH, ClusterEvent::FleetEpoch);
             if simtrace::is_enabled() {
                 let t = now.as_nanos();
                 simtrace::metric_set("fleet", "active_backends", t, fs.lb.committed() as f64);
@@ -1337,7 +1334,7 @@ impl ClusterSim {
         let acc = self.accounting_view();
         let ledger = self.fleet.as_ref().map(|f| f.lb.ledger());
         wd.check(now, &self.servers, &acc, ledger.as_ref());
-        queue.push(now + wd.period(), ClusterEvent::Watchdog);
+        queue.push(now + CHECK_PERIOD, ClusterEvent::Watchdog);
         self.watchdog = Some(wd);
     }
 

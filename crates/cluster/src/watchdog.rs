@@ -93,11 +93,12 @@ pub enum WatchdogMode {
     Collect,
 }
 
+/// The watchdog's check period in simulated time.
+pub const CHECK_PERIOD: SimDuration = SimDuration::from_ms(1);
+
 /// Watchdog configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WatchdogConfig {
-    /// Check period in simulated time.
-    pub period: SimDuration,
     /// Violation handling.
     pub mode: WatchdogMode,
     /// Check the quiescence invariant at end of run. Off by default:
@@ -106,16 +107,6 @@ pub struct WatchdogConfig {
     /// and turn this on — after the drain, any outstanding work is a
     /// leak, not a race with the horizon.
     pub expect_quiescence: bool,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        WatchdogConfig {
-            period: SimDuration::from_ms(1),
-            mode: WatchdogMode::Fail,
-            expect_quiescence: false,
-        }
-    }
 }
 
 impl WatchdogConfig {
@@ -196,12 +187,6 @@ impl Watchdog {
         }
     }
 
-    /// The configured check period.
-    #[must_use]
-    pub fn period(&self) -> SimDuration {
-        self.config.period
-    }
-
     /// The configured violation handling.
     #[must_use]
     pub fn mode(&self) -> WatchdogMode {
@@ -218,12 +203,6 @@ impl Watchdog {
     #[must_use]
     pub fn violations(&self) -> &[InvariantViolation] {
         &self.violations
-    }
-
-    /// Consumes the watchdog, returning the recorded violations.
-    #[must_use]
-    pub fn into_violations(self) -> Vec<InvariantViolation> {
-        self.violations
     }
 
     fn violate(&mut self, kind: InvariantKind, at: SimTime, detail: String) {
@@ -389,7 +368,7 @@ impl Watchdog {
                      progress for two consecutive {} periods",
                     server.node().0,
                     depth,
-                    self.config.period,
+                    CHECK_PERIOD,
                 ),
             );
         }

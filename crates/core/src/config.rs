@@ -9,6 +9,10 @@
 
 use desim::{ConfigError, SimDuration};
 
+/// How long one `IT_HIGH` suspends the ondemand governor: one
+/// invocation period (§4.3).
+pub const ONDEMAND_SUSPEND: SimDuration = SimDuration::from_ms(10);
+
 /// Tunable parameters of the NCAP hardware and driver.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NcapConfig {
@@ -28,9 +32,6 @@ pub struct NcapConfig {
     pub fcons: u8,
     /// Master Interrupt Throttling Timer period (40–100 µs per §4.3).
     pub mitt_period: SimDuration,
-    /// How long one `IT_HIGH` suspends the ondemand governor (one
-    /// invocation period, per §4.3).
-    pub ondemand_suspend: SimDuration,
     /// `true` (the paper's design): only template-matching frames count
     /// toward `ReqRate`. `false` models the naive strawman of §4.1 that
     /// reacts to the rate of *any* received packets.
@@ -51,7 +52,6 @@ impl NcapConfig {
             low_activity_window: SimDuration::from_ms(1),
             fcons: 5,
             mitt_period: SimDuration::from_us(50),
-            ondemand_suspend: SimDuration::from_ms(10),
             context_aware: true,
         }
     }

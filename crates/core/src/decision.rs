@@ -260,11 +260,6 @@ impl NcapHardware {
         &self.monitor
     }
 
-    /// Mutable access to the monitor (for reprogramming templates).
-    pub fn monitor_mut(&mut self) -> &mut ReqMonitor {
-        &mut self.monitor
-    }
-
     /// The embedded transmit counter.
     #[must_use]
     pub fn tx_counter(&self) -> &TxBytesCounter {

@@ -14,7 +14,7 @@
 //! the `oskernel` crate applies it to cores/governors and writes the
 //! frequency status back to the NIC.
 
-use crate::config::NcapConfig;
+use crate::config::{NcapConfig, ONDEMAND_SUSPEND};
 use crate::icr::IcrFlags;
 use cpusim::{PStateId, PStateTable};
 use desim::SimDuration;
@@ -46,7 +46,6 @@ impl DriverAction {
 /// The NCAP-enhanced interrupt handler state.
 #[derive(Debug, Clone)]
 pub struct EnhancedDriver {
-    config: NcapConfig,
     /// Levels to descend per IT_LOW so FCONS interrupts reach minimum.
     step: u8,
     /// Whether the current descent already re-enabled the menu governor.
@@ -59,7 +58,6 @@ impl EnhancedDriver {
     pub fn new(config: NcapConfig, table: &PStateTable) -> Self {
         let step = table.fcons_step(config.fcons);
         EnhancedDriver {
-            config,
             step,
             descending: false,
         }
@@ -100,7 +98,7 @@ impl EnhancedDriver {
                 action.set_pstate = Some(table.fastest());
             }
             action.disable_menu = true;
-            action.suspend_ondemand = Some(self.config.ondemand_suspend);
+            action.suspend_ondemand = Some(ONDEMAND_SUSPEND);
         } else if icr.contains(IcrFlags::IT_LOW) {
             let next = table.step_down(current_goal, self.step);
             if next != current_goal {

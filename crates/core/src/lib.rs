@@ -57,7 +57,7 @@ pub mod software;
 pub mod sysfs;
 pub mod tx_counter;
 
-pub use config::NcapConfig;
+pub use config::{NcapConfig, ONDEMAND_SUSPEND};
 pub use decision::{DecisionEngine, NcapHardware, RateSample};
 pub use driver::{DriverAction, EnhancedDriver};
 pub use icr::IcrFlags;

@@ -10,11 +10,12 @@
 //! It is explicitly **outside** the determinism contract: readings vary
 //! run to run with host load, and enabling it never changes any
 //! simulated result (it only reads `std::time::Instant` around the
-//! dispatch loop). Handler time includes the cost of events the handler
-//! pushes while reacting (the queue's insert path); the pop/peek path is
-//! accounted separately in [`Profile::queue_ns`]. A change to the queue
-//! therefore shows its pop-side cost in `queue_ns` and its push-side cost
-//! in handler time.
+//! dispatch loop, twice per event). Handler time includes the cost of
+//! events the handler pushes while reacting (the queue's insert path);
+//! everything between one handler's end and the next one's start — the
+//! pop and the driver loop's own work — is accounted separately in
+//! [`Profile::queue_ns`]. A change to the queue therefore shows its
+//! pop-side cost in `queue_ns` and its push-side cost in handler time.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -119,8 +120,9 @@ pub struct Profile {
     pub classes: Vec<ClassStats>,
     /// Total wall time inside event handlers (ns).
     pub handler_ns: u64,
-    /// Total wall time in the queue's peek/pop path (ns). Push time is
-    /// part of the scheduling handler's time.
+    /// Total wall time between handlers (ns): the queue's pop path and
+    /// the driver loop's own work. Push time is part of the scheduling
+    /// handler's time.
     pub queue_ns: u64,
     /// Events dispatched while profiling.
     pub events: u64,

@@ -7,6 +7,7 @@
 use crate::profiler::{Profile, Profiler};
 use crate::queue::EventQueue;
 use crate::time::SimTime;
+use std::time::Instant;
 
 /// The reaction logic of a simulation: consumes events, schedules new ones.
 ///
@@ -175,17 +176,20 @@ impl<H: EventHandler> Simulation<H> {
     /// already scheduled there. Each turn is one
     /// [`EventQueue::pop_until`], which checks the horizon and pops in
     /// one scan.
+    ///
+    /// With the profiler on, each turn reads the clock twice: the stamp
+    /// that ends one handler starts the next turn, so the pop and the
+    /// loop's own work between handlers count as queue time.
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
+        let mut mark = self.profiler.as_ref().map(|_| Instant::now());
         loop {
             if self.processed >= self.event_budget {
                 return RunOutcome::EventBudgetExhausted;
             }
-            let pop_start = self.profiler.as_ref().map(|_| std::time::Instant::now());
-            let popped = self.queue.pop_until(horizon);
-            if let (Some(p), Some(t0)) = (self.profiler.as_mut(), pop_start) {
-                p.queue_ns += t0.elapsed().as_nanos() as u64;
-            }
-            let Some((time, event)) = popped else {
+            let Some((time, event)) = self.queue.pop_until(horizon) else {
+                if let (Some(p), Some(t0)) = (self.profiler.as_mut(), mark) {
+                    p.queue_ns += t0.elapsed().as_nanos() as u64;
+                }
                 if self.queue.is_empty() {
                     return RunOutcome::QueueExhausted;
                 }
@@ -194,7 +198,7 @@ impl<H: EventHandler> Simulation<H> {
             };
             // The population just before this pop, as a peek would see it.
             self.peak_pending = self.peak_pending.max(self.queue.len() + 1);
-            self.deliver(time, event);
+            self.deliver(time, event, &mut mark);
         }
     }
 
@@ -206,25 +210,30 @@ impl<H: EventHandler> Simulation<H> {
     /// Delivers exactly one event, if any is pending. Returns its time.
     pub fn step(&mut self) -> Option<SimTime> {
         let (time, event) = self.queue.pop()?;
-        self.deliver(time, event);
+        self.deliver(time, event, &mut None);
         Some(time)
     }
 
     /// Advances the clock to `time` and hands `event` to the handler,
-    /// timing the dispatch when the profiler is on.
+    /// timing the dispatch when the profiler is on. `mark` is the stamp
+    /// that ended the previous profiled handler (`None` when there is
+    /// none): the time since it is charged to the queue, and it becomes
+    /// this handler's end.
     #[inline]
-    fn deliver(&mut self, time: SimTime, event: H::Event) {
+    fn deliver(&mut self, time: SimTime, event: H::Event, mark: &mut Option<Instant>) {
         debug_assert!(time >= self.now, "event scheduled in the past");
         self.now = time;
         self.processed += 1;
         if self.profiler.is_some() {
             let class = self.handler.classify(&event);
-            let t0 = std::time::Instant::now();
+            let start = Instant::now();
             self.handler.handle(time, event, &mut self.queue);
-            let ns = t0.elapsed().as_nanos() as u64;
+            let end = Instant::now();
             if let Some(p) = self.profiler.as_mut() {
-                p.record(class, ns);
+                p.queue_ns += mark.map_or(0, |m| (start - m).as_nanos() as u64);
+                p.record(class, (end - start).as_nanos() as u64);
             }
+            *mark = Some(end);
         } else {
             self.handler.handle(time, event, &mut self.queue);
         }

@@ -1,7 +1,7 @@
 //! Fleet topology and coordinator configuration.
 
 use crate::faults::{DomainSchedule, FailureSchedule, HealthConfig};
-use desim::{ConfigError, SimDuration};
+use desim::ConfigError;
 
 /// How the load balancer picks a backend for a new request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -69,20 +69,14 @@ impl core::fmt::Display for DispatchPolicy {
 /// backends share with the VIP and the clients.
 pub const MAX_BACKENDS: usize = 1024;
 
-/// Fleet topology: backend count, dispatch policy, LB service time, and
-/// the optional power coordinator.
+/// Fleet topology: backend count, dispatch policy, and the optional power
+/// coordinator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// Number of backend servers behind the VIP.
     pub backends: usize,
     /// Dispatch policy for new requests.
     pub dispatch: DispatchPolicy,
-    /// [`DispatchPolicy::Packing`] spill threshold: a backend accepts new
-    /// requests while its outstanding count is below this.
-    pub pack_spill: usize,
-    /// Per-frame forwarding latency through the LB (lookup + rewrite).
-    /// Modelled as a fixed service delay on top of switch transit.
-    pub lb_latency: SimDuration,
     /// The fleet power coordinator; `None` keeps every backend in
     /// rotation for the whole run.
     pub coordinator: Option<CoordinatorConfig>,
@@ -111,21 +105,12 @@ impl FleetConfig {
         FleetConfig {
             backends,
             dispatch,
-            pack_spill: 32,
-            lb_latency: SimDuration::from_us(2),
             coordinator: None,
             faults: FailureSchedule::none(),
             domains: DomainSchedule::none(),
             health: None,
             ledger_skew_for_test: false,
         }
-    }
-
-    /// Overrides the packing spill threshold (builder style).
-    #[must_use]
-    pub fn with_pack_spill(mut self, spill: usize) -> Self {
-        self.pack_spill = spill;
-        self
     }
 
     /// Enables the fleet power coordinator (builder style).
@@ -201,12 +186,6 @@ impl FleetConfig {
                 ),
             ));
         }
-        if self.pack_spill == 0 {
-            return Err(ConfigError::new(
-                "pack_spill",
-                "the packing threshold must admit at least one request",
-            ));
-        }
         self.faults.validate(self.backends)?;
         self.domains.validate(self.backends)?;
         if let Some(h) = &self.health {
@@ -214,15 +193,6 @@ impl FleetConfig {
         }
         if let Some(c) = &self.coordinator {
             c.validate()?;
-            if c.min_active > self.backends {
-                return Err(ConfigError::new(
-                    "min_active",
-                    format!(
-                        "cannot keep {} backends active in a fleet of {}",
-                        c.min_active, self.backends
-                    ),
-                ));
-            }
         }
         Ok(())
     }
@@ -231,73 +201,34 @@ impl FleetConfig {
 /// The fleet power coordinator: an ondemand-style epoch controller that
 /// sizes the active backend set to the observed load.
 ///
-/// Every [`epoch`](Self::epoch) it computes a load estimate (EMA of the
-/// LB's request arrival rate) and a target active count
+/// Every [`EPOCH`](crate::coordinator::EPOCH) it computes a load estimate
+/// (EMA of the LB's request arrival rate) and a target active count
 /// `ceil(rate / (per_backend_rps × util_target))`, clamped to
-/// `[min_active, backends]`. Excess backends are drained (no new
+/// `[MIN_ACTIVE, backends]`. Excess backends are drained (no new
 /// dispatch; pinned retransmissions still flow) and parked once their
 /// in-flight work completes; missing capacity is restored by unparking,
-/// lowest index first. Transitions take [`park_latency`] /
-/// [`unpark_latency`](Self::unpark_latency) and draw
-/// [`park_power_w`] / [`unpark_power_w`](Self::unpark_power_w),
-/// accounted on the coordinator's own [`cpusim::EnergyMeter`].
-///
-/// [`park_latency`]: Self::park_latency
-/// [`park_power_w`]: Self::park_power_w
+/// lowest index first. The transition latencies and powers are the
+/// constants of [`coordinator`](crate::coordinator), accounted on the
+/// coordinator's own [`cpusim::EnergyMeter`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoordinatorConfig {
-    /// Evaluation period (ondemand-style; the per-node governor default
-    /// is 10 ms and the coordinator mirrors it).
-    pub epoch: SimDuration,
     /// Capacity estimate: requests/second one backend serves at its
     /// saturation knee.
     pub per_backend_rps: f64,
     /// Sizing headroom: backends are provisioned so each runs at this
     /// fraction of `per_backend_rps`.
     pub util_target: f64,
-    /// Lower bound on the committed (active + unparking) backend count.
-    pub min_active: usize,
-    /// Consecutive low-load epochs required before parking (hysteresis
-    /// against burst-scale flapping).
-    pub park_patience: u32,
-    /// Drain-complete → parked transition latency.
-    pub park_latency: SimDuration,
-    /// Parked → active transition latency (resume is slower than
-    /// suspend, as with S-state exits).
-    pub unpark_latency: SimDuration,
-    /// Power drawn during the park transition.
-    pub park_power_w: f64,
-    /// Power drawn during the unpark transition.
-    pub unpark_power_w: f64,
-    /// EMA smoothing factor for the arrival-rate estimate, in `(0, 1]`
-    /// (1 = no smoothing).
-    pub ema_alpha: f64,
 }
 
 impl CoordinatorConfig {
     /// A coordinator sized for backends that saturate at
-    /// `per_backend_rps`, with the default epoch and transition costs.
+    /// `per_backend_rps`, at a utilization target of 0.6.
     #[must_use]
     pub fn new(per_backend_rps: f64) -> Self {
         CoordinatorConfig {
-            epoch: SimDuration::from_ms(10),
             per_backend_rps,
             util_target: 0.6,
-            min_active: 1,
-            park_patience: 2,
-            park_latency: SimDuration::from_ms(1),
-            unpark_latency: SimDuration::from_ms(2),
-            park_power_w: 4.0,
-            unpark_power_w: 9.0,
-            ema_alpha: 0.5,
         }
-    }
-
-    /// Overrides the evaluation epoch (builder style).
-    #[must_use]
-    pub fn with_epoch(mut self, epoch: SimDuration) -> Self {
-        self.epoch = epoch;
-        self
     }
 
     /// Overrides the sizing headroom (builder style).
@@ -307,29 +238,12 @@ impl CoordinatorConfig {
         self
     }
 
-    /// Overrides the minimum committed backend count (builder style).
-    #[must_use]
-    pub fn with_min_active(mut self, min_active: usize) -> Self {
-        self.min_active = min_active;
-        self
-    }
-
-    /// Overrides the park hysteresis (builder style).
-    #[must_use]
-    pub fn with_park_patience(mut self, epochs: u32) -> Self {
-        self.park_patience = epochs;
-        self
-    }
-
     /// Validates the coordinator configuration.
     ///
     /// # Errors
     ///
     /// Returns a [`ConfigError`] naming the first offending field.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.epoch.is_zero() {
-            return Err(ConfigError::new("epoch", "the epoch must be positive"));
-        }
         if self.per_backend_rps <= 0.0 || !self.per_backend_rps.is_finite() {
             return Err(ConfigError::new(
                 "per_backend_rps",
@@ -346,36 +260,6 @@ impl CoordinatorConfig {
                     "utilization target must be in (0, 1], got {}",
                     self.util_target
                 ),
-            ));
-        }
-        if self.min_active == 0 {
-            return Err(ConfigError::new(
-                "min_active",
-                "at least one backend must stay active",
-            ));
-        }
-        if self.park_patience == 0 {
-            return Err(ConfigError::new(
-                "park_patience",
-                "parking requires at least one observation epoch",
-            ));
-        }
-        if !(self.ema_alpha > 0.0 && self.ema_alpha <= 1.0) {
-            return Err(ConfigError::new(
-                "ema_alpha",
-                format!("EMA factor must be in (0, 1], got {}", self.ema_alpha),
-            ));
-        }
-        if !(self.park_power_w >= 0.0 && self.park_power_w.is_finite()) {
-            return Err(ConfigError::new(
-                "park_power_w",
-                "transition power must be finite and non-negative",
-            ));
-        }
-        if !(self.unpark_power_w >= 0.0 && self.unpark_power_w.is_finite()) {
-            return Err(ConfigError::new(
-                "unpark_power_w",
-                "transition power must be finite and non-negative",
             ));
         }
         Ok(())
@@ -422,13 +306,6 @@ mod tests {
                 "backends"
             );
         }
-        assert_eq!(
-            err(FleetConfig::new(2, DispatchPolicy::Packing).with_pack_spill(0)),
-            "pack_spill"
-        );
-        let over_min = FleetConfig::new(2, DispatchPolicy::RoundRobin)
-            .with_coordinator(CoordinatorConfig::new(100_000.0).with_min_active(3));
-        assert_eq!(err(over_min), "min_active");
     }
 
     #[test]
@@ -468,7 +345,7 @@ mod tests {
     #[test]
     fn domain_schedule_arms_health_and_is_validated() {
         use crate::faults::DomainFaultSpec;
-        use desim::SimTime;
+        use desim::{SimDuration, SimTime};
         use netsim::DomainImpairment;
         let spec = DomainFaultSpec {
             backends: vec![0, 1],
@@ -504,21 +381,9 @@ mod tests {
         let base = CoordinatorConfig::new(100_000.0);
         assert!(base.validate().is_ok());
         let err = |c: CoordinatorConfig| c.validate().unwrap_err().field;
-        assert_eq!(err(base.clone().with_epoch(SimDuration::ZERO)), "epoch");
         assert_eq!(err(CoordinatorConfig::new(0.0)), "per_backend_rps");
         assert_eq!(err(CoordinatorConfig::new(f64::NAN)), "per_backend_rps");
         assert_eq!(err(base.clone().with_util_target(0.0)), "util_target");
-        assert_eq!(err(base.clone().with_util_target(1.5)), "util_target");
-        assert_eq!(err(base.clone().with_min_active(0)), "min_active");
-        assert_eq!(err(base.clone().with_park_patience(0)), "park_patience");
-        let mut bad = base.clone();
-        bad.ema_alpha = 0.0;
-        assert_eq!(err(bad), "ema_alpha");
-        let mut bad = base.clone();
-        bad.park_power_w = f64::INFINITY;
-        assert_eq!(err(bad), "park_power_w");
-        let mut bad = base;
-        bad.unpark_power_w = -1.0;
-        assert_eq!(err(bad), "unpark_power_w");
+        assert_eq!(err(base.with_util_target(1.5)), "util_target");
     }
 }

@@ -18,7 +18,7 @@
 //! ([`LoadBalancer::committed`]) excludes failed and ejected backends, so
 //! a mid-run crash shrinks the committed set below target and the next
 //! epoch unparks healthy spares to backfill the lost capacity — and the
-//! `min_active` floor is always a floor on *healthy* committed backends,
+//! [`MIN_ACTIVE`] floor is always a floor on *healthy* committed backends,
 //! never satisfied by dead ones. Transition energy and residency go on
 //! the coordinator's own [`EnergyMeter`]: parks as [`PowerMode::Halt`],
 //! unparks as [`PowerMode::Wake`], matching how the per-core model
@@ -28,6 +28,27 @@ use crate::config::CoordinatorConfig;
 use crate::lb::{BackendState, LoadBalancer};
 use cpusim::{EnergyMeter, PowerMode};
 use desim::{SimDuration, SimTime};
+
+/// Evaluation period: the per-node ondemand governor's default, which
+/// the coordinator mirrors.
+pub const EPOCH: SimDuration = SimDuration::from_ms(10);
+/// Lower bound on the committed (active + unparking) backend count.
+pub const MIN_ACTIVE: usize = 1;
+/// Consecutive low-load epochs required before parking (hysteresis
+/// against burst-scale flapping).
+pub const PARK_PATIENCE: u32 = 2;
+/// Drain-complete → parked transition latency.
+pub const PARK_LATENCY: SimDuration = SimDuration::from_ms(1);
+/// Parked → active transition latency (resume is slower than suspend,
+/// as with S-state exits).
+pub const UNPARK_LATENCY: SimDuration = SimDuration::from_ms(2);
+/// Power drawn during the park transition, watts.
+pub const PARK_POWER_W: f64 = 4.0;
+/// Power drawn during the unpark transition, watts.
+pub const UNPARK_POWER_W: f64 = 9.0;
+/// EMA smoothing factor for the arrival-rate estimate, in `(0, 1]`
+/// (1 = no smoothing).
+pub const EMA_ALPHA: f64 = 0.5;
 
 /// A transition the simulation must schedule a completion callback for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,12 +106,6 @@ impl FleetCoordinator {
         }
     }
 
-    /// The evaluation period.
-    #[must_use]
-    pub fn epoch_period(&self) -> SimDuration {
-        self.cfg.epoch
-    }
-
     /// Park transitions started so far.
     #[must_use]
     pub fn parks(&self) -> u64 {
@@ -124,7 +139,7 @@ impl FleetCoordinator {
         // below is what actually bounds it.
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let raw = raw.max(0.0) as usize;
-        raw.clamp(self.cfg.min_active, backends)
+        raw.clamp(MIN_ACTIVE, backends)
     }
 
     /// Runs one coordination epoch: refreshes the load estimate and
@@ -135,10 +150,10 @@ impl FleetCoordinator {
         let delta = opened.saturating_sub(self.last_opened);
         self.last_opened = opened;
         #[allow(clippy::cast_precision_loss)]
-        let rate = delta as f64 / self.cfg.epoch.as_secs_f64();
+        let rate = delta as f64 / EPOCH.as_secs_f64();
         self.ema_rps = Some(match self.ema_rps {
             None => rate,
-            Some(prev) => self.cfg.ema_alpha * rate + (1.0 - self.cfg.ema_alpha) * prev,
+            Some(prev) => EMA_ALPHA * rate + (1.0 - EMA_ALPHA) * prev,
         });
         let n = lb.backend_count();
         let target = self.target_active(n);
@@ -167,15 +182,12 @@ impl FleetCoordinator {
                         continue;
                     };
                     self.unparks += 1;
-                    self.energy.accumulate(
-                        PowerMode::Wake,
-                        self.cfg.unpark_power_w,
-                        self.cfg.unpark_latency,
-                    );
+                    self.energy
+                        .accumulate(PowerMode::Wake, UNPARK_POWER_W, UNPARK_LATENCY);
                     actions.push(FleetAction::UnparkDone {
                         backend: idx,
                         gen,
-                        at: now + self.cfg.unpark_latency,
+                        at: now + UNPARK_LATENCY,
                         parked_for,
                     });
                     need -= 1;
@@ -185,7 +197,7 @@ impl FleetCoordinator {
             // transition and a later epoch unparks them.
         } else if target < committed {
             self.low_epochs += 1;
-            if self.low_epochs >= self.cfg.park_patience {
+            if self.low_epochs >= PARK_PATIENCE {
                 let mut excess = committed - target;
                 // Park highest index first: the mirror of the unpark
                 // order, and the backends packing starves anyway.
@@ -233,15 +245,12 @@ impl FleetCoordinator {
     ) -> Option<FleetAction> {
         let gen = lb.begin_parking(idx).ok()?;
         self.parks += 1;
-        self.energy.accumulate(
-            PowerMode::Halt,
-            self.cfg.park_power_w,
-            self.cfg.park_latency,
-        );
+        self.energy
+            .accumulate(PowerMode::Halt, PARK_POWER_W, PARK_LATENCY);
         Some(FleetAction::ParkDone {
             backend: idx,
             gen,
-            at: now + self.cfg.park_latency,
+            at: now + PARK_LATENCY,
         })
     }
 
@@ -268,13 +277,8 @@ mod tests {
         let cfg = FleetConfig::new(n, DispatchPolicy::Packing);
         let nodes = (0..n).map(|i| NodeId(i as u16)).collect();
         let lb = LoadBalancer::new(NodeId(n as u16), nodes, &cfg);
-        // 1000 rps per backend at util 1.0, patience 1: easy arithmetic.
-        let co = FleetCoordinator::new(
-            CoordinatorConfig::new(1000.0)
-                .with_util_target(1.0)
-                .with_park_patience(1)
-                .with_epoch(SimDuration::from_ms(10)),
-        );
+        // 1000 rps per backend at util 1.0: easy arithmetic.
+        let co = FleetCoordinator::new(CoordinatorConfig::new(1000.0).with_util_target(1.0));
         (lb, co)
     }
 
@@ -292,9 +296,13 @@ mod tests {
     #[test]
     fn idle_fleet_parks_down_to_min_active() {
         let (mut lb, mut co) = fleet(4);
-        // Zero arrivals: target = min_active = 1; three backends drain
-        // idle and park immediately.
-        let actions = co.epoch(SimTime::from_ms(10), &mut lb);
+        // Zero arrivals: target = MIN_ACTIVE = 1. The first low epoch
+        // only counts toward the patience; the second drains three idle
+        // backends, which park immediately.
+        assert_eq!(PARK_PATIENCE, 2);
+        assert!(co.epoch(SimTime::from_ms(10), &mut lb).is_empty());
+        assert_eq!(co.parks(), 0, "parking waits out the patience");
+        let actions = co.epoch(SimTime::from_ms(20), &mut lb);
         assert_eq!(actions.len(), 3);
         assert_eq!(co.parks(), 3);
         assert_eq!(lb.committed(), 1);
@@ -312,16 +320,18 @@ mod tests {
     #[test]
     fn load_spike_unparks_lowest_index_first() {
         let (mut lb, mut co) = fleet(3);
-        // Park everything above the minimum.
-        for a in co.epoch(SimTime::from_ms(10), &mut lb) {
-            if let FleetAction::ParkDone { backend, gen, at } = a {
-                co.park_done(at, &mut lb, backend, gen);
+        // Park everything above the minimum (two quiet epochs).
+        for t in [10, 20] {
+            for a in co.epoch(SimTime::from_ms(t), &mut lb) {
+                if let FleetAction::ParkDone { backend, gen, at } = a {
+                    co.park_done(at, &mut lb, backend, gen);
+                }
             }
         }
         assert_eq!(lb.parked_count(), 2);
         // 25 requests in one 10 ms epoch = 2500 rps → target 3.
         open_requests(&mut lb, 0, 25);
-        let actions = co.epoch(SimTime::from_ms(20), &mut lb);
+        let actions = co.epoch(SimTime::from_ms(30), &mut lb);
         // EMA halves the first spike (alpha 0.5): 1250 rps → target 2,
         // so exactly one backend (index 1) unparks.
         assert_eq!(actions.len(), 1);
@@ -334,7 +344,7 @@ mod tests {
         assert_eq!(backend, 1, "lowest parked index first");
         assert!(co.unpark_done(&mut lb, backend, gen));
         assert_eq!(lb.state(1), BackendState::Active);
-        assert!(at > SimTime::from_ms(20));
+        assert!(at > SimTime::from_ms(30));
         assert_eq!(co.unparks(), 1);
     }
 
@@ -348,7 +358,8 @@ mod tests {
         open_requests(&mut lb, 0, 1); // lands on backend 0 (packing)
                                       // Make backend 0 the busy one; parking order is highest-first,
                                       // so backend 1 parks instantly and backend 0 stays.
-        let actions = co.epoch(SimTime::from_ms(10), &mut lb);
+        assert!(co.epoch(SimTime::from_ms(10), &mut lb).is_empty());
+        let actions = co.epoch(SimTime::from_ms(20), &mut lb);
         assert_eq!(actions.len(), 1, "idle backend 1 parks immediately");
         // Now drive load to zero with backend 0 still holding work: a
         // later epoch wants to park it but must wait for the drain.
@@ -363,7 +374,7 @@ mod tests {
         // Spike load so both backends are wanted, then let it die with
         // outstanding work on backend 1.
         open_requests(&mut lb, 10, 40);
-        let actions = co.epoch(SimTime::from_ms(20), &mut lb);
+        let actions = co.epoch(SimTime::from_ms(30), &mut lb);
         assert_eq!(actions.len(), 1);
         let FleetAction::UnparkDone { backend, gen, .. } = actions[0] else {
             panic!("expected an unpark");
@@ -373,18 +384,21 @@ mod tests {
         // spill defaults to 32 and backend 0 holds 41; packing spills to 1.
         open_requests(&mut lb, 60, 1);
         assert!(lb.outstanding_of(1) > 0);
-        // Two quiet epochs decay the EMA until the target drops to 1;
-        // backend 1 must then drain before it can park.
-        let actions = co.epoch(SimTime::from_ms(30), &mut lb);
-        assert!(actions.is_empty());
-        let actions = co.epoch(SimTime::from_ms(40), &mut lb);
+        // Quiet epochs decay the EMA until the target drops to 1, and
+        // the patience runs out one epoch later; backend 1 must then
+        // drain before it can park.
+        for t in [40, 50] {
+            assert!(co.epoch(SimTime::from_ms(t), &mut lb).is_empty());
+        }
+        assert_eq!(lb.state(1), BackendState::Active);
+        let actions = co.epoch(SimTime::from_ms(60), &mut lb);
         assert!(actions.is_empty(), "draining backend parks only when empty");
         assert_eq!(lb.state(1), BackendState::Draining);
         // The drain completes when its response flows back.
         let resp = Packet::request(NodeId(1), lb.vip(), 60, Bytes::from_static(b"OK"));
         let r = lb.on_response(resp);
         assert_eq!(r.drained, Some(1));
-        let action = co.on_drained(SimTime::from_ms(41), &mut lb, 1);
+        let action = co.on_drained(SimTime::from_ms(61), &mut lb, 1);
         assert!(matches!(
             action,
             Some(FleetAction::ParkDone { backend: 1, .. })
@@ -398,7 +412,8 @@ mod tests {
         // Force both backends busy-ish: dispatch pins one to backend 0.
         // Quiet epoch parks backend 1 (idle) — then spike before the
         // *busy* backend finishes draining.
-        let parks = co.epoch(SimTime::from_ms(10), &mut lb);
+        assert!(co.epoch(SimTime::from_ms(10), &mut lb).is_empty());
+        let parks = co.epoch(SimTime::from_ms(20), &mut lb);
         assert_eq!(parks.len(), 1);
         // Backend 0 still active with min_active=1. Now mark it draining
         // via a fabricated two-committed state: unpark 1 first.
@@ -407,22 +422,22 @@ mod tests {
         };
         co.park_done(at, &mut lb, backend, gen);
         open_requests(&mut lb, 10, 40);
-        for a in co.epoch(SimTime::from_ms(20), &mut lb) {
+        for a in co.epoch(SimTime::from_ms(30), &mut lb) {
             if let FleetAction::UnparkDone { backend, gen, .. } = a {
                 co.unpark_done(&mut lb, backend, gen);
             }
         }
         open_requests(&mut lb, 100, 1); // pin work to backend 1
-        let none = co.epoch(SimTime::from_ms(30), &mut lb);
-        assert!(none.is_empty());
-        let none = co.epoch(SimTime::from_ms(40), &mut lb);
-        assert!(none.is_empty());
+        for t in [40, 50, 60] {
+            let none = co.epoch(SimTime::from_ms(t), &mut lb);
+            assert!(none.is_empty());
+        }
         assert_eq!(lb.state(1), BackendState::Draining);
         let energy_before = co.energy().total_joules();
         // Load returns before the drain completes: the drain cancels,
         // with no transition energy and no callbacks.
         open_requests(&mut lb, 200, 40);
-        let actions = co.epoch(SimTime::from_ms(50), &mut lb);
+        let actions = co.epoch(SimTime::from_ms(70), &mut lb);
         assert!(actions.is_empty(), "cancelling a drain needs no callback");
         assert_eq!(lb.state(1), BackendState::Active);
         assert_eq!(co.energy().total_joules(), energy_before);
@@ -431,10 +446,13 @@ mod tests {
     #[test]
     fn failed_backend_triggers_unpark_backfill() {
         let (mut lb, mut co) = fleet(4);
-        // 20 req / 10 ms = 2000 rps → target 2: the first epoch parks the
-        // two idle spares (patience 1).
+        // 20 req / 10 ms = 2000 rps → target 2, then 10 more → EMA 1500,
+        // still target 2: the second low epoch parks the two idle
+        // spares. All 30 requests stay on backend 0, under the spill.
         open_requests(&mut lb, 0, 20);
-        for a in co.epoch(SimTime::from_ms(10), &mut lb) {
+        assert!(co.epoch(SimTime::from_ms(10), &mut lb).is_empty());
+        open_requests(&mut lb, 20, 10);
+        for a in co.epoch(SimTime::from_ms(20), &mut lb) {
             if let FleetAction::ParkDone { backend, gen, at } = a {
                 co.park_done(at, &mut lb, backend, gen);
             }
@@ -443,10 +461,10 @@ mod tests {
         assert_eq!(lb.parked_count(), 2);
         // Backend 1 crashes: committed drops to 1, below the target of 2,
         // so the next epoch unparks a healthy spare to backfill.
-        lb.mark_failed(SimTime::from_ms(11), 1);
+        lb.mark_failed(SimTime::from_ms(21), 1);
         assert_eq!(lb.committed(), 1, "failed backends are not committed");
         open_requests(&mut lb, 300, 20);
-        let actions = co.epoch(SimTime::from_ms(20), &mut lb);
+        let actions = co.epoch(SimTime::from_ms(30), &mut lb);
         assert_eq!(actions.len(), 1);
         let FleetAction::UnparkDone { backend, gen, .. } = actions[0] else {
             panic!("expected a backfill unpark, got {:?}", actions[0]);

@@ -378,6 +378,10 @@ impl Default for DomainSchedule {
     }
 }
 
+/// Consecutive request timeouts before the LB passively ejects a
+/// backend.
+pub const PASSIVE_EJECT_AFTER: u32 = 5;
+
 /// The LB health prober's policy.
 ///
 /// Active path: every [`interval`](Self::interval) the LB probes every
@@ -386,8 +390,7 @@ impl Default for DomainSchedule {
 /// [`Failed`](crate::BackendState::Failed);
 /// [`rejoin_after`](Self::rejoin_after) consecutive successes reinstate a
 /// failed or ejected backend. Passive path:
-/// [`passive_eject_after`](Self::passive_eject_after) consecutive request
-/// timeouts (retransmission timers firing against the backend's pin) mark
+/// [`PASSIVE_EJECT_AFTER`] consecutive request timeouts (retransmission timers firing against the backend's pin) mark
 /// it [`Ejected`](crate::BackendState::Ejected) — the only detector that
 /// catches a hung backend, whose probes still succeed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -399,21 +402,17 @@ pub struct HealthConfig {
     /// Consecutive probe successes before a failed/ejected backend is
     /// reinstated.
     pub rejoin_after: u32,
-    /// Consecutive request timeouts before a backend is passively
-    /// ejected.
-    pub passive_eject_after: u32,
 }
 
 impl HealthConfig {
     /// Default prober policy: 1 ms probes, 3-strike ejection, 2-strike
-    /// reinstatement, 5 request timeouts for passive ejection.
+    /// reinstatement.
     #[must_use]
     pub fn standard() -> Self {
         HealthConfig {
             interval: SimDuration::from_ms(1),
             eject_after: 3,
             rejoin_after: 2,
-            passive_eject_after: 5,
         }
     }
 
@@ -435,13 +434,6 @@ impl HealthConfig {
     #[must_use]
     pub fn with_rejoin_after(mut self, probes: u32) -> Self {
         self.rejoin_after = probes;
-        self
-    }
-
-    /// Overrides the passive-ejection threshold (builder style).
-    #[must_use]
-    pub fn with_passive_eject_after(mut self, timeouts: u32) -> Self {
-        self.passive_eject_after = timeouts;
         self
     }
 
@@ -467,12 +459,6 @@ impl HealthConfig {
             return Err(ConfigError::new(
                 "health.rejoin_after",
                 "reinstatement requires at least one successful probe",
-            ));
-        }
-        if self.passive_eject_after == 0 {
-            return Err(ConfigError::new(
-                "health.passive_eject_after",
-                "passive ejection requires at least one timeout",
             ));
         }
         Ok(())
@@ -673,9 +659,5 @@ mod tests {
         );
         assert_eq!(err(base.with_eject_after(0)), "health.eject_after");
         assert_eq!(err(base.with_rejoin_after(0)), "health.rejoin_after");
-        assert_eq!(
-            err(base.with_passive_eject_after(0)),
-            "health.passive_eject_after"
-        );
     }
 }

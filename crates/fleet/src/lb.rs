@@ -24,9 +24,17 @@
 //! tracked only as frame counts.
 
 use crate::config::{DispatchPolicy, FleetConfig};
-use crate::faults::HealthConfig;
+use crate::faults::{HealthConfig, PASSIVE_EJECT_AFTER};
 use desim::{SimDuration, SimTime};
 use netsim::{IdMap, NodeId, Packet, TimeWait};
+
+/// [`DispatchPolicy::Packing`] spill threshold: a backend accepts new
+/// requests while its outstanding count is below this.
+pub const PACK_SPILL: usize = 32;
+
+/// Per-frame forwarding latency through the LB (lookup + rewrite),
+/// modelled as a fixed service delay on top of switch transit.
+pub const LB_LATENCY: SimDuration = SimDuration::from_us(2);
 
 /// Rotation state of one backend, as the LB and coordinator see it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -342,7 +350,6 @@ pub struct FleetSummary {
 pub struct LoadBalancer {
     vip: NodeId,
     dispatch: DispatchPolicy,
-    pack_spill: usize,
     health: Option<HealthConfig>,
     backends: Vec<Backend>,
     rr_cursor: usize,
@@ -386,7 +393,6 @@ impl LoadBalancer {
         LoadBalancer {
             vip,
             dispatch: cfg.dispatch,
-            pack_spill: cfg.pack_spill,
             health: cfg.effective_health(),
             backends: backends.into_iter().map(Backend::new).collect(),
             rr_cursor: 0,
@@ -424,13 +430,6 @@ impl LoadBalancer {
     #[must_use]
     pub fn backend_count(&self) -> usize {
         self.backends.len()
-    }
-
-    /// Whether `node` is one of this LB's backends (used to tell
-    /// backend responses from client requests arriving at the VIP).
-    #[must_use]
-    pub fn is_backend(&self, node: NodeId) -> bool {
-        self.backend_index(node).is_some()
     }
 
     /// The backend index of `node`, if it is one of this LB's backends.
@@ -532,16 +531,6 @@ impl LoadBalancer {
         self.backends[idx].state.is_healthy()
     }
 
-    /// Backends not currently failed or ejected (parked ones count: they
-    /// are administratively off, not broken).
-    #[must_use]
-    pub fn healthy_count(&self) -> usize {
-        self.backends
-            .iter()
-            .filter(|b| b.state.is_healthy())
-            .count()
-    }
-
     /// Whether the health prober should probe backend `idx`: everything
     /// but a parked (or mid-park) backend, which is administratively off.
     #[must_use]
@@ -640,7 +629,7 @@ impl LoadBalancer {
             DispatchPolicy::LeastOutstanding => self.least_outstanding(members),
             DispatchPolicy::Packing => members
                 .clone()
-                .find(|&i| (self.backends[i].outstanding as usize) < self.pack_spill)
+                .find(|&i| (self.backends[i].outstanding as usize) < PACK_SPILL)
                 .unwrap_or_else(|| self.least_outstanding(members)),
         }
     }
@@ -1035,15 +1024,15 @@ impl LoadBalancer {
     /// it. Returns whether this strike ejected the backend. Inert when no
     /// prober is configured.
     pub fn note_timeout(&mut self, idx: usize) -> bool {
-        let Some(h) = self.health else {
+        if self.health.is_none() {
             return false;
-        };
+        }
         let b = &mut self.backends[idx];
         if !b.in_rotation() {
             return false;
         }
         b.timeouts += 1;
-        if b.timeouts >= h.passive_eject_after {
+        if b.timeouts >= PASSIVE_EJECT_AFTER {
             self.eject(idx);
             self.ejections += 1;
             return true;
@@ -1142,7 +1131,7 @@ mod tests {
     use netsim::Bytes;
 
     fn lb(n: usize, dispatch: DispatchPolicy) -> LoadBalancer {
-        let cfg = FleetConfig::new(n, dispatch).with_pack_spill(2);
+        let cfg = FleetConfig::new(n, dispatch);
         let nodes = (0..n).map(|i| NodeId(i as u16)).collect();
         LoadBalancer::new(NodeId(n as u16), nodes, &cfg)
     }
@@ -1191,11 +1180,16 @@ mod tests {
 
     #[test]
     fn packing_fills_lowest_then_spills() {
-        let mut l = lb(3, DispatchPolicy::Packing); // spill = 2
-        let picks: Vec<usize> = (0..5).map(|id| l.dispatch(request(10, id)).0).collect();
-        assert_eq!(picks, vec![0, 0, 1, 1, 2]);
-        // All at spill: falls back to least-outstanding (backend 2 has 1).
-        assert_eq!(l.dispatch(request(10, 5)).0, 2);
+        let mut l = lb(3, DispatchPolicy::Packing);
+        let spill = PACK_SPILL as u64;
+        let picks: Vec<usize> = (0..2 * spill + 1)
+            .map(|id| l.dispatch(request(10, id)).0)
+            .collect();
+        let want: Vec<usize> = (0..2 * spill + 1).map(|id| (id / spill) as usize).collect();
+        assert_eq!(picks, want);
+        // Backends 0 and 1 are at the spill; backend 2 (one outstanding)
+        // takes the next request.
+        assert_eq!(l.dispatch(request(10, 2 * spill + 1)).0, 2);
     }
 
     #[test]
@@ -1377,9 +1371,7 @@ mod tests {
     }
 
     fn lb_health(n: usize, dispatch: DispatchPolicy) -> LoadBalancer {
-        let cfg = FleetConfig::new(n, dispatch)
-            .with_pack_spill(2)
-            .with_health(HealthConfig::standard());
+        let cfg = FleetConfig::new(n, dispatch).with_health(HealthConfig::standard());
         let nodes = (0..n).map(|i| NodeId(i as u16)).collect();
         LoadBalancer::new(NodeId(n as u16), nodes, &cfg)
     }

@@ -23,7 +23,7 @@
 //!   dispatch: it estimates fleet load from the LB's request counter and
 //!   parks whole backends when few are needed (draining their in-flight
 //!   work first), unparking them when load returns. Park/unpark
-//!   transitions take configurable latencies and their energy is
+//!   transitions take fixed latencies and their energy is
 //!   accounted with the existing [`cpusim::EnergyMeter`] model.
 //! * [`FailureSchedule`] / [`HealthConfig`] — deterministic machine-level
 //!   failures (fail-stop, fail-slow, hang) and the LB's health prober:
@@ -47,9 +47,9 @@ pub use config::{CoordinatorConfig, DispatchPolicy, FleetConfig, MAX_BACKENDS};
 pub use coordinator::{FleetAction, FleetCoordinator};
 pub use faults::{
     DomainFaultSpec, DomainSchedule, FailureMode, FailureSchedule, FailureSpec, HealthConfig,
-    DEFAULT_DOMAIN_FAULT_SEED, DEFAULT_FLEET_FAULT_SEED,
+    DEFAULT_DOMAIN_FAULT_SEED, DEFAULT_FLEET_FAULT_SEED, PASSIVE_EJECT_AFTER,
 };
 pub use lb::{
     BackendState, BackendSummary, FleetSummary, LbLedger, LbResponse, LoadBalancer, ProbeOutcome,
-    TransitionError,
+    TransitionError, LB_LATENCY, PACK_SPILL,
 };

@@ -6,9 +6,48 @@
 //! on the remaining cores saturates the chip, and at the ~2.1×-higher
 //! Memcached ceiling the (much lighter) per-request work does the same.
 
-use bypass::{BypassConfig, Datapath};
+use bypass::Datapath;
 use cpusim::PStateId;
 use desim::{ConfigError, SimDuration};
+
+/// ISR cost in cycles, excluding the ICR PCIe read (which is charged as
+/// a frequency-independent stall, [`nicsim::ICR_READ_LATENCY`]).
+pub const ISR_CYCLES: u64 = 3_000;
+/// Receive SoftIRQ cost per frame (protocol processing, skb management,
+/// socket delivery).
+pub const RX_STACK_CYCLES: u64 = 6_000;
+/// Transmit path cost per frame (segmentation bookkeeping, qdisc,
+/// descriptor setup).
+pub const TX_STACK_CYCLES: u64 = 3_000;
+/// Cost of one dynamic-governor invocation (timer dispatch, load
+/// sampling, cpufreq plumbing).
+pub const GOVERNOR_TICK_CYCLES: u64 = 20_000;
+/// Extra wake-up penalty for the MWAIT/MONITOR kernel path (§2.1:
+/// privileged instructions costing 6–60 µs end to end; the low end
+/// applies to the hot path modelled here).
+pub const MWAIT_WAKE_OVERHEAD: SimDuration = SimDuration::from_us(25);
+
+/// Cycles a busy-poll core spends to receive one frame in userspace
+/// (ring pickup + protocol processing), against the kernel path's
+/// `ISR_CYCLES + RX_STACK_CYCLES`: no context switch, no skb
+/// allocation, no softirq scheduling.
+pub const POLL_RX_CYCLES: u64 = 1_200;
+/// Cycles a busy-poll core spends to transmit one response frame in
+/// userspace (descriptor write, no doorbell), against `TX_STACK_CYCLES`.
+pub const POLL_TX_CYCLES: u64 = 600;
+/// Per-mille of the application's kernel-path CPU cycles that the
+/// bypass datapath's zero-copy service loop still pays. The payload
+/// goes to the application straight out of the userspace ring, so the
+/// loop skips the socket-API copies and syscall crossings baked into the
+/// kernel-path budget: a 25% discount, conservative against the 2x+
+/// per-core gains userspace stacks report for memcached-class
+/// workloads, and what pays back the core lost to polling.
+pub const APP_CYCLE_PERMILLE: u64 = 750;
+
+/// CoDel target sojourn time ([`ShedPolicy::CoDel`]).
+pub const CODEL_TARGET: SimDuration = SimDuration::from_us(500);
+/// CoDel observation interval ([`ShedPolicy::CoDel`]).
+pub const CODEL_INTERVAL: SimDuration = SimDuration::from_ms(10);
 
 /// Admission policy applied when overload protection is armed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -25,9 +64,10 @@ pub enum ShedPolicy {
     /// Drop-tail, plus reject any request whose elapsed time since the
     /// client stamped it already meets or exceeds its deadline — work
     /// that can no longer be answered in time is not worth admitting.
+    /// Unstamped requests are exempt.
     Deadline,
     /// Drop-tail, plus a CoDel-style controller: once queue sojourn time
-    /// stays above `codel_target` for a full `codel_interval`, shed one
+    /// stays above [`CODEL_TARGET`] for a full [`CODEL_INTERVAL`], shed one
     /// request, then the next after `interval/sqrt(2)`, `interval/sqrt(3)`,
     /// … until sojourn drops back under the target.
     CoDel,
@@ -93,13 +133,6 @@ pub struct OverloadConfig {
     pub tx_backlog_cap: Option<usize>,
     /// Which admission policy sheds work when queues fill.
     pub policy: ShedPolicy,
-    /// Deadline assumed for requests that did not stamp one
-    /// ([`ShedPolicy::Deadline`] only; `None` exempts unstamped requests).
-    pub default_deadline: Option<SimDuration>,
-    /// CoDel target sojourn time.
-    pub codel_target: SimDuration,
-    /// CoDel observation interval.
-    pub codel_interval: SimDuration,
 }
 
 impl OverloadConfig {
@@ -111,9 +144,6 @@ impl OverloadConfig {
             rx_backlog_cap: None,
             tx_backlog_cap: None,
             policy: ShedPolicy::None,
-            default_deadline: None,
-            codel_target: SimDuration::from_us(500),
-            codel_interval: SimDuration::from_ms(10),
         }
     }
 
@@ -131,7 +161,6 @@ impl OverloadConfig {
             rx_backlog_cap: Some(1_024),
             tx_backlog_cap: Some(4_096),
             policy: ShedPolicy::DropTail,
-            ..OverloadConfig::off()
         }
     }
 
@@ -146,13 +175,6 @@ impl OverloadConfig {
     #[must_use]
     pub fn with_policy(mut self, policy: ShedPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Builder-style default deadline for unstamped requests.
-    #[must_use]
-    pub fn with_default_deadline(mut self, d: SimDuration) -> Self {
-        self.default_deadline = Some(d);
         self
     }
 
@@ -175,34 +197,6 @@ impl OverloadConfig {
             _ => None,
         }
     }
-
-    /// Validates field constraints.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] naming the offending field.
-    ///
-    /// Note that `cap = 0` with [`ShedPolicy::None`] is *accepted* here:
-    /// it is a semantic misconfiguration (capacities that nothing
-    /// enforces), which the runtime watchdog reports as a structured
-    /// boundedness violation.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.policy == ShedPolicy::CoDel {
-            if self.codel_target == SimDuration::ZERO {
-                return Err(ConfigError::new(
-                    "overload.codel_target",
-                    "CoDel target sojourn must be positive",
-                ));
-            }
-            if self.codel_interval == SimDuration::ZERO {
-                return Err(ConfigError::new(
-                    "overload.codel_interval",
-                    "CoDel interval must be positive",
-                ));
-            }
-        }
-        Ok(())
-    }
 }
 
 impl Default for OverloadConfig {
@@ -218,22 +212,6 @@ pub struct KernelConfig {
     pub cores: u8,
     /// P-state cores boot in.
     pub initial_pstate: PStateId,
-    /// ISR cost in cycles, excluding the ICR PCIe read (which is charged
-    /// as a frequency-independent stall from the NIC config).
-    pub isr_cycles: u64,
-    /// Receive SoftIRQ cost per frame (protocol processing, skb
-    /// management, socket delivery).
-    pub rx_stack_cycles: u64,
-    /// Transmit path cost per frame (segmentation bookkeeping, qdisc,
-    /// descriptor setup).
-    pub tx_stack_cycles: u64,
-    /// Cost of one dynamic-governor invocation (timer dispatch, load
-    /// sampling, cpufreq plumbing).
-    pub governor_tick_cycles: u64,
-    /// Extra wake-up penalty for the MWAIT/MONITOR kernel path
-    /// (§2.1: privileged instructions costing 6–60 µs end to end; the
-    /// low end applies to the hot path modelled here).
-    pub mwait_wake_overhead: SimDuration,
     /// Paper §7 extension (multi-queue NICs): when `true`, an NCAP boost
     /// raises only cores that actually process packets/requests — core 0
     /// immediately, other cores on their first work dispatch — instead of
@@ -250,10 +228,10 @@ pub struct KernelConfig {
     /// Which network datapath this node runs (interrupt-driven kernel
     /// stack, busy-poll bypass, or kernel stack with on-NIC NCAP).
     pub datapath: Datapath,
-    /// Busy-poll budget, consulted only when `datapath` is
-    /// [`Datapath::Bypass`]: how many cores spin, and the userspace
-    /// per-frame RX/TX costs that replace the kernel stack cycles.
-    pub bypass: BypassConfig,
+    /// Cores dedicated to busy-polling (the lowest-numbered ones),
+    /// consulted only when `datapath` is [`Datapath::Bypass`]. They never
+    /// sleep, never change P-state, and take no application work.
+    pub poll_cores: u8,
 }
 
 impl KernelConfig {
@@ -264,16 +242,11 @@ impl KernelConfig {
         KernelConfig {
             cores: 4,
             initial_pstate: PStateId(14),
-            isr_cycles: 3_000,
-            rx_stack_cycles: 6_000,
-            tx_stack_cycles: 3_000,
-            governor_tick_cycles: 20_000,
-            mwait_wake_overhead: SimDuration::from_us(25),
             per_core_boost: false,
             reliable: false,
             overload: OverloadConfig::off(),
             datapath: Datapath::Kernel,
-            bypass: BypassConfig::dpdk_like(),
+            poll_cores: 1,
         }
     }
 
@@ -320,13 +293,6 @@ impl KernelConfig {
         self
     }
 
-    /// Builder-style busy-poll budget override (bypass datapath only).
-    #[must_use]
-    pub fn with_bypass(mut self, bypass: BypassConfig) -> Self {
-        self.bypass = bypass;
-        self
-    }
-
     /// Validates field constraints.
     ///
     /// # Errors
@@ -337,9 +303,25 @@ impl KernelConfig {
             return Err(ConfigError::new("cores", "a node needs at least one core"));
         }
         if self.datapath.bypasses_kernel() {
-            self.bypass.validate(self.cores)?;
+            // At least one core must poll, and at least one must remain
+            // for application work.
+            if self.poll_cores == 0 {
+                return Err(ConfigError::new(
+                    "poll_cores",
+                    "bypass datapath needs at least one busy-poll core",
+                ));
+            }
+            if self.poll_cores >= self.cores {
+                return Err(ConfigError::new(
+                    "poll_cores",
+                    format!(
+                        "{} poll cores leave no application cores on a {}-core server",
+                        self.poll_cores, self.cores
+                    ),
+                ));
+            }
         }
-        self.overload.validate()
+        Ok(())
     }
 }
 
@@ -358,7 +340,6 @@ mod tests {
         let c = KernelConfig::server_defaults();
         assert_eq!(c.cores, 4);
         assert_eq!(c.initial_pstate, PStateId(14));
-        assert!(c.mwait_wake_overhead >= SimDuration::from_us(1));
         assert!(!c.reliable);
         assert!(c.validate().is_ok());
     }
@@ -386,11 +367,30 @@ mod tests {
     }
 
     #[test]
+    fn bypass_config_validates_core_budget() {
+        let bypass = |poll_cores| KernelConfig {
+            datapath: Datapath::Bypass,
+            poll_cores,
+            ..KernelConfig::server_defaults()
+        };
+        assert!(bypass(1).validate().is_ok());
+        assert!(bypass(3).validate().is_ok());
+        for n in [0, 4] {
+            assert_eq!(bypass(n).validate().unwrap_err().field, "poll_cores");
+        }
+        // Only the bypass datapath reads the count.
+        let kernel = KernelConfig {
+            poll_cores: 0,
+            ..KernelConfig::server_defaults()
+        };
+        assert!(kernel.validate().is_ok());
+    }
+
+    #[test]
     fn overload_defaults_are_off_and_unbounded() {
         let ov = OverloadConfig::off();
         assert!(!ov.shedding());
         assert_eq!(ov.queue_bound(1), None);
-        assert!(ov.validate().is_ok());
         let armed = OverloadConfig::server_defaults();
         assert!(armed.shedding());
         assert_eq!(armed.queue_bound(1), Some(512 + 1_025 + 4_096));
@@ -417,16 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn codel_policy_requires_positive_parameters() {
-        let mut ov = OverloadConfig::server_defaults().with_policy(ShedPolicy::CoDel);
-        ov.codel_target = SimDuration::ZERO;
-        assert_eq!(ov.validate().unwrap_err().field, "overload.codel_target");
-        let mut ov = OverloadConfig::server_defaults().with_policy(ShedPolicy::CoDel);
-        ov.codel_interval = SimDuration::ZERO;
-        assert_eq!(ov.validate().unwrap_err().field, "overload.codel_interval");
-    }
-
-    #[test]
     fn broken_cap_without_policy_passes_static_validation() {
         // Enforcement is the watchdog's job: caps with no shedding policy
         // validate here but trip the runtime boundedness check.
@@ -435,9 +425,9 @@ mod tests {
             rx_backlog_cap: Some(0),
             tx_backlog_cap: Some(0),
             policy: ShedPolicy::None,
-            ..OverloadConfig::off()
         };
-        assert!(ov.validate().is_ok());
+        let cfg = KernelConfig::server_defaults().with_overload(ov);
+        assert!(cfg.validate().is_ok());
         assert!(!ov.shedding());
         assert_eq!(ov.queue_bound(1), Some(1));
     }

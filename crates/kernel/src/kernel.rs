@@ -6,7 +6,11 @@
 //! the wire (which the cluster routes through the switch).
 
 use crate::app::{AppPhase, RequestInfo, ServerApp};
-use crate::config::{KernelConfig, ShedPolicy};
+use crate::config::{
+    KernelConfig, ShedPolicy, APP_CYCLE_PERMILLE, CODEL_INTERVAL, CODEL_TARGET,
+    GOVERNOR_TICK_CYCLES, ISR_CYCLES, MWAIT_WAKE_OVERHEAD, POLL_RX_CYCLES, POLL_TX_CYCLES,
+    RX_STACK_CYCLES, TX_STACK_CYCLES,
+};
 use crate::work::{RunQueue, Work, WorkKind};
 use cpusim::{
     CState, Core, CoreId, CoreStateKind, EnergyMeter, PStateTable, PowerMode, PowerModel,
@@ -402,7 +406,7 @@ impl Kernel {
             // Hand RX ring ownership to the userspace poll-mode driver;
             // no interrupts, moderation timers or on-NIC inspection.
             nic.set_poll_mode();
-            cfg.bypass.poll_cores as usize
+            cfg.poll_cores as usize
         } else {
             0
         };
@@ -632,7 +636,7 @@ impl Kernel {
     #[must_use]
     pub fn poll_core_count(&self) -> usize {
         if self.cfg.datapath.bypasses_kernel() {
-            self.cfg.bypass.poll_cores as usize
+            self.cfg.poll_cores as usize
         } else {
             0
         }
@@ -716,7 +720,7 @@ impl Kernel {
             simtrace::metric_add("kernel", "hardirqs", t, 1.0);
         }
         let core = self.irq_core(queue);
-        let isr = Work::cycles(self.cfg.isr_cycles, WorkKind::Isr { queue: queue as u8 })
+        let isr = Work::cycles(ISR_CYCLES, WorkKind::Isr { queue: queue as u8 })
             .on_core(core as u8)
             .queued_at(now);
         // The on-NIC engine already consumed the causes, so an offload
@@ -724,7 +728,7 @@ impl Kernel {
         let isr = if self.cfg.datapath.offloads_ncap() {
             isr
         } else {
-            isr.with_fixed(self.nic.config().icr_read_latency)
+            isr.with_fixed(nicsim::ICR_READ_LATENCY)
         };
         // ISRs are exempt from admission control: at most one per vector
         // is pending (level-triggered dedup above), and dropping one would
@@ -778,7 +782,7 @@ impl Kernel {
             polled += 1;
             self.poll_queue.push(
                 Work::cycles(
-                    self.cfg.bypass.poll_rx_cycles,
+                    POLL_RX_CYCLES,
                     WorkKind::PollRx {
                         frame,
                         queue: queue as u8,
@@ -822,7 +826,7 @@ impl Kernel {
                 simtrace::instant_args("kernel", "core_wake", t, &[simtrace::arg("core", ci)]);
                 simtrace::metric_add("kernel", "core_wakes", t, 1.0);
             }
-            let done = ready + self.cfg.mwait_wake_overhead;
+            let done = ready + MWAIT_WAKE_OVERHEAD;
             let gen = self.wake_slots[ci].arm(done);
             self.wake_eta[ci] = done;
             fx.at(
@@ -1008,12 +1012,12 @@ impl Kernel {
         }
         match ov.policy {
             ShedPolicy::Deadline => {
-                let deadline = meta.deadline.or(ov.default_deadline)?;
+                let deadline = meta.deadline?;
                 (now.saturating_since(meta.sent_at) >= deadline).then_some("deadline")
             }
             ShedPolicy::CoDel => self
                 .codel
-                .should_shed(now, sojourn, ov.codel_target, ov.codel_interval)
+                .should_shed(now, sojourn, CODEL_TARGET, CODEL_INTERVAL)
                 .then_some("codel"),
             ShedPolicy::None | ShedPolicy::DropTail => None,
         }
@@ -1137,7 +1141,7 @@ impl Kernel {
             .ncap_sw
             .as_ref()
             .map_or(0, |_| ncap::SW_PER_PACKET_CYCLES);
-        let stack = (self.cfg.rx_stack_cycles as f64 * self.nic.stack_cycle_factor()) as u64;
+        let stack = (RX_STACK_CYCLES as f64 * self.nic.stack_cycle_factor()) as u64;
         let core = self.irq_core(queue) as u8;
         let ov = self.cfg.overload;
         let mut drained = 0u64;
@@ -1339,7 +1343,7 @@ impl Kernel {
             // the application straight out of the userspace ring, so
             // the serving loop skips the socket-API copies and syscall
             // crossings the kernel-path app cycle budget includes.
-            let keep = u64::from(self.cfg.bypass.app_cycle_permille);
+            let keep = APP_CYCLE_PERMILLE;
             for phase in &mut plan.phases {
                 if let AppPhase::Cpu { cycles } = phase {
                     *cycles = *cycles * keep / 1_000;
@@ -1452,7 +1456,7 @@ impl Kernel {
             last.meta_mut().stages = stages;
         }
         let sw_cost = self.ncap_sw.as_ref().map_or(0, |_| ncap::SW_PER_TX_CYCLES);
-        let stack = (self.cfg.tx_stack_cycles as f64 * self.nic.stack_cycle_factor()) as u64;
+        let stack = (TX_STACK_CYCLES as f64 * self.nic.stack_cycle_factor()) as u64;
         let ov = self.cfg.overload;
         for frame in frames {
             // Departures have their own allowance; past it the frame is
@@ -1469,11 +1473,7 @@ impl Kernel {
                 // Doorbell-free userspace TX: a poll core writes the
                 // descriptor directly — no softirq hop, no core-0 pin.
                 self.poll_queue.push(
-                    Work::cycles(
-                        self.cfg.bypass.poll_tx_cycles,
-                        WorkKind::SoftIrqTx { frame },
-                    )
-                    .queued_at(now),
+                    Work::cycles(POLL_TX_CYCLES, WorkKind::SoftIrqTx { frame }).queued_at(now),
                 );
             } else {
                 self.run_queue.push_back(
@@ -1578,7 +1578,7 @@ impl Kernel {
         // already applied above, only its cycle cost is skipped.
         if !self.run_queue_full() {
             self.run_queue.push_back(
-                Work::cycles(self.cfg.governor_tick_cycles, WorkKind::Overhead)
+                Work::cycles(GOVERNOR_TICK_CYCLES, WorkKind::Overhead)
                     .on_core(self.overhead_core())
                     .queued_at(now),
             );
@@ -2382,7 +2382,7 @@ mod tests {
     fn non_affine_work_goes_to_the_highest_idle_non_poll_core() {
         let cfg = KernelConfig {
             datapath: bypass::Datapath::Bypass,
-            bypass: bypass::BypassConfig::dpdk_like().with_poll_cores(1),
+            poll_cores: 1,
             ..KernelConfig::server_defaults()
         };
         let mut k = Kernel::new(
@@ -2530,7 +2530,7 @@ mod overload_tests {
         let mut fx = k.boot(SimTime::ZERO);
         fx.schedule
             .push((SimTime::from_ms(2), NodeEvent::FrameFromWire(get_frame(1))));
-        // mwait_wake_overhead is 25 us: this frame arrives mid-wake.
+        // MWAIT_WAKE_OVERHEAD is 25 us: this frame arrives mid-wake.
         fx.schedule.push((
             SimTime::from_ms(2) + SimDuration::from_us(5),
             NodeEvent::FrameFromWire(get_frame(2)),
@@ -2579,7 +2579,7 @@ mod overload_tests {
             SimTime::from_us(10),
             NodeEvent::FrameFromWire(get_frame(1).with_deadline(SimDuration::ZERO)),
         ));
-        // An unstamped request (no default deadline either) is exempt.
+        // An unstamped request is exempt.
         fx.schedule.push((
             SimTime::from_us(200),
             NodeEvent::FrameFromWire(get_frame(2)),
@@ -2595,16 +2595,16 @@ mod overload_tests {
 
     #[test]
     fn expired_deadlines_shed_under_the_deadline_policy() {
-        let ov = OverloadConfig::off()
-            .with_policy(ShedPolicy::Deadline)
-            .with_default_deadline(SimDuration::from_us(5));
+        let ov = OverloadConfig::off().with_policy(ShedPolicy::Deadline);
         let mut k = shed_kernel(ov, false, false);
         let mut fx = k.boot(SimTime::ZERO);
-        // get_frame stamps sent_at = 1 us; arriving at 10 us exceeds the
-        // 5 us default budget.
-        fx.schedule
-            .push((SimTime::from_us(10), NodeEvent::FrameFromWire(get_frame(1))));
-        // A generous per-request stamp overrides the default and admits.
+        // get_frame stamps sent_at = 1 us; arriving at 10 us exceeds a
+        // 5 us budget.
+        fx.schedule.push((
+            SimTime::from_us(10),
+            NodeEvent::FrameFromWire(get_frame(1).with_deadline(SimDuration::from_us(5))),
+        ));
+        // A generous stamp admits.
         fx.schedule.push((
             SimTime::from_us(30),
             NodeEvent::FrameFromWire(get_frame(2).with_deadline(SimDuration::from_ms(10))),
@@ -2680,7 +2680,6 @@ mod overload_tests {
             rx_backlog_cap: Some(0),
             tx_backlog_cap: Some(0),
             policy: ShedPolicy::None,
-            ..OverloadConfig::off()
         };
         let mut k = shed_kernel(ov, false, false);
         let mut fx = k.boot(SimTime::ZERO);

@@ -31,7 +31,7 @@ pub mod kernel;
 pub mod work;
 
 pub use app::{AppPhase, AppPlan, RequestInfo, ServerApp};
-pub use bypass::{BypassConfig, Datapath};
+pub use bypass::Datapath;
 pub use config::{KernelConfig, OverloadConfig, ShedPolicy};
 pub use kernel::{Effects, Kernel, KernelStats, NodeEvent};
 pub use work::{CoreSet, Pick, RunQueue, WakePass, Work, WorkKind};

@@ -40,5 +40,8 @@ pub mod ring;
 
 pub use dma::DmaEngine;
 pub use moderation::ModerationTimer;
-pub use nic::{Nic, NicConfig, RxOutcome, ToeConfig, TxOutcome};
+pub use nic::{
+    Nic, NicConfig, RxOutcome, TxOutcome, AITT, DMA_BANDWIDTH_BPS, DMA_BASE_LATENCY,
+    ICR_READ_LATENCY, PITT, TOE_HOLD, TOE_STACK_OFFLOAD, TX_RING,
+};
 pub use ring::DescriptorRing;

@@ -17,56 +17,43 @@ use ncap::{IcrFlags, NcapConfig, NcapHardware};
 use netsim::Packet;
 use std::collections::VecDeque;
 
-/// TCP offload engine configuration (paper §7): a TOE terminates parts
-/// of the TCP stack on the NIC, cutting the per-packet cycles the host
-/// kernel spends, at the cost of holding packets longer inside the NIC.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ToeConfig {
-    /// Fraction of host RX/TX stack cycles the TOE absorbs (0..=1).
-    pub stack_offload: f64,
-    /// Extra per-frame hold time inside the NIC (protocol processing on
-    /// the NIC's own engine) before the DMA to host memory begins.
-    pub hold: SimDuration,
-}
+/// TX descriptor ring size.
+pub const TX_RING: usize = 256;
+/// DMA bandwidth between NIC and main memory (bits/s).
+pub const DMA_BANDWIDTH_BPS: u64 = 20_000_000_000;
+/// Fixed per-frame DMA cost (descriptor fetch + PCIe transactions).
+pub const DMA_BASE_LATENCY: SimDuration = SimDuration::from_us(15);
+/// Absolute interrupt throttling timer (AITT): max delay from the first
+/// pending frame to the interrupt.
+pub const AITT: SimDuration = SimDuration::from_us(100);
+/// Packet interrupt throttling timer (PITT): packet-silence gap that
+/// triggers the interrupt early under light traffic.
+pub const PITT: SimDuration = SimDuration::from_us(20);
+/// Latency of one ICR read over PCIe (charged by the ISR).
+pub const ICR_READ_LATENCY: SimDuration = SimDuration::from_us(2);
 
-impl ToeConfig {
-    /// A typical full-termination TOE: 70 % of stack cycles absorbed,
-    /// 10 µs of on-NIC protocol processing per frame.
-    #[must_use]
-    pub fn typical() -> Self {
-        ToeConfig {
-            stack_offload: 0.7,
-            hold: SimDuration::from_us(10),
-        }
-    }
-}
+/// Fraction of host RX/TX stack cycles a TCP offload engine absorbs
+/// (paper §7: a typical full-termination TOE).
+pub const TOE_STACK_OFFLOAD: f64 = 0.7;
+/// Per-frame hold time inside a TOE NIC (protocol processing on the
+/// NIC's own engine) before the DMA to host memory begins.
+pub const TOE_HOLD: SimDuration = SimDuration::from_us(10);
 
 /// Static configuration of a NIC instance.
 #[derive(Debug, Clone)]
 pub struct NicConfig {
     /// RX descriptor ring size.
     pub rx_ring: usize,
-    /// TX descriptor ring size.
-    pub tx_ring: usize,
-    /// DMA bandwidth between NIC and main memory (bits/s).
-    pub dma_bandwidth_bps: u64,
-    /// Fixed per-frame DMA cost (descriptor fetch + PCIe transactions).
-    pub dma_base_latency: SimDuration,
     /// Master interrupt throttling timer period.
     pub mitt_period: SimDuration,
-    /// Absolute interrupt throttling timer (AITT): max delay from the
-    /// first pending frame to the interrupt.
-    pub aitt: SimDuration,
-    /// Packet interrupt throttling timer (PITT): packet-silence gap that
-    /// triggers the interrupt early under light traffic.
-    pub pitt: SimDuration,
-    /// Latency of one ICR read over PCIe (charged by the ISR).
-    pub icr_read_latency: SimDuration,
     /// NCAP hardware configuration; `None` for a conventional NIC.
     pub ncap: Option<NcapConfig>,
-    /// TCP offload engine; `None` for a conventional NIC (the paper's
+    /// A TCP offload engine terminates parts of the TCP stack on the NIC
+    /// ([`TOE_STACK_OFFLOAD`], [`TOE_HOLD`]), cutting the per-packet
+    /// cycles the host kernel spends at the cost of holding packets
+    /// longer inside the NIC. `false` is a conventional NIC (the paper's
     /// evaluated configuration — TOE is the §7 discussion).
-    pub toe: Option<ToeConfig>,
+    pub toe: bool,
     /// Number of receive queues with their own MSI-X vectors (RSS).
     /// The paper's evaluated 82574 is single-queue; multi-queue is the
     /// §7 extension where "the target core for packet/request processing
@@ -81,15 +68,9 @@ impl NicConfig {
     pub fn i82574_like() -> Self {
         NicConfig {
             rx_ring: 256,
-            tx_ring: 256,
-            dma_bandwidth_bps: 20_000_000_000,
-            dma_base_latency: SimDuration::from_us(15),
             mitt_period: SimDuration::from_us(50),
-            aitt: SimDuration::from_us(100),
-            pitt: SimDuration::from_us(20),
-            icr_read_latency: SimDuration::from_us(2),
             ncap: None,
-            toe: None,
+            toe: false,
             queues: 1,
         }
     }
@@ -99,13 +80,6 @@ impl NicConfig {
     pub fn with_ncap(mut self, ncap: NcapConfig) -> Self {
         self.mitt_period = ncap.mitt_period;
         self.ncap = Some(ncap);
-        self
-    }
-
-    /// Adds a TCP offload engine (§7 discussion).
-    #[must_use]
-    pub fn with_toe(mut self, toe: ToeConfig) -> Self {
-        self.toe = Some(toe);
         self
     }
 
@@ -168,7 +142,7 @@ impl RxQueue {
             ring: DescriptorRing::new(config.rx_ring),
             in_flight: VecDeque::new(),
             pending: VecDeque::new(),
-            delay: DelayTimers::new(config.aitt, config.pitt),
+            delay: DelayTimers::new(AITT, PITT),
             delay_slot: TimerSlot::new(),
             cause: IcrFlags::EMPTY,
             irq_asserted: false,
@@ -205,9 +179,9 @@ impl Nic {
         let ncap = config.ncap.clone().map(NcapHardware::new);
         Nic {
             queues: (0..config.queues).map(|_| RxQueue::new(&config)).collect(),
-            tx_ring: DescriptorRing::new(config.tx_ring),
-            rx_dma: DmaEngine::new(config.dma_bandwidth_bps, config.dma_base_latency),
-            tx_dma: DmaEngine::new(config.dma_bandwidth_bps, config.dma_base_latency),
+            tx_ring: DescriptorRing::new(TX_RING),
+            rx_dma: DmaEngine::new(DMA_BANDWIDTH_BPS, DMA_BASE_LATENCY),
+            tx_dma: DmaEngine::new(DMA_BANDWIDTH_BPS, DMA_BASE_LATENCY),
             mitt: ModerationTimer::new(config.mitt_period),
             ncap,
             poll_mode: false,
@@ -323,7 +297,7 @@ impl Nic {
         // A TOE processes the frame on the NIC before the host DMA
         // starts — it holds packets longer inside the NIC, which is
         // exactly the extra slack §7 says NCAP gains for hiding wake-ups.
-        let start = self.config.toe.map_or(now, |t| now + t.hold);
+        let start = if self.config.toe { now + TOE_HOLD } else { now };
         let done = self.rx_dma.transfer(start, frame.frame_len());
         if simtrace::is_enabled() {
             let id = simtrace::async_begin(
@@ -513,9 +487,11 @@ impl Nic {
     /// part of the kernel's per-packet protocol work (§7).
     #[must_use]
     pub fn stack_cycle_factor(&self) -> f64 {
-        self.config
-            .toe
-            .map_or(1.0, |t| (1.0 - t.stack_offload).max(0.0))
+        if self.config.toe {
+            1.0 - TOE_STACK_OFFLOAD
+        } else {
+            1.0
+        }
     }
 
     /// Frames accepted from the wire.
@@ -698,11 +674,11 @@ mod tests {
 
     #[test]
     fn tx_ring_full_rejects() {
-        let mut cfg = NicConfig::i82574_like();
-        cfg.tx_ring = 1;
-        let mut nic = Nic::new(cfg);
+        let mut nic = Nic::new(NicConfig::i82574_like());
         let f = get_frame(1);
-        assert!(nic.enqueue_tx(SimTime::ZERO, &f).is_some());
+        for _ in 0..TX_RING {
+            assert!(nic.enqueue_tx(SimTime::ZERO, &f).is_some());
+        }
         assert!(nic.enqueue_tx(SimTime::ZERO, &f).is_none());
         nic.tx_done(SimTime::from_us(20), f.wire_len());
         assert!(nic.enqueue_tx(SimTime::from_us(20), &f).is_some());
@@ -711,7 +687,10 @@ mod tests {
     #[test]
     fn toe_holds_frames_and_absorbs_stack_cycles() {
         let plain = Nic::new(NicConfig::i82574_like());
-        let mut toe_nic = Nic::new(NicConfig::i82574_like().with_toe(ToeConfig::typical()));
+        let mut toe_nic = Nic::new(NicConfig {
+            toe: true,
+            ..NicConfig::i82574_like()
+        });
         assert_eq!(plain.stack_cycle_factor(), 1.0);
         assert!((toe_nic.stack_cycle_factor() - 0.3).abs() < 1e-9);
         let out = toe_nic.frame_arrived(SimTime::ZERO, get_frame(1));

@@ -94,6 +94,11 @@ for file in flash-zero endless overload huge-fleet; do
     expect_exit_2 timeout 60 cargo run --release -q -p ncap-cli -- chaos \
         --scenario "target/config-smoke/$file.scenario"
 done
+# A replayed file fixes its own seed, and --out only holds --shrink's
+# repros: flags that would be ignored are rejected instead.
+expect_exit_2 timeout 60 cargo run --release -q -p ncap-cli -- chaos \
+    --scenario target/config-smoke/flash-zero.scenario --seeds 4
+expect_exit_2 timeout 60 cargo run --release -q -p ncap-cli -- chaos --out target/config-smoke
 echo "==> config-rejection smoke ok"
 
 # Attribution smoke: `ncap report` must render the per-stage table,

@@ -20,7 +20,7 @@
 //! * a whole-fleet partition reports its stranded requests and dead
 //!   dispatches, and no ledger break;
 //! * no scenario file panics the reader, and every file it accepts
-//!   validates and round-trips;
+//!   validates, round-trips, and builds and runs without a panic;
 //! * the campaign's results match their pinned field-digest table.
 
 use cluster::chaos;
@@ -227,69 +227,96 @@ const BOUNDARY: &[&str] = &[
     "ncap.cons",
 ];
 
-/// Nothing a scenario file holds panics the reader, and every file it
-/// accepts validates and survives a write/read round trip unchanged. The
-/// files start from generated scenarios, then take up to four edits: a
-/// key set to a boundary or random value, one field of a line replaced
-/// by one, a line duplicated or dropped, or a stray comma appended. No
-/// simulation runs.
-#[test]
-fn prop_no_scenario_file_panics() {
+/// A generated scenario file with up to four edits: a key set to a
+/// boundary or random value, one field of a line replaced by one, a line
+/// duplicated or dropped, or a stray comma appended.
+fn mutated_scenario_file(rng: &mut check::Rng, size: usize) -> String {
     let pick = |rng: &mut check::Rng, from: &[&'static str]| -> &'static str {
         from[rng.next_below(from.len() as u64) as usize]
     };
-    // A boundary value, or a random integer or fraction.
     let value = |rng: &mut check::Rng, size: usize| match rng.next_below(3) {
         0 => check::gen::u64_scaled(rng, size, 0, u64::MAX).to_string(),
         1 => (rng.next_f64() * 20_000.0).to_string(),
         _ => pick(rng, BOUNDARY).to_owned(),
     };
+    let text = chaos::to_file_string(&chaos::generate(rng.next_below(64)));
+    let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+    for _ in 0..check::gen::len_in(rng, size, 1, 4) {
+        let at = rng.next_below(lines.len() as u64) as usize;
+        match rng.next_below(5) {
+            0 => {
+                let line = format!("{}={}", pick(rng, &KEYS), value(rng, size));
+                lines.push(line);
+            }
+            1 => {
+                let (key, values) = lines[at].split_once('=').unwrap_or(("seed", ""));
+                let mut fields: Vec<String> = values.split(',').map(str::to_owned).collect();
+                let f = rng.next_below(fields.len() as u64) as usize;
+                fields[f] = value(rng, size);
+                lines[at] = format!("{key}={}", fields.join(","));
+            }
+            2 => lines.push(lines[at].clone()),
+            3 if lines.len() > 1 => {
+                lines.remove(at);
+            }
+            _ => lines[at].push(','),
+        }
+    }
+    lines.join("\n")
+}
+
+/// Nothing a scenario file holds panics the reader, and every file it
+/// accepts validates and survives a write/read round trip unchanged. No
+/// simulation runs.
+#[test]
+fn prop_no_scenario_file_panics() {
     check::Check::new("scenario_file_never_panics")
         .cases(8192)
-        .run(
-            |rng, size| {
-                let text = chaos::to_file_string(&chaos::generate(rng.next_below(64)));
-                let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
-                for _ in 0..check::gen::len_in(rng, size, 1, 4) {
-                    let at = rng.next_below(lines.len() as u64) as usize;
-                    match rng.next_below(5) {
-                        0 => {
-                            let line = format!("{}={}", pick(rng, &KEYS), value(rng, size));
-                            lines.push(line);
-                        }
-                        1 => {
-                            let (key, values) = lines[at].split_once('=').unwrap_or(("seed", ""));
-                            let mut fields: Vec<String> =
-                                values.split(',').map(str::to_owned).collect();
-                            let f = rng.next_below(fields.len() as u64) as usize;
-                            fields[f] = value(rng, size);
-                            lines[at] = format!("{key}={}", fields.join(","));
-                        }
-                        2 => lines.push(lines[at].clone()),
-                        3 if lines.len() > 1 => {
-                            lines.remove(at);
-                        }
-                        _ => lines[at].push(','),
-                    }
-                }
-                lines.join("\n")
-            },
-            |text| {
-                let Ok(cfg) = chaos::from_file_str(text) else {
-                    return Ok(());
-                };
-                cfg.validate()
-                    .map_err(|e| format!("accepted an invalid scenario: {e}"))?;
-                let again = chaos::to_file_string(&cfg);
-                let back = chaos::from_file_str(&again)
-                    .map_err(|e| format!("rewritten file rejected: {e}\n{again}"))?;
-                check::ensure!(
-                    format!("{back:?}") == format!("{cfg:?}"),
-                    "round trip changed the config:\n{again}"
-                );
-                Ok(())
-            },
-        );
+        .run(mutated_scenario_file, |text| {
+            let Ok(cfg) = chaos::from_file_str(text) else {
+                return Ok(());
+            };
+            cfg.validate()
+                .map_err(|e| format!("accepted an invalid scenario: {e}"))?;
+            let again = chaos::to_file_string(&cfg);
+            let back = chaos::from_file_str(&again)
+                .map_err(|e| format!("rewritten file rejected: {e}\n{again}"))?;
+            check::ensure!(
+                format!("{back:?}") == format!("{cfg:?}"),
+                "round trip changed the config:\n{again}"
+            );
+            Ok(())
+        });
+}
+
+/// Events each accepted file may simulate: enough to boot the fleet and
+/// carry the first bursts through the LB, the NICs and the kernels.
+const SCENARIO_EVENT_BUDGET: u64 = 2_000;
+
+/// Every file the reader accepts builds a cluster and simulates under an
+/// event budget without a panic.
+#[test]
+fn prop_accepted_scenario_files_build_and_run() {
+    check::Check::new("accepted_scenario_files_run")
+        .cases(1024)
+        .run(mutated_scenario_file, |text| {
+            let Ok(cfg) = chaos::from_file_str(text) else {
+                return Ok(());
+            };
+            let (cluster, initial) = cluster::build_cluster(&cfg)
+                .map_err(|e| format!("accepted file does not build: {e}"))?;
+            let mut sim = desim::Simulation::new(cluster);
+            sim.set_event_budget(SCENARIO_EVENT_BUDGET);
+            for (t, e) in initial {
+                sim.queue_mut().push(t, e);
+            }
+            sim.run_until(desim::SimTime::ZERO + cfg.horizon());
+            check::ensure!(
+                sim.events_processed() <= SCENARIO_EVENT_BUDGET,
+                "the budget was overrun"
+            );
+            Ok(())
+        });
 }
 
 /// The field-digest table of the 16-seed campaign, folded over the
